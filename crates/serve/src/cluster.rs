@@ -7,21 +7,27 @@
 //! * **Ring** — every node (and every routing client) builds the same
 //!   [`HashRing`] over the member addresses: [`VNODES`] virtual points per
 //!   node, placed by [`ring_hash`] over `"{addr}#{replica}"`. A request
-//!   routes by the FNV-1a hash of its *quantized* cache key
-//!   ([`CacheKey::hash64`](crate::cache::CacheKey::hash64)), so the same
-//!   scenario lands on the same node from any client — cache locality
-//!   without coordination.
+//!   routes by [`route_hash`]: a tolerant request that would consult an
+//!   interpolation cell routes by that cell's key
+//!   ([`serving_cell_hash`]), so every lane of a sweep that lands in one
+//!   cell meets the one node holding it; anything else routes by the
+//!   FNV-1a hash of its *quantized* cache key ([`scenario_hash`]). Either
+//!   way the same request lands on the same node from any client — cache
+//!   locality without coordination.
 //! * **Ownership is locality, not authority.** Every node can solve every
 //!   scenario exactly; the ring only decides where cache and cell state
 //!   *accumulates*. Killing a node therefore degrades capacity, never
 //!   correctness: requests rehash to the survivors, which simply solve
 //!   colder.
-//! * **Cell shipping** — a node that owns a request but lacks the
-//!   interpolation cell asks the peers for it (`GET /v1/cell/{key}`), and
-//!   sweep-prefetched cells are pushed ahead (`POST /v1/cell/{key}`).
-//!   Every shipped cell is re-verified against a locally solved spot-probe
-//!   before admission ([`import_cell`](crate::interp::InterpCache::import_cell))
-//!   — the sender is never trusted.
+//! * **Cell shipping** — each cell has one *home*, its ring owner. Routed
+//!   traffic builds every cell at its home, so nothing moves. A request
+//!   that reaches another node (sent there directly, or failed over) asks
+//!   only the home for a missing cell (`GET /v1/cell/{key}`), and offers a
+//!   cell it had to build only to the home (`POST /v1/cell/{key}`); a home
+//!   that is down is skipped both ways. Every shipped cell is re-verified
+//!   against a locally solved spot-probe before admission
+//!   ([`import_cell`](crate::interp::InterpCache::import_cell)) — the
+//!   sender is never trusted.
 //! * **Peer health** — failure detection is lazy: the first failed
 //!   node-to-node or client-to-node request marks the peer down for a
 //!   cooldown, requests rehash to ring survivors, and once the cooldown
@@ -55,7 +61,7 @@ use crate::client::{
     ClientError, RetryPolicy,
 };
 use crate::codec::{cell_from_json, cell_to_json};
-use crate::interp::{CellExport, CellSource};
+use crate::interp::{serving_cell_hash, CellExport, CellKey, CellSource};
 use crate::json::Json;
 use lopc_core::{Prediction, Scenario};
 
@@ -181,6 +187,14 @@ impl HashRing {
 /// lives.
 pub fn scenario_hash(scenario: &Scenario) -> u64 {
     CacheKey::hash_of(scenario)
+}
+
+/// The routing hash of one request (or batch lane) at `max_rel_err`: the
+/// hash of the interpolation cell that would answer it, or
+/// [`scenario_hash`] when it would not consult a cell. Exact mode always
+/// routes by [`scenario_hash`].
+pub fn route_hash(scenario: &Scenario, max_rel_err: f64) -> u64 {
+    serving_cell_hash(scenario, max_rel_err).unwrap_or_else(|| scenario_hash(scenario))
 }
 
 /// How a [`Health::claim`] admitted the caller.
@@ -464,132 +478,62 @@ impl ClusterState {
         result
     }
 
-    /// One `GET /v1/cell/{key}` against one peer; `Some` is decoded but
-    /// unverified. 404 = the peer is healthy but has no cell.
-    fn fetch_cell_from(&self, peer: &PeerState, path: &str) -> Option<CellExport> {
-        let (status, body) = self.peer_request(peer, "GET", path, b"").ok()?;
+    /// Ring index of `key`'s home when the home is a peer this node may
+    /// contact now: `None` when this node is the home, or when the home is
+    /// down (or half-open with its probe token taken). A `Some` holds the
+    /// caller's claim, which the request it sends releases.
+    fn claim_home(&self, key: &CellKey) -> Option<usize> {
+        let idx = self.ring.owner(key.hash64())?;
+        self.peers[idx].as_ref()?.health.claim(Instant::now())?;
+        Some(idx)
+    }
+
+    /// Ask `key`'s home for the cell (`GET /v1/cell/{key}`). `Some` is
+    /// decoded but unverified. `None` when this node is the home, the home
+    /// is down, or it has no such cell (404).
+    pub fn fetch_cell(&self, key: &CellKey) -> Option<CellExport> {
+        let peer = self.peers[self.claim_home(key)?].as_ref()?;
+        let path = format!("/v1/cell/{}", key.to_wire());
+        let (status, body) = self.peer_request(peer, "GET", &path, b"").ok()?;
         if status != 200 {
             return None;
         }
-        let text = std::str::from_utf8(&body).ok()?;
-        let doc = crate::json::parse(text).ok()?;
+        let doc = crate::json::parse(std::str::from_utf8(&body).ok()?).ok()?;
         cell_from_json(&doc).ok()
     }
 
-    /// Ask the peers for a cell, in ring preference order of the cell's
-    /// key hash (the cell's owner most likely warmed it; the walk visits
-    /// everyone, so a cell warmed anywhere is found). `Some` is decoded
-    /// but unverified. Down peers are skipped; a half-open peer admits a
-    /// single probe.
-    pub fn fetch_cell(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
-        let now = Instant::now();
-        let path = format!("/v1/cell/{wire_key}");
-        for idx in self.ring.preference(key_hash) {
-            let Some(peer) = &self.peers[idx] else {
-                continue; // self
-            };
-            if peer.health.claim(now).is_none() {
-                continue;
-            }
-            if let Some(export) = self.fetch_cell_from(peer, &path) {
-                return Some(export);
-            }
-        }
-        None
-    }
-
-    /// [`ClusterState::fetch_cell`] as a concurrent wave: ask every
-    /// claimable peer simultaneously and keep the first hit in preference
-    /// order. The sweep prefetcher uses this — it cannot know which peer
-    /// warmed ahead, and its pull runs inline in a serving request, so its
-    /// latency must be one round trip, not a serial peer walk.
-    pub fn fetch_cell_speculative(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
-        let now = Instant::now();
-        let path = format!("/v1/cell/{wire_key}");
-        let targets: Vec<&PeerState> = self
-            .ring
-            .preference(key_hash)
-            .into_iter()
-            .filter_map(|idx| self.peers[idx].as_ref())
-            .filter(|peer| peer.health.claim(now).is_some())
-            .collect();
-        match targets.len() {
-            0 => None,
-            1 => self.fetch_cell_from(targets[0], &path),
-            _ => std::thread::scope(|s| {
-                let handles: Vec<_> = targets
-                    .iter()
-                    .map(|&peer| s.spawn(|| self.fetch_cell_from(peer, &path)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .filter_map(|h| h.join().expect("cell fetch thread panicked"))
-                    .next()
-            }),
-        }
-    }
-
-    /// Push a freshly built cell to every live peer — a concurrent wave
-    /// from a detached background thread, so the sweep that built the cell
-    /// never waits on the network and one slow peer never delays the rest.
-    /// Best-effort: receivers re-verify, so a lost or corrupted push costs
-    /// nothing but warmth.
-    pub fn push_cell(self: &Arc<Self>, export: &CellExport) {
-        let now = Instant::now();
-        let live: Vec<usize> = (0..self.peers.len())
-            .filter(|&i| {
-                self.peers[i]
-                    .as_ref()
-                    .is_some_and(|p| p.health.claim(now).is_some())
-            })
-            .collect();
-        if live.is_empty() {
+    /// Offer a cell this node built to `key`'s home, from a detached
+    /// background thread so the request that built it never waits on the
+    /// network. A no-op when this node is the home or the home is down.
+    /// Best-effort: the receiver re-verifies, so a lost or corrupted push
+    /// costs nothing but warmth.
+    pub fn push_cell(self: &Arc<Self>, key: &CellKey, export: &CellExport) {
+        let Some(idx) = self.claim_home(key) else {
             return;
-        }
+        };
         let state = Arc::clone(self);
         let body = cell_to_json(export).to_compact();
         let path = format!("/v1/cell/{}", export.wire_key);
         std::thread::spawn(move || {
-            let state = &state;
-            let path = &path;
-            let body = &body;
-            std::thread::scope(|s| {
-                for idx in live {
-                    s.spawn(move || {
-                        let Some(peer) = &state.peers[idx] else {
-                            return;
-                        };
-                        if let Ok((status, _)) =
-                            state.peer_request(peer, "POST", path, body.as_bytes())
-                        {
-                            if (200..300).contains(&status) {
-                                state.count_shipped();
-                            }
-                        }
-                    });
-                }
-            });
+            let peer = state.peers[idx].as_ref().expect("a claimed home is a peer");
+            if let Ok((200..=299, _)) = state.peer_request(peer, "POST", &path, body.as_bytes()) {
+                state.count_shipped();
+            }
         });
     }
 }
 
-/// The [`CellSource`] the server plugs into its `InterpCache`: pull on
-/// miss (preference-ordered walk — the owner almost always has it), pull
-/// on sweep-prefetch (concurrent wave — whoever warmed ahead answers),
-/// push on sweep-prefetch.
+/// The [`CellSource`] the server plugs into its `InterpCache`: a miss
+/// pulls from the cell's home, a local build is pushed to it.
 pub struct ClusterCellSource(pub Arc<ClusterState>);
 
 impl CellSource for ClusterCellSource {
-    fn fetch(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
-        self.0.fetch_cell(wire_key, key_hash)
+    fn fetch(&self, key: &CellKey) -> Option<CellExport> {
+        self.0.fetch_cell(key)
     }
 
-    fn fetch_speculative(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
-        self.0.fetch_cell_speculative(wire_key, key_hash)
-    }
-
-    fn offer(&self, export: &CellExport) {
-        self.0.push_cell(export);
+    fn offer(&self, key: &CellKey, export: &CellExport) {
+        self.0.push_cell(key, export);
     }
 }
 
@@ -613,13 +557,14 @@ struct RouteNode {
 }
 
 /// A cluster-aware client: fetches the topology from a seed node, rebuilds
-/// the ring, and routes every request (and every batch lane) to its
-/// owner — fanning batches out per owner *concurrently* and reassembling
-/// the responses in request order. Node failures are detected lazily (the
-/// failing request reroutes to the ring survivors) and healed by a single
-/// half-open probe after a cooldown. All routing methods take `&self`: the
-/// client is shareable across threads, and one batch call dispatches its
-/// per-owner sub-batches from a scoped-thread wave.
+/// the ring, and routes every request (and every batch lane) to the owner
+/// of its [`route_hash`] — fanning batches out per owner *concurrently*
+/// and reassembling the responses in request order. Node failures are
+/// detected lazily (the failing request reroutes to the ring survivors)
+/// and healed by a single half-open probe after a cooldown. All routing
+/// methods take `&self`: the client is shareable across threads, and one
+/// batch call dispatches its per-owner sub-batches from a scoped-thread
+/// wave.
 pub struct ClusterClient {
     nodes: Vec<RouteNode>,
     ring: HashRing,
@@ -690,8 +635,9 @@ impl ClusterClient {
         self.cooldown = cooldown;
     }
 
-    /// The address that owns `scenario` under the client's current
-    /// liveness view (tests use this to assert rerouting).
+    /// The address an exact-mode request for `scenario` routes to under
+    /// the client's current liveness view (tests use this to assert
+    /// rerouting).
     pub fn owner_of(&self, scenario: &Scenario) -> Option<&str> {
         let now = Instant::now();
         let hash = scenario_hash(scenario);
@@ -802,13 +748,15 @@ impl ClusterClient {
         self.predict_within(scenario, 0.0)
     }
 
-    /// Route one prediction (with tolerance) to its owner.
+    /// Route one prediction (with tolerance) to its owner: by
+    /// [`route_hash`], so a tolerant request goes to the home of the cell
+    /// that answers it.
     pub fn predict_within(
         &self,
         scenario: &Scenario,
         max_rel_err: f64,
     ) -> Result<Prediction, ClientError> {
-        self.with_owner(scenario_hash(scenario), |client| {
+        self.with_owner(route_hash(scenario, max_rel_err), |client| {
             client.predict_within(scenario, max_rel_err)
         })
     }
@@ -827,13 +775,18 @@ impl ClusterClient {
     }
 
     /// [`ClusterClient::predict_batch`] with a tolerance applied to every
-    /// lane.
+    /// lane. Lanes are placed by [`route_hash`]: each tolerant lane goes to
+    /// the home of the cell that answers it.
     pub fn predict_batch_within(
         &self,
         scenarios: &[Scenario],
         max_rel_err: f64,
     ) -> Result<Vec<Prediction>, ClientError> {
         let n = scenarios.len();
+        let hashes: Vec<u64> = scenarios
+            .iter()
+            .map(|s| route_hash(s, max_rel_err))
+            .collect();
         let mut out: Vec<Option<Prediction>> = vec![None; n];
         let mut remaining: Vec<usize> = (0..n).collect();
         let mut last_err: Option<ClientError> = None;
@@ -860,7 +813,7 @@ impl ClusterClient {
                 .collect();
             let mut groups: Vec<(usize, bool, Vec<usize>)> = Vec::new();
             for &lane in &remaining {
-                let hash = scenario_hash(&scenarios[lane]);
+                let hash = hashes[lane];
                 // Fast path: the ring owner (one binary search) is
                 // selectable — true for every lane on a healthy ring. The
                 // full preference walk only runs while failing over.
@@ -1183,7 +1136,64 @@ mod tests {
         assert_eq!(state.ring().len(), 1);
         assert!(state.peer_snapshots().is_empty());
         // No peers: every fetch is a miss, every push a no-op.
-        assert!(state.fetch_cell("0-20", 12345).is_none());
+        assert!(state
+            .fetch_cell(&CellKey::from_wire("0-20").unwrap())
+            .is_none());
+    }
+
+    #[test]
+    fn tolerant_lanes_route_by_the_cell_that_answers_them() {
+        use crate::cache::SolutionCache;
+        use crate::interp::{InterpCache, Served, CERT_FLOOR};
+        use lopc_core::{GeneralModel, Machine};
+
+        const TOL: f64 = 5e-2;
+        let on_grid = Machine::new(32, 25.0, 200.0).with_c2(0.0);
+        let off_grid = Machine::new(16, 26.3, 213.0).with_c2(0.3);
+        let mut eligible = Vec::new();
+        for machine in [on_grid, off_grid] {
+            for w in [1000.0, 777.7] {
+                eligible.push(Scenario::AllToAll { machine, w });
+                eligible.push(Scenario::ClientServer {
+                    machine,
+                    w,
+                    ps: Some(2),
+                });
+                eligible.push(Scenario::ForkJoin { machine, w, k: 3 });
+                eligible.push(Scenario::SharedMemory { machine, w });
+            }
+        }
+        for s in &eligible {
+            // The cell a fresh node builds to answer `s` is the cell the
+            // router placed `s` by.
+            let node = InterpCache::new(SolutionCache::new(2, 64), 2, 64);
+            let (_, served) = node.predict_traced(s, TOL).unwrap();
+            assert!(
+                matches!(served, Served::Interpolated { .. }),
+                "{s:?} did not interpolate"
+            );
+            let keys = node.resident_cell_keys();
+            assert_eq!(keys.len(), 1, "{s:?} built {keys:?}");
+            let cell = CellKey::from_wire(&keys[0]).unwrap().hash64();
+            assert_eq!(route_hash(s, TOL), cell, "{s:?}");
+            assert_eq!(route_hash(s, CERT_FLOOR), cell, "{s:?} at the floor");
+            // Requests that never consult a cell keep the scenario key.
+            for tol in [0.0, CERT_FLOOR / 2.0, f64::NAN, f64::INFINITY] {
+                assert_eq!(route_hash(s, tol), scenario_hash(s), "{s:?} at {tol}");
+            }
+        }
+        let general = Scenario::General(GeneralModel::homogeneous_all_to_all(on_grid, 300.0));
+        let too_big = Scenario::AllToAll {
+            machine: on_grid,
+            w: 1e305,
+        };
+        let subnormal = Scenario::AllToAll {
+            machine: on_grid,
+            w: 1e-310,
+        };
+        for s in [general, too_big, subnormal] {
+            assert_eq!(route_hash(&s, TOL), scenario_hash(&s), "{s:?}");
+        }
     }
 
     #[test]

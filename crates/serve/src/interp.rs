@@ -35,13 +35,15 @@
 //!    `certificate <= max_rel_err`; otherwise they fall back to the exact
 //!    path. `max_rel_err = 0` (the default) never consults the cell index
 //!    at all and stays bit-identical to [`lopc_core::scenario::solve`].
-//! 4. Two consecutive serving cells that share their discrete identity and
-//!    differ by one axis bracket advancing reveal a **sweep direction**:
-//!    the next cell along it is pre-built immediately, so the sweep's next
-//!    first touch finds a finished cell instead of paying build latency.
-//!    Prefetched cells are ordinary cells — same build, same certificate
-//!    gate; a wrong guess costs one speculative build, never a wrong
-//!    answer.
+//! 4. Two consecutive single-request serving cells that share their
+//!    discrete identity and differ by one axis bracket advancing reveal a
+//!    **sweep direction**: the next cell along it is pre-built immediately,
+//!    so the sweep's next first touch finds a finished cell instead of
+//!    paying build latency. Prefetched cells are ordinary cells — same
+//!    build, same certificate gate; a wrong guess costs one speculative
+//!    build, never a wrong answer. Batches never prefetch: a batch already
+//!    carries its own sweep, and every cell it touches is built once, in
+//!    lane order.
 //!
 //! Cells that cannot be trusted — a corner fails to solve, corners
 //! disagree on the discrete optimal `ps`, or a component is `NaN` in some
@@ -67,8 +69,10 @@
 //!   untrusted cell — that key permanently falls back to exact solving.
 //!   Never trust the sender: the probe solve is the only authority.
 //! * a [`CellSource`] plugged in via [`InterpCache::set_cell_source`] lets
-//!   a cell miss ask the cluster for the cell before building it locally,
-//!   and offers freshly prefetched sweep cells for push-to-peers.
+//!   a cell miss ask the cell's home node for it before building it
+//!   locally, and offers every cell built here to its home.
+//!   [`serving_cell_hash`] names the cell a tolerant request would consult,
+//!   so a router can send the request to that home in the first place.
 //!
 //! Corner solutions are **owned by the cell**, not referenced from the
 //! LRU cache: a certificate can never outlive the data it certifies, and
@@ -203,6 +207,48 @@ impl CellKey {
     }
 }
 
+/// Where a scenario sits on the reference grid: its axis coordinates, the
+/// bracket around each, and the key of the cell those brackets span.
+struct Located {
+    axes: [AxisValue; INTERP_AXES],
+    brackets: [AxisBracket; INTERP_AXES],
+    key: CellKey,
+}
+
+/// Snap `scenario` onto the reference grid. `None` for ineligible
+/// variants and for coordinates that cannot be bracketed. Out-of-range
+/// coordinates (possible for unvalidated direct library callers) never
+/// reach the grid: cells must not straddle a validity boundary.
+fn locate(scenario: &Scenario) -> Option<Located> {
+    let axes = scenario.interp_axes()?;
+    let mut brackets = [AxisBracket { lo: 0.0, hi: 0.0 }; INTERP_AXES];
+    for (i, axis) in axes.iter().enumerate() {
+        let (min, max) = axis.kind.valid_range();
+        if !(min..=max).contains(&axis.value) {
+            return None;
+        }
+        brackets[i] = axis.kind.bracket(axis.value)?;
+    }
+    let key = CellKey::of(scenario, &brackets)?;
+    Some(Located {
+        axes,
+        brackets,
+        key,
+    })
+}
+
+/// The [`CellKey::hash64`] of the cell that would answer `scenario` at
+/// `max_rel_err`, or `None` when the request never consults the cell index
+/// (exact mode, a tolerance below [`CERT_FLOOR`], an ineligible variant,
+/// or an unbracketable coordinate). The cluster router places tolerant
+/// requests by this hash, so each cell is built and held by one node.
+pub fn serving_cell_hash(scenario: &Scenario, max_rel_err: f64) -> Option<u64> {
+    if !max_rel_err.is_finite() || max_rel_err < CERT_FLOOR {
+        return None;
+    }
+    locate(scenario).map(|at| at.key.hash64())
+}
+
 /// A cell in transit between nodes: everything needed to reconstruct (and
 /// independently re-verify) it. Produced by [`InterpCache::export_cell`],
 /// consumed by [`InterpCache::import_cell`]; the JSON codec lives in
@@ -237,28 +283,18 @@ pub enum ImportOutcome {
 }
 
 /// The cluster's side of cell shipping, plugged into the cache by the
-/// serving layer. Both calls run on whatever thread missed (or prefetched)
-/// a cell — implementations must bound their own latency (short
-/// timeouts / background threads).
+/// serving layer. Every cell has one *home* node; both calls concern only
+/// that node and are no-ops when this node is the home. They run on
+/// whatever thread missed (or prefetched) a cell — implementations must
+/// bound their own latency (short timeouts / background threads).
 pub trait CellSource: Send + Sync {
-    /// A cell miss: ask the peers for `wire_key`. `Some` is decoded but
+    /// A cell miss: ask the cell's home for it. `Some` is decoded but
     /// **unverified** — the cache re-verifies before admitting.
-    fn fetch(&self, wire_key: &str, key_hash: u64) -> Option<CellExport>;
+    fn fetch(&self, key: &CellKey) -> Option<CellExport>;
 
-    /// A *speculative* pull, issued by the sweep prefetcher ahead of
-    /// demand: unlike a miss (where the ring owner almost always has the
-    /// cell, so a preference-ordered walk stops at the first peer), a
-    /// prefetch cannot know which peer warmed ahead, and it runs inline in
-    /// a serving request — implementations should ask all peers in one
-    /// concurrent wave rather than serially. Defaults to [`Self::fetch`]
-    /// for sources with no cheaper wave.
-    fn fetch_speculative(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
-        self.fetch(wire_key, key_hash)
-    }
-
-    /// A sweep prefetch built `export` locally: offer it to peers
-    /// (best-effort push; failures are the receiver's problem).
-    fn offer(&self, export: &CellExport);
+    /// This node built `export` itself: offer it to the cell's home
+    /// (best-effort push; the receiver re-verifies).
+    fn offer(&self, key: &CellKey, export: &CellExport);
 }
 
 /// One built cell: brackets, exactly solved corners, certificate.
@@ -463,9 +499,9 @@ impl InterpCache {
     }
 
     /// Plug in the cluster's cell source (at most once; later calls are
-    /// ignored). With a source set, a cell miss first asks the peers for
-    /// the cell — admitting it only after local re-verification — and
-    /// sweep-prefetched cells are offered back for pushing.
+    /// ignored). With a source set, a cell miss first asks the cell's home
+    /// for it — admitting it only after local re-verification — and every
+    /// cell built here is offered to its home.
     pub fn set_cell_source(&self, source: Arc<dyn CellSource>) {
         let _ = self.source.set(source);
     }
@@ -548,7 +584,7 @@ impl InterpCache {
         if let Some(p) = self.cache.lookup(scenario) {
             return Ok((p, Served::Exact));
         }
-        match self.try_interpolate(scenario, max_rel_err) {
+        match self.try_interpolate(scenario, max_rel_err, true) {
             Some(served) => {
                 self.interp_hits.fetch_add(1, Ordering::Relaxed);
                 Ok(served)
@@ -567,7 +603,8 @@ impl InterpCache {
     /// interpolation, exact fallback), but all lanes that end up needing an
     /// exact solve go through one key-deduped
     /// [`SolutionCache::solve_batch`] call — the SoA kernel — instead of
-    /// lane-at-a-time solves.
+    /// lane-at-a-time solves. Lanes do not advance the sweep prefetcher:
+    /// the batch names every cell it needs.
     pub fn predict_batch(
         &self,
         scenarios: &[Scenario],
@@ -586,7 +623,7 @@ impl InterpCache {
                 out[i] = Some(Ok(p));
                 continue;
             }
-            match self.try_interpolate(s, max_rel_err) {
+            match self.try_interpolate(s, max_rel_err, false) {
                 Some((p, _)) => {
                     self.interp_hits.fetch_add(1, Ordering::Relaxed);
                     out[i] = Some(Ok(p));
@@ -609,64 +646,73 @@ impl InterpCache {
     }
 
     /// The interpolation path; `None` means "serve exactly instead".
+    /// `prefetch` lets the request advance the sweep cursor.
     fn try_interpolate(
         &self,
         scenario: &Scenario,
         max_rel_err: f64,
+        prefetch: bool,
     ) -> Option<(Prediction, Served)> {
         // No certificate can beat the floor; don't pay for a cell build
         // that could never serve this tolerance.
         if max_rel_err < CERT_FLOOR {
             return None;
         }
-        let axes = scenario.interp_axes()?;
-        let mut brackets = [AxisBracket { lo: 0.0, hi: 0.0 }; INTERP_AXES];
-        for (i, axis) in axes.iter().enumerate() {
-            // Out-of-range coordinates (possible for unvalidated direct
-            // library callers) never reach the grid: cells must not
-            // straddle a validity boundary.
-            let (min, max) = axis.kind.valid_range();
-            if !(min..=max).contains(&axis.value) {
-                return None;
-            }
-            brackets[i] = axis.kind.bracket(axis.value)?;
-        }
-        let key = CellKey::of(scenario, &brackets)?;
-        let slot = self.slot_for(&key);
+        let at = locate(scenario)?;
         // Build outside every lock; concurrent touchers of the same cell
-        // block here instead of re-solving the corners. With a cluster
-        // cell source plugged in, a miss first asks the peers — a shipped
-        // cell is admitted only if it survives local re-verification, and
-        // a failed verification poisons the key to permanently-exact.
-        let cell = slot.get_or_init(|| {
-            if let Some(source) = self.source.get() {
-                if let Some(export) = source.fetch(&key.to_wire(), key.hash64()) {
-                    match self.verify_export(&key, &export) {
-                        Ok(cell) => {
-                            self.cells_received.fetch_add(1, Ordering::Relaxed);
-                            return cell;
-                        }
-                        Err(_) => {
-                            self.cells_rejected.fetch_add(1, Ordering::Relaxed);
-                            return Cell::untrusted(brackets);
-                        }
-                    }
-                }
-            }
-            self.cells_built.fetch_add(1, Ordering::Relaxed);
-            self.build_cell(scenario, brackets)
-        });
-        if cell.cert <= max_rel_err {
-            self.advance_cursor(scenario, &axes, &key, &brackets);
-            Some((
-                cell.interpolate(&axes),
-                Served::Interpolated {
-                    certified_rel_err: cell.cert,
-                },
-            ))
-        } else {
-            None
+        // block here instead of re-solving the corners.
+        let slot = self.slot_for(&at.key);
+        let cell = slot.get_or_init(|| self.first_touch(&at.key, scenario, at.brackets, false));
+        if cell.cert > max_rel_err {
+            return None;
         }
+        if prefetch {
+            self.advance_cursor(scenario, &at);
+        }
+        Some((
+            cell.interpolate(&at.axes),
+            Served::Interpolated {
+                certified_rel_err: cell.cert,
+            },
+        ))
+    }
+
+    /// Fill an empty cell slot. With a cluster cell source plugged in, the
+    /// cell's home is asked first: a shipped cell is admitted only if it
+    /// survives local re-verification, and a failed verification poisons
+    /// the key to permanently-exact. Otherwise the cell is built here and
+    /// offered to its home. `prefetched` marks a speculative build.
+    fn first_touch(
+        &self,
+        key: &CellKey,
+        template: &Scenario,
+        brackets: [AxisBracket; INTERP_AXES],
+        prefetched: bool,
+    ) -> Cell {
+        let source = self.source.get();
+        if let Some(export) = source.and_then(|s| s.fetch(key)) {
+            return match self.verify_export(key, &export) {
+                Ok(cell) => {
+                    self.cells_received.fetch_add(1, Ordering::Relaxed);
+                    cell
+                }
+                Err(_) => {
+                    self.cells_rejected.fetch_add(1, Ordering::Relaxed);
+                    Cell::untrusted(brackets)
+                }
+            };
+        }
+        self.cells_built.fetch_add(1, Ordering::Relaxed);
+        if prefetched {
+            self.cells_prefetched.fetch_add(1, Ordering::Relaxed);
+        }
+        let cell = self.build_cell(template, brackets);
+        if let Some(source) = source {
+            if let Some(export) = make_export(key, &cell) {
+                source.offer(key, &export);
+            }
+        }
+        cell
     }
 
     /// Record the serving cell in the sweep cursor; when the previous and
@@ -674,18 +720,13 @@ impl InterpCache {
     /// one axis bracket advanced), pre-build the next cell along the same
     /// direction so the sweep's next first-touch finds it already built.
     ///
-    /// Prefetched cells go through [`InterpCache::build_cell`] like any
-    /// other — they carry a real certificate (or stay untrusted) and are
-    /// gated by the same `cert <= max_rel_err` check when a query actually
-    /// lands in them. A wrong sweep guess costs one speculative build,
-    /// never a wrong answer.
-    fn advance_cursor(
-        &self,
-        scenario: &Scenario,
-        axes: &[AxisValue; INTERP_AXES],
-        key: &CellKey,
-        brackets: &[AxisBracket; INTERP_AXES],
-    ) {
+    /// Prefetched cells take the same first-touch path as any other — they
+    /// carry a real certificate (or stay untrusted) and are gated by the
+    /// same `cert <= max_rel_err` check when a query actually lands in
+    /// them. A wrong sweep guess costs one speculative build, never a
+    /// wrong answer.
+    fn advance_cursor(&self, scenario: &Scenario, at: &Located) {
+        let (key, brackets) = (&at.key, &at.brackets);
         let prev = {
             let mut cursor = self.cursor.lock().expect("sweep cursor poisoned");
             cursor.replace(SweepCursor {
@@ -734,70 +775,19 @@ impl InterpCache {
         } else {
             return; // the grid ends at 0: nothing ahead
         };
-        let mut coords: [f64; INTERP_AXES] = std::array::from_fn(|i| axes[i].value);
+        let mut coords: [f64; INTERP_AXES] = std::array::from_fn(|i| at.axes[i].value);
         coords[ax] = probe;
-        let Some(next_scenario) = scenario.with_axis_values(coords) else {
+        let Some(next) = scenario.with_axis_values(coords) else {
             return;
         };
-        let mut next_brackets = [AxisBracket { lo: 0.0, hi: 0.0 }; INTERP_AXES];
-        for (i, axis) in next_scenario
-            .interp_axes()
-            .expect("same variant as the serving scenario")
-            .iter()
-            .enumerate()
-        {
-            let (min, max) = axis.kind.valid_range();
-            if !(min..=max).contains(&axis.value) {
-                return;
-            }
-            let Some(b) = axis.kind.bracket(axis.value) else {
-                return;
-            };
-            next_brackets[i] = b;
-        }
-        let Some(next_key) = CellKey::of(&next_scenario, &next_brackets) else {
+        let Some(ahead) = locate(&next) else {
             return;
         };
-        if next_key == *key {
+        if ahead.key == *key {
             return; // probe collapsed back into the serving cell
         }
-        let slot = self.slot_for(&next_key);
-        if slot.get().is_some() {
-            return; // already built (e.g. the sweep ran here before)
-        }
-        let mut pulled = false;
-        let cell = slot.get_or_init(|| {
-            // Prefetch prefers pulling a peer's finished cell over paying
-            // the corner+probe solves locally. A shipped cell that fails
-            // verification is simply ignored here — a speculative
-            // prefetch is no verdict on the key — and built honestly.
-            if let Some(source) = self.source.get() {
-                if let Some(export) =
-                    source.fetch_speculative(&next_key.to_wire(), next_key.hash64())
-                {
-                    if let Ok(cell) = self.verify_export(&next_key, &export) {
-                        pulled = true;
-                        self.cells_received.fetch_add(1, Ordering::Relaxed);
-                        return cell;
-                    }
-                }
-            }
-            self.cells_built.fetch_add(1, Ordering::Relaxed);
-            self.cells_prefetched.fetch_add(1, Ordering::Relaxed);
-            self.build_cell(&next_scenario, next_brackets)
-        });
-        // Push-on-sweep: a detected sweep direction predicts the *peers'*
-        // future just as well as ours — offer the fresh cell so a sweep
-        // fanned out across the ring warms every node it will touch. Cells
-        // that just arrived from a peer are not echoed back.
-        if pulled {
-            return;
-        }
-        if let Some(source) = self.source.get() {
-            if let Some(export) = make_export(&next_key, cell) {
-                source.offer(&export);
-            }
-        }
+        self.slot_for(&ahead.key)
+            .get_or_init(|| self.first_touch(&ahead.key, &next, ahead.brackets, true));
     }
 
     /// The build-once slot for `key` (creating it, and FIFO-evicting, as
@@ -1351,6 +1341,35 @@ mod tests {
     }
 
     #[test]
+    fn batches_never_advance_the_sweep_prefetcher() {
+        // A batch walking many W cells builds only cells its lanes land
+        // in — nothing ahead of the sweep.
+        let lanes: Vec<Scenario> = (0..50).map(|i| a2a(700.0 + 10.0 * i as f64)).collect();
+        let c = interp_cache();
+        for r in c.predict_batch(&lanes, 5e-2) {
+            r.unwrap();
+        }
+        let touched: std::collections::BTreeSet<String> = lanes
+            .iter()
+            .map(|s| locate(s).unwrap().key.to_wire())
+            .collect();
+        let resident: std::collections::BTreeSet<String> =
+            c.resident_cell_keys().into_iter().collect();
+        assert_eq!(c.cells_prefetched(), 0);
+        assert_eq!(c.cells_built(), resident.len() as u64);
+        assert!(
+            resident.is_subset(&touched),
+            "a cell no lane needs was built"
+        );
+        // The same walk as single requests does prefetch.
+        let s = interp_cache();
+        for q in &lanes {
+            s.predict(q, 5e-2).unwrap();
+        }
+        assert!(s.cells_prefetched() > 0);
+    }
+
+    #[test]
     fn two_axis_cells_probe_face_midpoints() {
         let c = interp_cache();
         // St off-grid too: the cell spans W and St (d = 2), so the build
@@ -1638,12 +1657,12 @@ mod tests {
     }
 
     impl CellSource for MapSource {
-        fn fetch(&self, wire_key: &str, _key_hash: u64) -> Option<CellExport> {
+        fn fetch(&self, key: &CellKey) -> Option<CellExport> {
             self.fetches.fetch_add(1, Ordering::Relaxed);
-            self.cells.lock().unwrap().get(wire_key).cloned()
+            self.cells.lock().unwrap().get(&key.to_wire()).cloned()
         }
 
-        fn offer(&self, export: &CellExport) {
+        fn offer(&self, _key: &CellKey, export: &CellExport) {
             self.offers.lock().unwrap().push(export.clone());
         }
     }
@@ -1655,10 +1674,19 @@ mod tests {
         let source_a = MapSource::new();
         a.set_cell_source(Arc::clone(&source_a) as Arc<dyn CellSource>);
         let exports = warm_and_export(&a);
-        assert!(
-            !source_a.offers.lock().unwrap().is_empty(),
-            "a linear sweep must push its prefetched cells"
-        );
+        // Every trusted cell A built — prefetched ones included — was
+        // offered to its home.
+        let offered: std::collections::BTreeSet<String> = source_a
+            .offers
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|e| e.wire_key.clone())
+            .collect();
+        let built: std::collections::BTreeSet<String> =
+            exports.iter().map(|e| e.wire_key.clone()).collect();
+        assert!(a.cells_prefetched() > 0, "a linear sweep must prefetch");
+        assert_eq!(offered, built, "every locally built cell is offered");
 
         // Node B, wired to a source holding A's cells, serves the same
         // sweep by pulling + verifying instead of building.

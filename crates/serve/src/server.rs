@@ -1,5 +1,5 @@
-//! The prediction server: a `TcpListener` accept loop feeding a fixed pool
-//! of worker threads, dispatching three endpoints over the scenario cache.
+//! The prediction server: an epoll reactor plus a fixed pool of worker
+//! threads, dispatching six endpoints over the scenario cache.
 //!
 //! | Endpoint | Body | Response |
 //! |---|---|---|
@@ -155,8 +155,9 @@ impl Service {
 
     /// Attach the cluster tier: publishes the topology endpoint and plugs
     /// the peer network in as the interpolation cache's
-    /// [`CellSource`](crate::interp::CellSource) — cell misses pull from peers, sweep
-    /// prefetches push to them. One-shot; later calls are ignored.
+    /// [`CellSource`](crate::interp::CellSource) — a cell miss pulls from
+    /// the cell's home, a local build is pushed to it. One-shot; later
+    /// calls are ignored.
     pub fn enable_cluster(&self, state: Arc<ClusterState>) {
         if self.cluster.set(Arc::clone(&state)).is_ok() {
             self.interp

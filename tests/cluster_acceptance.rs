@@ -1,7 +1,7 @@
 //! Acceptance for the cluster tier (DESIGN.md §15): N `lopc-serve` nodes
 //! sharding the solution/interpolation caches by consistent hashing.
 //!
-//! Three contracts, end to end over real sockets:
+//! Four contracts, end to end over real sockets:
 //!
 //! 1. **Topology**: every node derives the same ring from the same member
 //!    set — clients and nodes agree on ownership without coordination.
@@ -13,13 +13,23 @@
 //!    from shipped cells — B pays a spot-probe per imported cell, a small
 //!    fraction of the cold solve bill — and every import passes B's local
 //!    re-verification.
+//! 4. **Cells stay home**: routed tolerant lanes go to the home of the
+//!    cell that answers them, so each cell is built on exactly one node
+//!    and nothing is shipped; traffic that bypasses the router (or fails
+//!    over) moves cells only to and from their home.
 
 use std::collections::BTreeSet;
 use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 use lopc::prelude::*;
+use lopc_serve::cluster::{route_hash, DEFAULT_COOLDOWN, VNODES};
+use lopc_serve::interp::rel_resid;
 use lopc_serve::server::{start_on, ServerConfig, ServerHandle};
-use lopc_serve::{predictions_identical, Client, ClusterClient};
+use lopc_serve::{predictions_identical, CellKey, Client, ClusterClient, HashRing};
+
+/// Worker threads per node in [`start_cluster`].
+const WORKERS: usize = 2;
 
 /// Bind `n` ephemeral listeners first, then start a node on each with the
 /// other `n-1` as peers — the only way every node can know the full member
@@ -45,7 +55,7 @@ fn start_cluster(n: usize) -> Vec<ServerHandle> {
             start_on(
                 listener,
                 ServerConfig {
-                    workers: 2,
+                    workers: WORKERS,
                     peers,
                     advertise: Some(addrs[i].clone()),
                     ..ServerConfig::default()
@@ -82,6 +92,46 @@ fn population() -> Vec<Scenario> {
         });
     }
     scenarios
+}
+
+/// Sweep `k`: 64 `W` points of one machine. `k` cycles through every
+/// closed-form variant, `P` ∈ {16, 32}, and on- and off-grid `St`/`C²`,
+/// so the cells span one to three axes.
+fn tolerant_sweep(k: usize) -> Vec<Scenario> {
+    let machine = Machine::new(16 << (k % 2), [25.0, 25.7, 26.3][k % 3], 200.0)
+        .with_c2([0.0, 0.3][(k / 2) % 2]);
+    let w0 = 500.0 + 137.0 * k as f64;
+    (0..64)
+        .map(|i| {
+            let w = w0 * (1.0 + i as f64 / 63.0);
+            match k % 4 {
+                0 => Scenario::AllToAll { machine, w },
+                1 => Scenario::ClientServer {
+                    machine,
+                    w,
+                    ps: Some(2),
+                },
+                2 => Scenario::ForkJoin { machine, w, k: 3 },
+                _ => Scenario::SharedMemory { machine, w },
+            }
+        })
+        .collect()
+}
+
+/// Every served lane within `tol` of its library solve.
+fn assert_within(sweep: &[Scenario], served: &[Prediction], tol: f64) {
+    assert_eq!(served.len(), sweep.len(), "lanes lost");
+    for (s, p) in sweep.iter().zip(served) {
+        let exact = lopc::model::scenario::solve(s).expect("library solve");
+        let err = rel_resid(p, &exact);
+        assert!(err <= tol, "{} answer off by {err:.2e}", s.kind());
+    }
+}
+
+/// The address of the cell's home (its ring owner).
+fn home_of<'a>(ring: &'a HashRing, wire_key: &str) -> &'a str {
+    let key = CellKey::from_wire(wire_key).expect("resident keys parse");
+    &ring.nodes()[ring.owner(key.hash64()).expect("non-empty ring")]
 }
 
 #[test]
@@ -372,6 +422,211 @@ fn a_sweep_warmed_on_one_node_serves_warm_from_the_other() {
             "exact mode on a warm node drifted from the library"
         );
     }
+
+    for handle in nodes {
+        handle.shutdown();
+    }
+}
+
+/// A routed tolerant sweep builds each cell on its home alone: the nodes'
+/// cell sets are disjoint, and no node ships, receives or even asks a peer
+/// for anything.
+#[test]
+fn a_routed_tolerant_sweep_keeps_each_cell_on_one_node() {
+    const TOL: f64 = 1e-3;
+    let nodes = start_cluster(3);
+    let client = ClusterClient::connect(nodes[0].addr()).expect("cluster connect");
+    for k in 0..8 {
+        let sweep = tolerant_sweep(k);
+        let served = client
+            .predict_batch_within(&sweep, TOL)
+            .expect("routed tolerant sweep");
+        assert_within(&sweep, &served, TOL);
+    }
+
+    let mut seen = BTreeSet::new();
+    for node in &nodes {
+        let svc = node.service();
+        let cluster = svc.cluster().expect("cluster tier");
+        let keys = svc.interp().resident_cell_keys();
+        assert!(!keys.is_empty(), "{} holds no cells", cluster.self_addr());
+        for key in keys {
+            assert_eq!(
+                home_of(cluster.ring(), &key),
+                cluster.self_addr(),
+                "a cell was built away from its home"
+            );
+            assert!(seen.insert(key), "a cell is resident on two nodes");
+        }
+        assert_eq!(cluster.cells_shipped(), 0);
+        assert_eq!(svc.interp().cells_received(), 0);
+        for peer in cluster.peer_snapshots() {
+            assert_eq!(
+                peer.forwarded,
+                0,
+                "{} sent requests to {}",
+                cluster.self_addr(),
+                peer.addr
+            );
+        }
+    }
+
+    for handle in nodes {
+        handle.shutdown();
+    }
+}
+
+/// A sweep sent straight to one node, past the router: that node builds
+/// every cell and offers each one only to its home, so every other node
+/// ends up holding exactly the cells it is home to — received, none built.
+#[test]
+fn a_direct_sweep_leaves_peers_only_received_cells_they_own() {
+    const TOL: f64 = 1e-3;
+    let nodes = start_cluster(3);
+    let mut direct = Client::connect(nodes[0].addr()).expect("connect");
+    for sweep in [tolerant_sweep(0), tolerant_sweep(5)] {
+        // Single requests, so the sweep prefetcher runs too.
+        let served: Vec<Prediction> = sweep
+            .iter()
+            .map(|s| direct.predict_within(s, TOL).expect("direct predict"))
+            .collect();
+        assert_within(&sweep, &served, TOL);
+    }
+
+    let builder = nodes[0].service();
+    let ring = builder.cluster().expect("cluster tier").ring();
+    assert!(builder.interp().cells_prefetched() > 0, "no prefetch ran");
+    let offered: Vec<String> = builder
+        .interp()
+        .resident_cell_keys()
+        .into_iter()
+        .filter(|k| builder.interp().export_cell(k).is_some())
+        .collect();
+    let mut pushed = 0;
+    for node in &nodes[1..] {
+        let svc = node.service();
+        let me = svc.cluster().expect("cluster tier").self_addr();
+        let homed: BTreeSet<String> = offered
+            .iter()
+            .filter(|k| home_of(ring, k) == me)
+            .cloned()
+            .collect();
+        // Pushes run in the background: let them land.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while svc.interp().cells_received() < homed.len() as u64 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let held: BTreeSet<String> = svc.interp().resident_cell_keys().into_iter().collect();
+        assert!(
+            !held.is_empty(),
+            "{me} is home to none of the sweep's cells"
+        );
+        assert_eq!(
+            held, homed,
+            "{me} must hold exactly the cells it is home to"
+        );
+        assert_eq!(svc.interp().cells_built(), 0, "{me} built a cell");
+        assert_eq!(svc.interp().cells_received(), homed.len() as u64);
+        assert_eq!(svc.interp().cells_rejected(), 0);
+        pushed += homed.len() as u64;
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let shipped = || builder.cluster().expect("cluster tier").cells_shipped();
+    while shipped() < pushed && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(shipped(), pushed, "every push went to a home, once");
+
+    for handle in nodes {
+        handle.shutdown();
+    }
+}
+
+/// Kill the home of some cells in the middle of a routed tolerant sweep.
+/// The router fails those lanes over to survivors, which answer them
+/// within tolerance with no error surfacing. A survivor asks the dead home
+/// for each cell it misses and offers it each cell it builds — but skips a
+/// home it has seen fail, both ways, re-probing it at most once per
+/// cooldown, so it never waits on the dead node once per lane.
+#[test]
+fn killing_a_cell_home_mid_tolerant_sweep_stays_within_tolerance() {
+    const TOL: f64 = 1e-3;
+    let mut nodes = start_cluster(3);
+    let client = ClusterClient::connect(nodes[0].addr()).expect("cluster connect");
+    let ring = HashRing::new(client.members(), VNODES);
+    let first = tolerant_sweep(0);
+    client
+        .predict_batch_within(&first, TOL)
+        .expect("warm-up sweep");
+
+    // The victim is home to the cell of the first sweep's first lane.
+    let victim_addr = ring.nodes()[ring.owner(route_hash(&first[0], TOL)).unwrap()].clone();
+    let victim = nodes
+        .iter()
+        .position(|h| h.addr().to_string() == victim_addr)
+        .expect("the home is one of the started nodes");
+    let victim = nodes.remove(victim);
+    // The killer takes the victim down while later sweeps are in flight.
+    let (go, start_kill) = std::sync::mpsc::channel::<()>();
+    let killer = std::thread::spawn(move || {
+        start_kill.recv().expect("kill signal");
+        let killed_at = Instant::now();
+        victim.shutdown();
+        killed_at
+    });
+
+    for k in 1..=16 {
+        if k == 4 {
+            go.send(()).expect("killer is waiting");
+        }
+        let sweep = tolerant_sweep(k);
+        let served = client
+            .predict_batch_within(&sweep, TOL)
+            .unwrap_or_else(|e| panic!("sweep {k} failed across the kill: {e}"));
+        assert_within(&sweep, &served, TOL);
+    }
+    let killed_at = killer.join().expect("killer thread");
+    // Sweeps after the victim is fully down must fail over too.
+    for k in 17..=24 {
+        let sweep = tolerant_sweep(k);
+        let served = client
+            .predict_batch_within(&sweep, TOL)
+            .unwrap_or_else(|e| panic!("sweep {k} failed after the kill: {e}"));
+        assert_within(&sweep, &served, TOL);
+    }
+
+    // Each survivor may contact the dead home once per concurrent worker
+    // before the first failure marks it down, then once per cooldown
+    // window for the half-open re-probe.
+    let windows = (killed_at.elapsed().as_secs_f64() / DEFAULT_COOLDOWN.as_secs_f64()).ceil();
+    let bound = WORKERS as u64 + windows as u64 + 1;
+    let mut failed_over = 0;
+    for node in &nodes {
+        let cluster = node.service().cluster().expect("cluster tier");
+        failed_over += node
+            .service()
+            .interp()
+            .resident_cell_keys()
+            .iter()
+            .filter(|k| home_of(cluster.ring(), k) == victim_addr)
+            .count();
+        let dead = cluster
+            .peer_snapshots()
+            .into_iter()
+            .find(|p| p.addr == victim_addr)
+            .expect("the victim is a peer");
+        assert_eq!(dead.errors, dead.forwarded, "the dead home answered");
+        assert!(
+            dead.forwarded <= bound,
+            "{} contacted the dead home {} times (bound {bound})",
+            cluster.self_addr(),
+            dead.forwarded
+        );
+    }
+    assert!(
+        failed_over > 0,
+        "no cell of the dead home failed over to a survivor"
+    );
 
     for handle in nodes {
         handle.shutdown();
