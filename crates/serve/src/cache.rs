@@ -291,41 +291,21 @@ impl SolutionCache {
         hit
     }
 
-    /// Look up the scenario's quantized key; on a miss, solve through
-    /// [`lopc_core::scenario::solve`] and populate the cache.
+    /// The cache's one solve entry (a single request is a one-lane batch):
+    /// look every lane up, dedupe the misses by quantized key, solve the
+    /// unique representatives through the SoA batch kernel
+    /// ([`lopc_core::scenario::solve_batch`], bit-identical to the scalar
+    /// [`lopc_core::scenario::solve`], which answers a lone miss), insert
+    /// the successes, and fan results back out to duplicate lanes.
     ///
-    /// The solve runs *outside* the shard lock so concurrent misses in one
-    /// shard do not serialize on the fixed-point iteration; a lost race
-    /// costs one redundant solve, never a wrong answer. Errors are not
-    /// cached (the solve is cheap to fail and the error carries no reusable
-    /// result).
-    pub fn get_or_solve(&self, scenario: &Scenario) -> Result<Prediction, ModelError> {
-        let key = CacheKey::of(scenario);
-        let shard = self.shard_for(&key);
-        if let Some(hit) = shard.lock().expect("cache shard poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        let solved = lopc_core::scenario::solve(scenario)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        shard
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, solved);
-        Ok(solved)
-    }
-
-    /// Batched [`SolutionCache::get_or_solve`]: look every lane up, dedupe
-    /// the misses by quantized key, solve the unique representatives
-    /// through the SoA batch kernel
-    /// ([`lopc_core::scenario::solve_batch`]), insert the successes, and
-    /// fan results back out to duplicate lanes.
-    ///
-    /// Counter semantics mirror the scalar lane-at-a-time sequence exactly:
-    /// resident keys are hits, each unique solved key is one miss, and a
-    /// duplicate lane of a solved key is a hit (in the scalar sequence it
-    /// would have found the answer the first lane inserted). Errors are
-    /// propagated per lane, never cached, and count neither way.
+    /// Counter semantics mirror a lane-at-a-time sequence exactly: resident
+    /// keys are hits, each unique solved key is one miss, and a duplicate
+    /// lane of a solved key is a hit (lane by lane it would have found the
+    /// answer the first lane inserted). The solve runs *outside* every
+    /// shard lock, so concurrent misses do not serialize on the fixed-point
+    /// iteration; a lost race costs one redundant solve, never a wrong
+    /// answer. Errors are propagated per lane, never cached, and count
+    /// neither way.
     pub fn solve_batch(&self, scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>> {
         let n = scenarios.len();
         let keys: Vec<CacheKey> = scenarios.iter().map(CacheKey::of).collect();
@@ -336,10 +316,8 @@ impl SolutionCache {
         // missing key -> representative; later duplicates -> fan-out.
         let mut rep_of: HashMap<&CacheKey, usize> = HashMap::new();
         let mut reps: Vec<usize> = Vec::new();
-        let mut dup_of: Vec<usize> = vec![usize::MAX; n];
         for i in 0..n {
-            if let Some(&rep) = rep_of.get(&keys[i]) {
-                dup_of[i] = rep;
+            if rep_of.contains_key(&keys[i]) {
                 continue;
             }
             let hit = self
@@ -359,19 +337,26 @@ impl SolutionCache {
             }
         }
 
-        // One batched solve over the unique misses (outside every lock).
-        if !reps.is_empty() {
-            let lanes: Vec<Scenario> = reps.iter().map(|&i| scenarios[i].clone()).collect();
-            for (&lane, result) in reps.iter().zip(lopc_core::scenario::solve_batch(&lanes)) {
-                if let Ok(p) = &result {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    self.shard_for(&keys[lane])
-                        .lock()
-                        .expect("cache shard poisoned")
-                        .insert(keys[lane].clone(), *p);
-                }
-                out[lane] = Some(result);
+        // One batched solve over the unique misses (outside every lock). A
+        // lone miss takes the scalar solve: the same bits, without the SoA
+        // kernel's per-call setup, which costs several closed-form solves.
+        let solved = match reps[..] {
+            [] => Vec::new(),
+            [one] => vec![lopc_core::scenario::solve(&scenarios[one])],
+            _ => {
+                let lanes: Vec<Scenario> = reps.iter().map(|&i| scenarios[i].clone()).collect();
+                lopc_core::scenario::solve_batch(&lanes)
             }
+        };
+        for (&lane, result) in reps.iter().zip(solved) {
+            if let Ok(p) = &result {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.shard_for(&keys[lane])
+                    .lock()
+                    .expect("cache shard poisoned")
+                    .insert(keys[lane].clone(), *p);
+            }
+            out[lane] = Some(result);
         }
 
         // Fan representative answers out to their duplicate lanes.
@@ -379,7 +364,7 @@ impl SolutionCache {
             if out[i].is_some() {
                 continue;
             }
-            let r = out[dup_of[i]]
+            let r = out[rep_of[&keys[i]]]
                 .as_ref()
                 .expect("representative lane resolved")
                 .clone();
@@ -441,6 +426,14 @@ mod tests {
             machine: machine(),
             w,
         }
+    }
+
+    /// One scenario through the cache, as a one-lane batch.
+    fn solve_one(cache: &SolutionCache, s: &Scenario) -> Result<Prediction, ModelError> {
+        cache
+            .solve_batch(std::slice::from_ref(s))
+            .pop()
+            .expect("one lane")
     }
 
     #[test]
@@ -506,8 +499,8 @@ mod tests {
     #[test]
     fn exact_repeat_hits_and_is_bit_identical() {
         let cache = SolutionCache::new(4, 16);
-        let first = cache.get_or_solve(&a2a(1000.0)).unwrap();
-        let second = cache.get_or_solve(&a2a(1000.0)).unwrap();
+        let first = solve_one(&cache, &a2a(1000.0)).unwrap();
+        let second = solve_one(&cache, &a2a(1000.0)).unwrap();
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(first.r.to_bits(), second.r.to_bits());
@@ -520,8 +513,8 @@ mod tests {
     #[test]
     fn near_identical_query_hits_same_bucket() {
         let cache = SolutionCache::new(4, 16);
-        let exact = cache.get_or_solve(&a2a(1000.0)).unwrap();
-        let near = cache.get_or_solve(&a2a(1000.0000001)).unwrap();
+        let exact = solve_one(&cache, &a2a(1000.0)).unwrap();
+        let near = solve_one(&cache, &a2a(1000.0000001)).unwrap();
         assert_eq!(cache.hits(), 1, "float-noise query must not re-solve");
         assert_eq!(near.r.to_bits(), exact.r.to_bits());
     }
@@ -531,7 +524,7 @@ mod tests {
         let cache = SolutionCache::new(4, 64);
         let ws: Vec<f64> = (0..20).map(|i| 100.0 + 50.0 * i as f64).collect();
         for &w in &ws {
-            let cached = cache.get_or_solve(&a2a(w)).unwrap();
+            let cached = solve_one(&cache, &a2a(w)).unwrap();
             let direct = lopc_core::scenario::solve(&a2a(w)).unwrap();
             assert_eq!(cached.r.to_bits(), direct.r.to_bits(), "W={w}");
         }
@@ -542,11 +535,11 @@ mod tests {
             machine: machine(),
             w: ws[0],
         };
-        let p_sm = cache.get_or_solve(&sm).unwrap();
+        let p_sm = solve_one(&cache, &sm).unwrap();
         assert_eq!(cache.misses(), 21);
         assert_ne!(
             p_sm.r,
-            cache.get_or_solve(&a2a(ws[0])).unwrap().r,
+            solve_one(&cache, &a2a(ws[0])).unwrap().r,
             "shared-memory and message-passing answers differ"
         );
     }
@@ -555,18 +548,18 @@ mod tests {
     fn lru_evicts_oldest_first() {
         let cache = SolutionCache::new(1, 3);
         for w in [100.0, 200.0, 300.0] {
-            cache.get_or_solve(&a2a(w)).unwrap();
+            solve_one(&cache, &a2a(w)).unwrap();
         }
         assert_eq!(cache.len(), 3);
         // Touch 100 so 200 becomes the LRU, then overflow.
-        cache.get_or_solve(&a2a(100.0)).unwrap();
-        cache.get_or_solve(&a2a(400.0)).unwrap();
+        solve_one(&cache, &a2a(100.0)).unwrap();
+        solve_one(&cache, &a2a(400.0)).unwrap();
         assert_eq!(cache.len(), 3);
         let misses_before = cache.misses();
-        cache.get_or_solve(&a2a(100.0)).unwrap(); // still resident
-        cache.get_or_solve(&a2a(300.0)).unwrap(); // still resident
+        solve_one(&cache, &a2a(100.0)).unwrap(); // still resident
+        solve_one(&cache, &a2a(300.0)).unwrap(); // still resident
         assert_eq!(cache.misses(), misses_before, "100 and 300 must be hits");
-        cache.get_or_solve(&a2a(200.0)).unwrap(); // evicted -> re-solve
+        solve_one(&cache, &a2a(200.0)).unwrap(); // evicted -> re-solve
         assert_eq!(cache.misses(), misses_before + 1);
     }
 
@@ -574,9 +567,9 @@ mod tests {
     fn hit_rate_accounting() {
         let cache = SolutionCache::new(2, 8);
         assert_eq!(cache.hit_rate(), 0.0);
-        cache.get_or_solve(&a2a(100.0)).unwrap();
+        solve_one(&cache, &a2a(100.0)).unwrap();
         for _ in 0..3 {
-            cache.get_or_solve(&a2a(100.0)).unwrap();
+            solve_one(&cache, &a2a(100.0)).unwrap();
         }
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 1);
@@ -595,7 +588,7 @@ mod tests {
                     for rep in 0..3 {
                         for (i, &w) in ws.iter().enumerate() {
                             if (i + t + rep) % 2 == 0 {
-                                let got = cache.get_or_solve(&a2a(w)).unwrap();
+                                let got = solve_one(cache, &a2a(w)).unwrap();
                                 let want = lopc_core::scenario::solve(&a2a(w)).unwrap();
                                 assert_eq!(got.r.to_bits(), want.r.to_bits());
                             }
@@ -662,7 +655,7 @@ mod tests {
                             if (i * 7 + t * 3 + rep) % 3 != 0 {
                                 continue;
                             }
-                            let got = cache.get_or_solve(&a2a(w)).unwrap();
+                            let got = solve_one(cache, &a2a(w)).unwrap();
                             let want = lopc_core::scenario::solve(&a2a(w)).unwrap();
                             assert_eq!(got.r.to_bits(), want.r.to_bits(), "W={w}");
                         }
@@ -680,17 +673,15 @@ mod tests {
         // without inserting, so the check itself is non-perturbing).
         let seq: Vec<f64> = (0..8).map(|i| 10_000.0 + 100.0 * i as f64).collect();
         for &w in &seq {
-            cache.get_or_solve(&a2a(w)).unwrap();
+            solve_one(&cache, &a2a(w)).unwrap();
         }
         for &w in seq.iter().rev() {
-            cache.get_or_solve(&a2a(w)).unwrap();
+            solve_one(&cache, &a2a(w)).unwrap();
         }
         // Recency MRU->LRU is now seq[0] .. seq[7]; three inserts must
         // evict seq[7], seq[6], seq[5] and nothing else.
         for k in 0..3 {
-            cache
-                .get_or_solve(&a2a(50_000.0 + 100.0 * k as f64))
-                .unwrap();
+            solve_one(&cache, &a2a(50_000.0 + 100.0 * k as f64)).unwrap();
         }
         for &gone in &seq[5..] {
             assert!(cache.lookup(&a2a(gone)).is_none(), "{gone} must be evicted");
@@ -723,11 +714,11 @@ mod tests {
         // The same holds end to end through the cache: edge neighbours get
         // their own exact solves.
         let cache = SolutionCache::new(2, 16);
-        cache.get_or_solve(&a2a(1000.005)).unwrap();
-        cache.get_or_solve(&a2a(1000.0049)).unwrap();
+        solve_one(&cache, &a2a(1000.005)).unwrap();
+        solve_one(&cache, &a2a(1000.0049)).unwrap();
         assert_eq!(cache.misses(), 2, "distinct buckets, two solves");
         assert_eq!(cache.hits(), 0);
-        cache.get_or_solve(&a2a(1000.00494)).unwrap();
+        solve_one(&cache, &a2a(1000.00494)).unwrap();
         assert_eq!(cache.hits(), 1, "same bucket, no third solve");
 
         // Negative mirror of the boundary behaves identically.
@@ -743,17 +734,17 @@ mod tests {
         assert!(cache.lookup(&a2a(123.0)).is_none());
         assert_eq!(cache.misses(), 0, "a lookup miss performs no solve");
         assert_eq!(cache.hits(), 0);
-        let solved = cache.get_or_solve(&a2a(123.0)).unwrap();
+        let solved = solve_one(&cache, &a2a(123.0)).unwrap();
         let hit = cache.lookup(&a2a(123.0)).unwrap();
         assert_eq!(hit.r.to_bits(), solved.r.to_bits());
         assert_eq!(cache.hits(), 1, "a lookup hit counts as a hit");
         // Lookup refreshes recency like any hit: with capacity 2, the
         // looked-up key survives the next two inserts' evictions.
         let cache = SolutionCache::new(1, 2);
-        cache.get_or_solve(&a2a(1.0)).unwrap();
-        cache.get_or_solve(&a2a(2.0)).unwrap();
+        solve_one(&cache, &a2a(1.0)).unwrap();
+        solve_one(&cache, &a2a(2.0)).unwrap();
         cache.lookup(&a2a(1.0)).unwrap();
-        cache.get_or_solve(&a2a(3.0)).unwrap(); // evicts 2.0
+        solve_one(&cache, &a2a(3.0)).unwrap(); // evicts 2.0
         assert!(cache.lookup(&a2a(1.0)).is_some());
         assert!(cache.lookup(&a2a(2.0)).is_none());
     }
@@ -765,15 +756,15 @@ mod tests {
             machine: Machine::new(1, 0.0, 1.0),
             w: 1.0,
         };
-        assert!(cache.get_or_solve(&bad).is_err());
+        assert!(solve_one(&cache, &bad).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.misses(), 0, "failed solves are not misses");
     }
 
     #[test]
     fn solve_batch_matches_scalar_sequence_and_counters() {
-        // The batched path must agree lane for lane — answers *and*
-        // counters — with running get_or_solve over the lanes in order.
+        // A many-lane batch must agree lane for lane — answers *and*
+        // counters — with running its lanes in order as one-lane batches.
         let lanes = vec![
             a2a(100.0),
             a2a(500.0),
@@ -785,7 +776,7 @@ mod tests {
         let batched = batched_cache.solve_batch(&lanes);
         let scalar_cache = SolutionCache::new(4, 16);
         for (b, s) in batched.iter().zip(&lanes) {
-            let want = scalar_cache.get_or_solve(s).unwrap();
+            let want = solve_one(&scalar_cache, s).unwrap();
             assert_eq!(b.as_ref().unwrap().r.to_bits(), want.r.to_bits());
         }
         assert_eq!(batched_cache.misses(), scalar_cache.misses());

@@ -219,7 +219,7 @@ pub struct Client {
     conn: Option<Conn>,
 }
 
-/// How far a single attempt got before failing — decides retry safety.
+/// How far a request got before failing — decides retry safety.
 /// Crate-visible because the cluster router's pipelined wave applies the
 /// same never-replay-after-a-response-byte gate per connection.
 pub(crate) enum AttemptError {
@@ -285,7 +285,8 @@ impl Client {
         self.addr
     }
 
-    /// Issue one request; returns `(status, body bytes)`.
+    /// Issue one request; returns `(status, body bytes)`: one pipelined
+    /// send and its receive.
     ///
     /// Transient transport failures reconnect and retry (with jittered
     /// backoff) up to the configured attempt budget — except after any
@@ -300,68 +301,25 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match self.attempt(method, path, body) {
-                Ok(reply) => return Ok(reply),
-                Err(failure) => {
-                    // The connection is in an unknown state either way.
-                    self.conn = None;
-                    let (err, replayable) = match failure {
-                        AttemptError::BeforeResponse(e) => (e, true),
-                        AttemptError::AfterResponse(e) => (e, false),
-                    };
-                    if !replayable || !err.is_retryable() || attempt >= self.config.retry.attempts {
-                        return Err(err);
-                    }
-                    std::thread::sleep(self.config.retry.backoff(attempt));
-                }
+            let failure = match self.pipeline_send(method, path, body) {
+                Ok(()) => match self.pipeline_recv() {
+                    Ok(reply) => return Ok(reply),
+                    Err(failure) => failure,
+                },
+                // Dialing or writing failed: nothing of a response exists.
+                Err(e) => AttemptError::BeforeResponse(e),
+            };
+            // Both halves drop the connection on failure, so a retry
+            // redials.
+            let (err, replayable) = match failure {
+                AttemptError::BeforeResponse(e) => (e, true),
+                AttemptError::AfterResponse(e) => (e, false),
+            };
+            if !replayable || !err.is_retryable() || attempt >= self.config.retry.attempts {
+                return Err(err);
             }
+            std::thread::sleep(self.config.retry.backoff(attempt));
         }
-    }
-
-    /// One write-request/read-response cycle on the current connection
-    /// (dialing it first if needed).
-    fn attempt(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> Result<(u16, Vec<u8>), AttemptError> {
-        let before = AttemptError::BeforeResponse;
-        if self.conn.is_none() {
-            self.conn = Some(Conn::dial(self.addr, &self.config).map_err(before)?);
-        }
-        let conn = self.conn.as_mut().expect("connection just dialed");
-        write!(
-            conn.writer,
-            "{method} {path} HTTP/1.1\r\nhost: lopc-serve\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        )
-        .map_err(|e| before(e.into()))?;
-        conn.writer.write_all(body).map_err(|e| before(e.into()))?;
-        conn.writer.flush().map_err(|e| before(e.into()))?;
-        // Peek before parsing: an error or clean EOF *here* means no
-        // response byte was consumed, so the request is safely replayable
-        // (the classic stale keep-alive race — the server idle-closed the
-        // connection while our request was in flight).
-        match conn.reader.fill_buf() {
-            Ok([]) => {
-                return Err(before(ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection before responding",
-                ))))
-            }
-            Ok(_) => {}
-            Err(e) => return Err(before(e.into())),
-        }
-        let resp =
-            read_response(&mut conn.reader).map_err(|e| AttemptError::AfterResponse(e.into()))?;
-        if !resp.keep_alive {
-            // The server declared this connection over (`connection:
-            // close`); keeping it pooled would make the next request hit
-            // the stale keep-alive race deterministically.
-            self.conn = None;
-        }
-        Ok((resp.status, resp.body))
     }
 
     /// Pipelining, send half: write one request on the current connection
@@ -370,7 +328,7 @@ impl Client {
     /// flight before reading any reply — the servers overlap their work
     /// while the client is still writing. Must be paired with
     /// [`Client::pipeline_recv`]; interleaving other requests in between
-    /// would desynchronize the connection.
+    /// would desynchronize the connection. A failure drops the connection.
     pub(crate) fn pipeline_send(
         &mut self,
         method: &str,
@@ -402,7 +360,8 @@ impl Client {
     /// the caller's to honor: a [`AttemptError::BeforeResponse`] failure
     /// consumed nothing and a retryable one may be replayed on a fresh
     /// connection (the stale keep-alive race); an
-    /// [`AttemptError::AfterResponse`] failure must surface.
+    /// [`AttemptError::AfterResponse`] failure must surface. Any failure,
+    /// and a `connection: close` response, drops the connection.
     pub(crate) fn pipeline_recv(&mut self) -> Result<(u16, Vec<u8>), AttemptError> {
         let before = AttemptError::BeforeResponse;
         let Some(conn) = self.conn.as_mut() else {
@@ -411,6 +370,10 @@ impl Client {
                 "no connection to receive on",
             ))));
         };
+        // Peek before parsing: an error or clean EOF *here* means no
+        // response byte was consumed, so the request is safely replayable
+        // (the classic stale keep-alive race — the server idle-closed the
+        // connection while our request was in flight).
         match conn.reader.fill_buf() {
             Ok([]) => {
                 self.conn = None;
@@ -428,6 +391,9 @@ impl Client {
         match read_response(&mut conn.reader) {
             Ok(resp) => {
                 if !resp.keep_alive {
+                    // The server declared this connection over; keeping
+                    // it would make the next request hit the stale
+                    // keep-alive race deterministically.
                     self.conn = None;
                 }
                 Ok((resp.status, resp.body))
@@ -437,6 +403,12 @@ impl Client {
                 Err(AttemptError::AfterResponse(e.into()))
             }
         }
+    }
+
+    /// Whether a connection is open, so the next request reuses it rather
+    /// than dialing a fresh one.
+    pub(crate) fn is_connected(&self) -> bool {
+        self.conn.is_some()
     }
 
     /// Issue one request and parse the JSON body; non-2xx becomes

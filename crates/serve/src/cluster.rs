@@ -35,14 +35,16 @@
 //!   probe token admits exactly one in-flight probe; everyone else keeps
 //!   routing to survivors until the probe succeeds), so recovery needs no
 //!   operator action and a still-dead node never eats a whole wave.
-//! * **Concurrent fan-out** — a routed batch partitions its lanes by
-//!   owner and dispatches every per-owner sub-batch *simultaneously*
-//!   (scoped threads over pooled per-node connections), reassembling the
-//!   responses in request order. The LoPC lesson applied to ourselves: a
-//!   serial router is a contended server, and the queueing delay it
+//! * **Pipelined wave** — a routed batch partitions its lanes by owner
+//!   and puts every per-owner sub-batch in flight at once: it writes them
+//!   back to back over pooled per-node connections, then reads the
+//!   replies in the same order, reassembling them in request order. No
+//!   thread is spawned. The LoPC lesson applied to ourselves: a serial
+//!   router is a contended server, and the queueing delay it
 //!   manufactures is pure self-inflicted FRC. Failover stays wave-
 //!   synchronous — a sub-batch that dies re-partitions its lanes onto
-//!   ring survivors only after the in-flight wave completes.
+//!   ring survivors only after the in-flight wave completes. A routed
+//!   single is a one-lane wave.
 //!
 //! Membership is static per process (the `--peer` flags); health is a
 //! per-observer judgment, not gossip — two nodes may briefly disagree
@@ -546,9 +548,9 @@ fn no_reachable_node() -> ClientError {
 }
 
 /// One route target of a [`ClusterClient`]: a pooled keep-alive connection
-/// (lazily dialed, torn down on transport error) plus the client's health
-/// view of the node. Both live behind shared-state cells so one client can
-/// fan a batch wave out across its nodes from scoped threads.
+/// (lazily dialed, redialed after a transport error) plus the client's
+/// health view of the node. Both live behind shared-state cells so one
+/// client can be shared by many calling threads.
 struct RouteNode {
     addr: String,
     sock: Option<SocketAddr>,
@@ -558,13 +560,12 @@ struct RouteNode {
 
 /// A cluster-aware client: fetches the topology from a seed node, rebuilds
 /// the ring, and routes every request (and every batch lane) to the owner
-/// of its [`route_hash`] — fanning batches out per owner *concurrently*
-/// and reassembling the responses in request order. Node failures are
-/// detected lazily (the failing request reroutes to the ring survivors)
-/// and healed by a single half-open probe after a cooldown. All routing
-/// methods take `&self`: the client is shareable across threads, and one
-/// batch call dispatches its per-owner sub-batches from a scoped-thread
-/// wave.
+/// of its [`route_hash`] — sending one pipelined wave of per-owner
+/// sub-batches and reassembling the responses in request order; a single
+/// request is a one-lane wave. Node failures are detected lazily (the
+/// failing request reroutes to the ring survivors) and healed by a single
+/// half-open probe after a cooldown. All routing methods take `&self`:
+/// the client is shareable across threads.
 pub struct ClusterClient {
     nodes: Vec<RouteNode>,
     ring: HashRing,
@@ -649,100 +650,6 @@ impl ClusterClient {
             .map(|i| self.nodes[i].addr.as_str())
     }
 
-    /// One attempt on one node over its pooled connection (dialed lazily,
-    /// torn down on transport failure). Centralizes the health marks: a
-    /// response — success *or* [`ClientError::Status`] — proves the node
-    /// alive and releases any probe token; a transport-level failure marks
-    /// it down for the cooldown.
-    fn dispatch<T>(
-        &self,
-        idx: usize,
-        op: impl FnOnce(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let node = &self.nodes[idx];
-        let result = (|| {
-            let Some(sock) = node.sock else {
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("node address {:?} is not a socket address", node.addr),
-                )));
-            };
-            let mut conn = node.conn.lock().expect("node conn poisoned");
-            let attempt = (|| {
-                if conn.is_none() {
-                    *conn = Some(Client::connect_with(sock, self.config)?);
-                }
-                op(conn.as_mut().expect("just dialed"))
-            })();
-            // A transport failure poisons the pooled connection; a
-            // `Status` is a complete response on a still-good one.
-            if matches!(&attempt, Err(e) if !matches!(e, ClientError::Status(..))) {
-                *conn = None;
-            }
-            attempt
-        })();
-        match &result {
-            Ok(_) | Err(ClientError::Status(..)) => node.health.mark_up(),
-            Err(_) => node.health.mark_down(self.cooldown),
-        }
-        result
-    }
-
-    /// Run `op` against the owner of `key_hash`, failing over clockwise on
-    /// transport errors. A [`ClientError::Status`] is an answer and is
-    /// returned as-is (the routing worked; the request was just bad). Down
-    /// nodes are skipped and a half-open node admits one probe; if *no*
-    /// member grants a claim, the full preference order is forced once, so
-    /// a fully-partitioned client heals instead of erroring forever
-    /// without ever re-dialing.
-    fn with_owner<T>(
-        &self,
-        key_hash: u64,
-        mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut last: Option<ClientError> = None;
-        let now = Instant::now();
-        // Fast path: the ring owner (one binary search, no preference
-        // walk) is claimable and answers — every request on a healthy
-        // ring.
-        let mut tried = None;
-        if let Some(owner) = self.ring.owner(key_hash) {
-            if self.nodes[owner].health.claim(now).is_some() {
-                match self.dispatch(owner, &mut op) {
-                    Ok(v) => return Ok(v),
-                    Err(e @ ClientError::Status(..)) => return Err(e),
-                    Err(e) => {
-                        tried = Some(owner);
-                        last = Some(e);
-                    }
-                }
-            }
-        }
-        let preference = self.ring.preference(key_hash);
-        let mut tried_any = tried.is_some();
-        for &idx in &preference {
-            if Some(idx) == tried || self.nodes[idx].health.claim(now).is_none() {
-                continue; // just failed, down, or another caller probes
-            }
-            tried_any = true;
-            match self.dispatch(idx, &mut op) {
-                Ok(v) => return Ok(v),
-                Err(e @ ClientError::Status(..)) => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        if !tried_any {
-            for &idx in &preference {
-                match self.dispatch(idx, &mut op) {
-                    Ok(v) => return Ok(v),
-                    Err(e @ ClientError::Status(..)) => return Err(e),
-                    Err(e) => last = Some(e),
-                }
-            }
-        }
-        Err(last.unwrap_or_else(no_reachable_node))
-    }
-
     /// Route one exact-mode prediction to its owner.
     pub fn predict(&self, scenario: &Scenario) -> Result<Prediction, ClientError> {
         self.predict_within(scenario, 0.0)
@@ -750,26 +657,27 @@ impl ClusterClient {
 
     /// Route one prediction (with tolerance) to its owner: by
     /// [`route_hash`], so a tolerant request goes to the home of the cell
-    /// that answers it.
+    /// that answers it. A single is a one-lane wave of
+    /// [`ClusterClient::predict_batch_within`] — same routing, failover
+    /// and replay rules.
     pub fn predict_within(
         &self,
         scenario: &Scenario,
         max_rel_err: f64,
     ) -> Result<Prediction, ClientError> {
-        self.with_owner(route_hash(scenario, max_rel_err), |client| {
-            client.predict_within(scenario, max_rel_err)
-        })
+        let mut answers = self.predict_batch_within(std::slice::from_ref(scenario), max_rel_err)?;
+        Ok(answers.pop().expect("one lane"))
     }
 
     /// Route a batch: lanes are partitioned by owner and every sub-batch
-    /// flies **concurrently** — one scoped thread per owner (the caller's
-    /// thread runs the first sub-batch itself), each on that owner's
-    /// pooled connection, with the responses reassembled in request order
-    /// by lane index. A sub-batch that dies on a failing node has its
-    /// lanes re-partitioned onto the ring survivors *after* the in-flight
-    /// wave completes; a [`ClientError::Status`] answer (bad request,
-    /// unsolvable lane) aborts the whole batch, mirroring the single-node
-    /// endpoint's semantics.
+    /// flies **concurrently** — written back to back on each owner's
+    /// pooled connection, then read back in the same order (no threads),
+    /// with the responses reassembled in request order by lane index. A
+    /// sub-batch that dies on a failing node has its lanes re-partitioned
+    /// onto the ring survivors *after* the in-flight wave completes; a
+    /// [`ClientError::Status`] answer (bad request, unsolvable lane)
+    /// aborts the whole batch, mirroring the single-node endpoint's
+    /// semantics.
     pub fn predict_batch(&self, scenarios: &[Scenario]) -> Result<Vec<Prediction>, ClientError> {
         self.predict_batch_within(scenarios, 0.0)
     }
@@ -896,11 +804,13 @@ impl ClusterClient {
     /// the wave clones zero scenarios.
     ///
     /// Failure contract, per connection: a send-side or
-    /// pre-response-byte failure consumed nothing, so a retryable one is
-    /// replayed synchronously on a fresh connection (the stale keep-alive
-    /// race); once any response byte has been consumed the error surfaces
-    /// — never replayed — and the lanes re-partition onto survivors in
-    /// the next round, after the whole wave has landed.
+    /// pre-response-byte failure on a connection that was pooled before
+    /// the wave consumed nothing, so a retryable one is replayed
+    /// synchronously on a fresh connection (the stale keep-alive race). A
+    /// connection dialed in this wave has no such race — the node itself
+    /// failed — so its error surfaces unreplayed, like any error after a
+    /// response byte, and the lanes re-partition onto survivors in the
+    /// next round, after the whole wave has landed.
     #[allow(clippy::type_complexity)]
     fn run_wave(
         &self,
@@ -916,8 +826,7 @@ impl ClusterClient {
             Flying,
             /// Dialing the node failed: nothing to receive, no replay.
             DialFailed(ClientError),
-            /// Writing failed on an existing connection: nothing of the
-            /// response was consumed, so a retryable error may replay.
+            /// Writing failed: nothing of the response was consumed.
             SendFailed(ClientError),
             /// The half-open probe token went to another caller between
             /// partitioning and dispatch: retryable, no connection held.
@@ -934,10 +843,13 @@ impl ClusterClient {
             // callers (forced groups bypass the gate — every member is
             // down and only re-dialing heals).
             if !forced && node.health.claim(Instant::now()).is_none() {
-                wave.push((owner, lanes, sub, None, Sent::ClaimLost));
+                wave.push((owner, lanes, sub, None, false, Sent::ClaimLost));
                 continue;
             }
             let mut guard = node.conn.lock().expect("node conn poisoned");
+            // Only a connection that outlived an earlier exchange can have
+            // been idle-closed under this one.
+            let warm = guard.as_ref().is_some_and(Client::is_connected);
             let sent = (|| {
                 let Some(sock) = node.sock else {
                     return Sent::DialFailed(ClientError::Io(io::Error::new(
@@ -957,18 +869,18 @@ impl ClusterClient {
                     Err(e) => Sent::SendFailed(e),
                 }
             })();
-            wave.push((owner, lanes, sub, Some(guard), sent));
+            wave.push((owner, lanes, sub, Some(guard), warm, sent));
         }
         // Phase two: collect the responses, applying the per-connection
         // replay gate, and settle each node's health from its outcome.
         wave.into_iter()
-            .map(|(owner, lanes, sub, guard, sent)| {
+            .map(|(owner, lanes, sub, guard, warm, sent)| {
                 let node = &self.nodes[owner];
                 // A lost claim never touched the node: no connection, no
                 // health verdict (marking down here would clobber the
                 // *winning* prober's token). The error is retryable, so
                 // the lanes re-partition next round.
-                if guard.is_none() {
+                let Some(mut guard) = guard else {
                     return (
                         owner,
                         lanes,
@@ -977,35 +889,27 @@ impl ClusterClient {
                             "node went down (or its probe was taken) mid-partition",
                         ))),
                     );
-                }
-                let result = match (guard, sent) {
-                    (None, _) => unreachable!("handled above"),
-                    (Some(_), Sent::DialFailed(e)) => Err(e),
-                    (Some(mut guard), Sent::SendFailed(e)) => {
-                        let client = guard.as_mut().expect("send implies a client");
-                        if e.is_retryable() {
+                };
+                // The stale keep-alive race: the server idle-closed a
+                // pooled connection under the send. No response byte was
+                // consumed, so the sub-batch replays on a fresh connection.
+                let result = match (sent, guard.as_mut()) {
+                    (Sent::Flying, Some(client)) => match client.pipeline_recv() {
+                        Ok((status, body)) => batch_predictions_from_response(status, body),
+                        Err(AttemptError::BeforeResponse(e)) if warm && e.is_retryable() => {
                             client.predict_batch_refs(&sub, max_rel_err)
-                        } else {
+                        }
+                        Err(AttemptError::BeforeResponse(e) | AttemptError::AfterResponse(e)) => {
                             Err(e)
                         }
+                    },
+                    (Sent::SendFailed(e), Some(client)) if warm && e.is_retryable() => {
+                        client.predict_batch_refs(&sub, max_rel_err)
                     }
-                    (Some(mut guard), Sent::Flying) => {
-                        let client = guard.as_mut().expect("in flight implies a client");
-                        match client.pipeline_recv() {
-                            Ok((status, body)) => batch_predictions_from_response(status, body),
-                            Err(AttemptError::BeforeResponse(e)) if e.is_retryable() => {
-                                // Stale keep-alive race: the server idle-
-                                // closed under the send; no response byte
-                                // was consumed, so replay on a fresh
-                                // connection.
-                                client.predict_batch_refs(&sub, max_rel_err)
-                            }
-                            Err(
-                                AttemptError::BeforeResponse(e) | AttemptError::AfterResponse(e),
-                            ) => Err(e),
-                        }
+                    (Sent::DialFailed(e) | Sent::SendFailed(e), _) => Err(e),
+                    (Sent::Flying, None) | (Sent::ClaimLost, _) => {
+                        unreachable!("a sent request holds a client; a lost claim holds no lock")
                     }
-                    (Some(_), Sent::ClaimLost) => unreachable!("claim-lost holds no lock"),
                 };
                 match &result {
                     Ok(_) | Err(ClientError::Status(..)) => node.health.mark_up(),

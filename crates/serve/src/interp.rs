@@ -35,15 +35,11 @@
 //!    `certificate <= max_rel_err`; otherwise they fall back to the exact
 //!    path. `max_rel_err = 0` (the default) never consults the cell index
 //!    at all and stays bit-identical to [`lopc_core::scenario::solve`].
-//! 4. Two consecutive single-request serving cells that share their
-//!    discrete identity and differ by one axis bracket advancing reveal a
-//!    **sweep direction**: the next cell along it is pre-built immediately,
-//!    so the sweep's next first touch finds a finished cell instead of
-//!    paying build latency. Prefetched cells are ordinary cells — same
-//!    build, same certificate gate; a wrong guess costs one speculative
-//!    build, never a wrong answer. Batches never prefetch: a batch already
-//!    carries its own sweep, and every cell it touches is built once, in
-//!    lane order.
+//!
+//! Cells are built only when a query lands in them — never ahead of a
+//! sweep. A single request is a one-lane batch: [`InterpCache::predict`],
+//! [`InterpCache::predict_traced`] and [`InterpCache::predict_batch`] all
+//! run the same lane loop.
 //!
 //! Cells that cannot be trusted — a corner fails to solve, corners
 //! disagree on the discrete optimal `ps`, or a component is `NaN` in some
@@ -285,8 +281,8 @@ pub enum ImportOutcome {
 /// The cluster's side of cell shipping, plugged into the cache by the
 /// serving layer. Every cell has one *home* node; both calls concern only
 /// that node and are no-ops when this node is the home. They run on
-/// whatever thread missed (or prefetched) a cell — implementations must
-/// bound their own latency (short timeouts / background threads).
+/// whatever thread missed a cell — implementations must bound their own
+/// latency (short timeouts / background threads).
 pub trait CellSource: Send + Sync {
     /// A cell miss: ask the cell's home for it. `Some` is decoded but
     /// **unverified** — the cache re-verifies before admitting.
@@ -444,27 +440,15 @@ impl CellShard {
     }
 }
 
-/// Sweep-cursor state for predictive prefetch: the last cell that served
-/// an interpolated answer. Two *consecutive* serving cells that share
-/// their discrete identity and differ by exactly one axis bracket
-/// advancing reveal a sweep direction; the cell one step further ahead is
-/// then built before the cursor reaches it.
-struct SweepCursor {
-    key: CellKey,
-    brackets: [AxisBracket; INTERP_AXES],
-}
-
 /// The interpolating cache: the sharded exact [`SolutionCache`] plus the
 /// certified cell index layered over it. One instance per server; share by
 /// reference.
 pub struct InterpCache {
     cache: SolutionCache,
     shards: Vec<Mutex<CellShard>>,
-    cursor: Mutex<Option<SweepCursor>>,
     interp_hits: AtomicU64,
     interp_fallbacks: AtomicU64,
     cells_built: AtomicU64,
-    cells_prefetched: AtomicU64,
     cells_received: AtomicU64,
     cells_rejected: AtomicU64,
     /// The cluster hook; absent in single-node operation.
@@ -487,11 +471,9 @@ impl InterpCache {
                     })
                 })
                 .collect(),
-            cursor: Mutex::new(None),
             interp_hits: AtomicU64::new(0),
             interp_fallbacks: AtomicU64::new(0),
             cells_built: AtomicU64::new(0),
-            cells_prefetched: AtomicU64::new(0),
             cells_received: AtomicU64::new(0),
             cells_rejected: AtomicU64::new(0),
             source: OnceLock::new(),
@@ -528,10 +510,10 @@ impl InterpCache {
         self.cells_built.load(Ordering::Relaxed)
     }
 
-    /// Cells built speculatively by the sweep-direction prefetcher (a
-    /// subset of [`InterpCache::cells_built`]).
+    /// Always 0: cells are built only when a query lands in them. Kept so
+    /// callers written against the former sweep prefetcher still compile.
     pub fn cells_prefetched(&self) -> u64 {
-        self.cells_prefetched.load(Ordering::Relaxed)
+        0
     }
 
     /// Cells admitted from peers after passing spot-probe re-verification.
@@ -563,70 +545,75 @@ impl InterpCache {
     /// query silently gets the exact answer (tolerances are upper bounds,
     /// and exact always satisfies them).
     pub fn predict(&self, scenario: &Scenario, max_rel_err: f64) -> Result<Prediction, ModelError> {
-        self.predict_traced(scenario, max_rel_err).map(|(p, _)| p)
+        self.predict_batch(std::slice::from_ref(scenario), max_rel_err)
+            .pop()
+            .expect("one lane")
     }
 
-    /// [`InterpCache::predict`], also reporting which path answered.
+    /// [`InterpCache::predict`], also reporting which path answered. A
+    /// single is a one-lane [`InterpCache::predict_batch`]: same lane
+    /// loop, same policy, same counters.
     pub fn predict_traced(
         &self,
         scenario: &Scenario,
         max_rel_err: f64,
     ) -> Result<(Prediction, Served), ModelError> {
-        // NaN and infinities count as "no usable tolerance": exact mode.
-        if !max_rel_err.is_finite() || max_rel_err <= 0.0 {
-            return self
-                .cache
-                .get_or_solve(scenario)
-                .map(|p| (p, Served::Exact));
-        }
-        // The exact answer may already be resident — never interpolate past
-        // a bit-identical hit.
-        if let Some(p) = self.cache.lookup(scenario) {
-            return Ok((p, Served::Exact));
-        }
-        match self.try_interpolate(scenario, max_rel_err, true) {
-            Some(served) => {
-                self.interp_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(served)
-            }
-            None => {
-                self.interp_fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.cache
-                    .get_or_solve(scenario)
-                    .map(|p| (p, Served::Exact))
-            }
-        }
+        self.serve(std::slice::from_ref(scenario), max_rel_err, |p, served| {
+            (p, served)
+        })
+        .pop()
+        .expect("one lane")
     }
 
-    /// Batched [`InterpCache::predict`]: every lane is answered by the same
-    /// policy (exact mode, resident-exact shortcut, certified
-    /// interpolation, exact fallback), but all lanes that end up needing an
-    /// exact solve go through one key-deduped
-    /// [`SolutionCache::solve_batch`] call — the SoA kernel — instead of
-    /// lane-at-a-time solves. Lanes do not advance the sweep prefetcher:
-    /// the batch names every cell it needs.
+    /// Batched [`InterpCache::predict`]. Each lane is answered by the
+    /// same policy — exact mode, resident-exact shortcut, certified
+    /// interpolation, exact fallback — and every lane that ends up needing
+    /// an exact solve goes through one key-deduped
+    /// [`SolutionCache::solve_batch`] call (the SoA kernel).
     pub fn predict_batch(
         &self,
         scenarios: &[Scenario],
         max_rel_err: f64,
     ) -> Vec<Result<Prediction, ModelError>> {
-        // Exact mode for the whole batch (the contract is per-request).
+        self.serve(scenarios, max_rel_err, |p, _| p)
+    }
+
+    /// The one lane loop behind [`InterpCache::predict`],
+    /// [`InterpCache::predict_traced`] and [`InterpCache::predict_batch`].
+    /// Each answer goes out through `wrap` together with the path that
+    /// produced it, so a caller that ignores the path pays nothing for it.
+    fn serve<T>(
+        &self,
+        scenarios: &[Scenario],
+        max_rel_err: f64,
+        wrap: impl Fn(Prediction, Served) -> T,
+    ) -> Vec<Result<T, ModelError>> {
+        let exact = |r: Result<Prediction, ModelError>| r.map(|p| wrap(p, Served::Exact));
+        // NaN and infinities count as "no usable tolerance": exact mode for
+        // the whole batch (the contract is per-request).
         if !max_rel_err.is_finite() || max_rel_err <= 0.0 {
-            return self.cache.solve_batch(scenarios);
+            return self
+                .cache
+                .solve_batch(scenarios)
+                .into_iter()
+                .map(exact)
+                .collect();
         }
         let n = scenarios.len();
-        let mut out: Vec<Option<Result<Prediction, ModelError>>> = Vec::with_capacity(n);
+        let mut out: Vec<Option<Result<T, ModelError>>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         let mut misses: Vec<usize> = Vec::new();
         for (i, s) in scenarios.iter().enumerate() {
+            // The exact answer may already be resident — never interpolate
+            // past a bit-identical hit.
             if let Some(p) = self.cache.lookup(s) {
-                out[i] = Some(Ok(p));
+                out[i] = Some(exact(Ok(p)));
                 continue;
             }
-            match self.try_interpolate(s, max_rel_err, false) {
-                Some((p, _)) => {
+            match self.try_interpolate(s, max_rel_err) {
+                Some((p, served)) => {
                     self.interp_hits.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(Ok(p));
+                    out[i] = Some(Ok(wrap(p, served)));
                 }
                 None => {
                     self.interp_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -637,7 +624,7 @@ impl InterpCache {
         if !misses.is_empty() {
             let lanes: Vec<Scenario> = misses.iter().map(|&i| scenarios[i].clone()).collect();
             for (&i, r) in misses.iter().zip(self.cache.solve_batch(&lanes)) {
-                out[i] = Some(r);
+                out[i] = Some(exact(r));
             }
         }
         out.into_iter()
@@ -646,12 +633,10 @@ impl InterpCache {
     }
 
     /// The interpolation path; `None` means "serve exactly instead".
-    /// `prefetch` lets the request advance the sweep cursor.
     fn try_interpolate(
         &self,
         scenario: &Scenario,
         max_rel_err: f64,
-        prefetch: bool,
     ) -> Option<(Prediction, Served)> {
         // No certificate can beat the floor; don't pay for a cell build
         // that could never serve this tolerance.
@@ -662,12 +647,9 @@ impl InterpCache {
         // Build outside every lock; concurrent touchers of the same cell
         // block here instead of re-solving the corners.
         let slot = self.slot_for(&at.key);
-        let cell = slot.get_or_init(|| self.first_touch(&at.key, scenario, at.brackets, false));
+        let cell = slot.get_or_init(|| self.first_touch(&at.key, scenario, at.brackets));
         if cell.cert > max_rel_err {
             return None;
-        }
-        if prefetch {
-            self.advance_cursor(scenario, &at);
         }
         Some((
             cell.interpolate(&at.axes),
@@ -681,13 +663,12 @@ impl InterpCache {
     /// cell's home is asked first: a shipped cell is admitted only if it
     /// survives local re-verification, and a failed verification poisons
     /// the key to permanently-exact. Otherwise the cell is built here and
-    /// offered to its home. `prefetched` marks a speculative build.
+    /// offered to its home.
     fn first_touch(
         &self,
         key: &CellKey,
         template: &Scenario,
         brackets: [AxisBracket; INTERP_AXES],
-        prefetched: bool,
     ) -> Cell {
         let source = self.source.get();
         if let Some(export) = source.and_then(|s| s.fetch(key)) {
@@ -703,9 +684,6 @@ impl InterpCache {
             };
         }
         self.cells_built.fetch_add(1, Ordering::Relaxed);
-        if prefetched {
-            self.cells_prefetched.fetch_add(1, Ordering::Relaxed);
-        }
         let cell = self.build_cell(template, brackets);
         if let Some(source) = source {
             if let Some(export) = make_export(key, &cell) {
@@ -713,81 +691,6 @@ impl InterpCache {
             }
         }
         cell
-    }
-
-    /// Record the serving cell in the sweep cursor; when the previous and
-    /// current serving cells are adjacent (same discrete identity, exactly
-    /// one axis bracket advanced), pre-build the next cell along the same
-    /// direction so the sweep's next first-touch finds it already built.
-    ///
-    /// Prefetched cells take the same first-touch path as any other — they
-    /// carry a real certificate (or stay untrusted) and are gated by the
-    /// same `cert <= max_rel_err` check when a query actually lands in
-    /// them. A wrong sweep guess costs one speculative build, never a
-    /// wrong answer.
-    fn advance_cursor(&self, scenario: &Scenario, at: &Located) {
-        let (key, brackets) = (&at.key, &at.brackets);
-        let prev = {
-            let mut cursor = self.cursor.lock().expect("sweep cursor poisoned");
-            cursor.replace(SweepCursor {
-                key: key.clone(),
-                brackets: *brackets,
-            })
-        };
-        let Some(prev) = prev else { return };
-        if prev.key == *key {
-            return;
-        }
-        // Same discrete identity (variant, P, ps, k): the bracket words are
-        // the trailing `2 * INTERP_AXES` of the key, everything before them
-        // is discrete.
-        let discrete = key.0.len() - 2 * INTERP_AXES;
-        if prev.key.0.len() != key.0.len() || prev.key.0[..discrete] != key.0[..discrete] {
-            return;
-        }
-        // Exactly one axis advanced by one cell, all others identical.
-        let mut advanced: Option<(usize, bool)> = None;
-        for (i, &c) in brackets.iter().enumerate() {
-            let p = prev.brackets[i];
-            if p == c {
-                continue;
-            }
-            if advanced.is_some() || p.is_degenerate() || c.is_degenerate() {
-                return;
-            }
-            if c.lo == p.hi {
-                advanced = Some((i, true));
-            } else if c.hi == p.lo {
-                advanced = Some((i, false));
-            } else {
-                return;
-            }
-        }
-        let Some((ax, ascending)) = advanced else {
-            return;
-        };
-        // Predict the next cell: probe just past the boundary ahead of the
-        // cursor and snap back onto the grid.
-        let probe = if ascending {
-            brackets[ax].hi * (1.0 + 1e-6)
-        } else if brackets[ax].lo > 0.0 {
-            brackets[ax].lo * (1.0 - 1e-6)
-        } else {
-            return; // the grid ends at 0: nothing ahead
-        };
-        let mut coords: [f64; INTERP_AXES] = std::array::from_fn(|i| at.axes[i].value);
-        coords[ax] = probe;
-        let Some(next) = scenario.with_axis_values(coords) else {
-            return;
-        };
-        let Some(ahead) = locate(&next) else {
-            return;
-        };
-        if ahead.key == *key {
-            return; // probe collapsed back into the serving cell
-        }
-        self.slot_for(&ahead.key)
-            .get_or_init(|| self.first_touch(&ahead.key, &next, ahead.brackets, true));
     }
 
     /// The build-once slot for `key` (creating it, and FIFO-evicting, as
@@ -947,7 +850,8 @@ impl InterpCache {
         if let Err(e) = centre.validate() {
             return Err(format!("cell centre is not a valid scenario: {e}"));
         }
-        let exact = match self.cache.get_or_solve(&centre) {
+        let probe = self.cache.solve_batch(std::slice::from_ref(&centre)).pop();
+        let exact = match probe.expect("one lane") {
             Ok(p) => p,
             Err(e) => return Err(format!("centre spot-probe unsolvable: {e}")),
         };
@@ -1341,32 +1245,35 @@ mod tests {
     }
 
     #[test]
-    fn batches_never_advance_the_sweep_prefetcher() {
-        // A batch walking many W cells builds only cells its lanes land
-        // in — nothing ahead of the sweep.
+    fn cells_are_built_only_where_lanes_land() {
+        // A walk over many W cells builds only cells its lanes land in —
+        // nothing ahead of the sweep — whether it arrives as one batch or
+        // as single requests (one-lane batches), and both build the same
+        // cells.
         let lanes: Vec<Scenario> = (0..50).map(|i| a2a(700.0 + 10.0 * i as f64)).collect();
-        let c = interp_cache();
-        for r in c.predict_batch(&lanes, 5e-2) {
-            r.unwrap();
-        }
         let touched: std::collections::BTreeSet<String> = lanes
             .iter()
             .map(|s| locate(s).unwrap().key.to_wire())
             .collect();
-        let resident: std::collections::BTreeSet<String> =
-            c.resident_cell_keys().into_iter().collect();
-        assert_eq!(c.cells_prefetched(), 0);
-        assert_eq!(c.cells_built(), resident.len() as u64);
-        assert!(
-            resident.is_subset(&touched),
-            "a cell no lane needs was built"
-        );
-        // The same walk as single requests does prefetch.
-        let s = interp_cache();
-        for q in &lanes {
-            s.predict(q, 5e-2).unwrap();
+        let batch = interp_cache();
+        for r in batch.predict_batch(&lanes, 5e-2) {
+            r.unwrap();
         }
-        assert!(s.cells_prefetched() > 0);
+        let singles = interp_cache();
+        for q in &lanes {
+            singles.predict(q, 5e-2).unwrap();
+        }
+        let resident = |c: &InterpCache| -> std::collections::BTreeSet<String> {
+            c.resident_cell_keys().into_iter().collect()
+        };
+        for c in [&batch, &singles] {
+            assert_eq!(c.cells_built(), resident(c).len() as u64);
+            assert!(
+                resident(c).is_subset(&touched),
+                "a cell no lane needs was built"
+            );
+        }
+        assert_eq!(resident(&batch), resident(&singles));
     }
 
     #[test]
@@ -1394,96 +1301,40 @@ mod tests {
     }
 
     #[test]
-    fn sweep_direction_prefetch_builds_the_next_cell() {
-        let c = interp_cache();
-        // Two consecutive 1-D cells along W establish an ascending sweep;
-        // the third cell must be prefetched before any query lands in it.
-        let (_, s1) = c.predict_traced(&a2a(765.0), 1e-2).unwrap();
-        let (_, s2) = c.predict_traced(&a2a(785.0), 1e-2).unwrap();
-        assert!(matches!(s1, Served::Interpolated { .. }));
-        assert!(matches!(s2, Served::Interpolated { .. }));
-        assert_eq!(c.cells_prefetched(), 1, "ascent detected, next cell built");
-        assert_eq!(c.cells_built(), 3);
-        let misses_before = c.cache().misses();
-        let (p, s3) = c.predict_traced(&a2a(805.0), 1e-2).unwrap();
-        assert!(matches!(s3, Served::Interpolated { .. }));
-        // Serving from the prefetched cell costs no solves of its own; the
-        // only new misses belong to the *next* prefetch (the sweep stays
-        // one cell ahead: corner 840 + centre 830, corner 820 is shared).
-        assert_eq!(c.cells_prefetched(), 2, "steady sweep chains prefetches");
-        assert_eq!(c.cells_built(), 4);
-        assert_eq!(
-            c.cache().misses(),
-            misses_before + 2,
-            "the prefetched cell serves the query without new exact solves"
-        );
-        let exact = lopc_core::scenario::solve(&a2a(805.0)).unwrap();
-        assert!(rel_resid(&p, &exact) <= 1e-2);
-        // Descending works symmetrically.
-        let c = interp_cache();
-        c.predict_traced(&a2a(805.0), 1e-2).unwrap();
-        c.predict_traced(&a2a(785.0), 1e-2).unwrap();
-        assert_eq!(c.cells_prefetched(), 1, "descent detected");
-    }
-
-    #[test]
-    fn prefetched_cells_serve_only_with_a_valid_certificate() {
-        // A client-server sweep with ps = None crosses regions where the
-        // discrete optimum moves: some cells (prefetched ones included)
-        // come out untrusted. Every answer must be within its certificate
-        // when interpolated and bit-identical exact otherwise — a
-        // prefetched cell gets no special trust.
-        let c = interp_cache();
+    fn client_server_optimal_ps_cells_agree_or_fall_back() {
+        // Sweep W through a region where the optimal server count moves,
+        // geometrically and linearly: some cells come out untrusted. Every
+        // answer must be within its certificate when interpolated (corners
+        // agreed) and bit-identical exact otherwise (corners disagreed ->
+        // untrusted cell).
         let m = Machine::new(32, 50.0, 131.0).with_c2(1.0);
         let q = |w: f64| Scenario::ClientServer {
             machine: m,
             w,
             ps: None,
         };
-        for i in 0..80 {
-            let w = 400.0 + 12.5 * i as f64;
-            let (p, served) = c.predict_traced(&q(w), 1e-2).unwrap();
-            let exact = lopc_core::scenario::solve(&q(w)).unwrap();
-            match served {
-                Served::Interpolated { certified_rel_err } => {
-                    assert!(certified_rel_err <= 1e-2);
-                    assert!(
-                        rel_resid(&p, &exact) <= certified_rel_err,
-                        "w={w}: interpolated answer outside its certificate"
-                    );
-                }
-                Served::Exact => {
-                    assert_eq!(
+        let geometric = (0..60).map(|i| 300.0 * 1.07f64.powi(i));
+        let linear = (0..80).map(|i| 400.0 + 12.5 * i as f64);
+        for sweep in [geometric.collect::<Vec<f64>>(), linear.collect()] {
+            let c = interp_cache();
+            for w in sweep {
+                let (p, served) = c.predict_traced(&q(w), 1e-2).unwrap();
+                let exact = lopc_core::scenario::solve(&q(w)).unwrap();
+                match served {
+                    Served::Interpolated { certified_rel_err } => {
+                        assert!(certified_rel_err <= 1e-2);
+                        assert!(
+                            rel_resid(&p, &exact) <= certified_rel_err,
+                            "w={w}: interpolated answer outside its certificate"
+                        );
+                    }
+                    Served::Exact => assert_eq!(
                         p.r.to_bits(),
                         exact.r.to_bits(),
                         "w={w}: untrusted (or uncovered) queries stay exact"
-                    );
+                    ),
                 }
             }
-        }
-        assert!(
-            c.cells_prefetched() >= 1,
-            "a linear sweep must trigger the prefetcher"
-        );
-    }
-
-    #[test]
-    fn client_server_optimal_ps_cells_agree_or_fall_back() {
-        let c = interp_cache();
-        // Sweep W through a region where the optimal server count moves;
-        // every answer must stay within tolerance, whether interpolated
-        // (corners agreed) or exact (corners disagreed -> untrusted cell).
-        let m = Machine::new(32, 50.0, 131.0).with_c2(1.0);
-        for i in 0..60 {
-            let w = 300.0 * 1.07f64.powi(i);
-            let q = Scenario::ClientServer {
-                machine: m,
-                w,
-                ps: None,
-            };
-            let (p, _) = c.predict_traced(&q, 1e-2).unwrap();
-            let exact = lopc_core::scenario::solve(&q).unwrap();
-            assert!(rel_resid(&p, &exact) <= 1e-2, "w={w}: {p:?} vs {exact:?}");
         }
     }
 
@@ -1668,14 +1519,13 @@ mod tests {
     }
 
     #[test]
-    fn cell_source_pull_warms_misses_and_push_offers_prefetches() {
+    fn cell_source_pull_warms_misses_and_push_offers_builds() {
         // Node A sweeps and exports; the "network" is a map.
         let a = interp_cache();
         let source_a = MapSource::new();
         a.set_cell_source(Arc::clone(&source_a) as Arc<dyn CellSource>);
         let exports = warm_and_export(&a);
-        // Every trusted cell A built — prefetched ones included — was
-        // offered to its home.
+        // Every trusted cell A built was offered to its home.
         let offered: std::collections::BTreeSet<String> = source_a
             .offers
             .lock()
@@ -1685,7 +1535,6 @@ mod tests {
             .collect();
         let built: std::collections::BTreeSet<String> =
             exports.iter().map(|e| e.wire_key.clone()).collect();
-        assert!(a.cells_prefetched() > 0, "a linear sweep must prefetch");
         assert_eq!(offered, built, "every locally built cell is offered");
 
         // Node B, wired to a source holding A's cells, serves the same

@@ -90,9 +90,6 @@ pub struct CacheCounters {
     pub interp_fallbacks: u64,
     /// Interpolation cells built (corner + probe solve batches).
     pub interp_cells_built: u64,
-    /// Cells built speculatively by the sweep-direction prefetcher
-    /// (a subset of `interp_cells_built`).
-    pub interp_cells_prefetched: u64,
 }
 
 /// Point-in-time snapshot of the cluster tier (DESIGN.md §15), passed into
@@ -279,10 +276,6 @@ impl Metrics {
                         "cells_built".into(),
                         Json::Num(cache.interp_cells_built as f64),
                     ),
-                    (
-                        "cells_prefetched".into(),
-                        Json::Num(cache.interp_cells_prefetched as f64),
-                    ),
                 ]),
             ),
             (
@@ -426,12 +419,6 @@ impl Metrics {
             "Interpolation cells built (corner+probe solve batches).",
             "counter",
             &[("".into(), cache.interp_cells_built as f64)],
-        );
-        family(
-            "lopc_interp_cells_prefetched_total",
-            "Cells built speculatively by the sweep-direction prefetcher.",
-            "counter",
-            &[("".into(), cache.interp_cells_prefetched as f64)],
         );
         family(
             "lopc_open_connections",
@@ -604,7 +591,6 @@ mod tests {
             interp_hits: 7,
             interp_fallbacks: 2,
             interp_cells_built: 3,
-            interp_cells_prefetched: 1,
         };
         let doc = m.to_json(&counters, &ClusterCounters::default());
         let req = doc.get("requests").unwrap();
@@ -679,7 +665,6 @@ mod tests {
             interp_hits: 3,
             interp_fallbacks: 1,
             interp_cells_built: 2,
-            interp_cells_prefetched: 1,
         };
         let cluster = ClusterCounters {
             nodes: 3,
@@ -714,7 +699,6 @@ mod tests {
             "lopc_interp_hits_total 3",
             "lopc_interp_fallbacks_total 1",
             "lopc_interp_cells_built_total 2",
-            "lopc_interp_cells_prefetched_total 1",
             "lopc_request_latency_ns{quantile=\"0.5\"}",
             "lopc_cluster_ring_nodes 3",
             "lopc_cluster_cells_shipped_total 5",

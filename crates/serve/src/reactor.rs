@@ -7,14 +7,16 @@
 //! * the **reactor** owns all connection state — non-blocking sockets, the
 //!   per-connection [`RequestParser`] state machine (reading → parsing →
 //!   dispatched → writing), the idle-timeout timer wheel, accept and
-//!   teardown. Cheap requests (single predict, metrics, health) it answers
-//!   **inline** — one thread wakeup per request, exactly the hand-off
-//!   count of the old thread-per-connection core (see [`offload`]).
+//!   teardown. Cheap requests (small exact closed-form predictions,
+//!   metrics, topology) it answers **inline** — one thread wakeup per
+//!   request, exactly the hand-off count of the old thread-per-connection
+//!   core (see [`offload`]).
 //! * **workers** block only on the [`JobQueue`] condvar and receive the
-//!   solver-heavy jobs (large or tolerant batch predictions), so an
-//!   unbounded scenario sweep never stalls the event loop. The worker writes the response bytes
-//!   straight to the (non-blocking) socket — keeping the reactor off the
-//!   response latency path — and posts a [`Completion`] back through the
+//!   solver-heavy jobs (large, tolerant or `general` predictions, and
+//!   cell transfer), so an unbounded scenario sweep never stalls the
+//!   event loop. The worker writes the response bytes straight to the
+//!   (non-blocking) socket — keeping the reactor off the response
+//!   latency path — and posts a [`Completion`] back through the
 //!   [`EventFd`] doorbell so the reactor re-arms the connection (or
 //!   finishes a partial write via `EPOLLOUT`).
 //! * **shutdown is an event**: flag + doorbell. The reactor closes the
@@ -77,70 +79,63 @@ pub(crate) struct Job {
     pub request: Request,
 }
 
-/// Batch bodies at or under this size may run inline on the reactor
+/// Predict bodies at or under this size may run inline on the reactor
 /// (see [`offload`]). ~3 KB is roughly 30 closed-form lanes — a couple
 /// hundred microseconds even when every lane is a cold solve, comparable
 /// to serving a handful of inline singles. The routed sub-batches a
 /// [`ClusterClient`](crate::cluster::ClusterClient) fans out land well
 /// under this; saving their hand-offs is what keeps a pipelined
 /// multi-node wave competitive with one big single-node batch.
-const INLINE_BATCH_MAX_BODY: usize = 3 * 1024;
+const INLINE_MAX_BODY: usize = 3 * 1024;
 
 /// Should this request travel to the worker pool instead of running
 /// inline on the reactor? Requests whose handler cost is unbounded:
 ///
-/// * batch predictions that are *large* (over [`INLINE_BATCH_MAX_BODY`]:
-///   a full scenario sweep of cold solves), *tolerant* (a cell miss may
-///   fetch from a peer over the network), or contain a *general* model
-///   (an arbitrarily sized Appendix-A AMVA). Small exact closed-form
-///   batches are bounded — each lane is a microseconds fixed-point
-///   solve — and run inline;
-/// * tolerant single predictions (`max_rel_err` in the body) — a cell
-///   miss may *fetch from a peer over the network* and re-verify with a
-///   local solve (DESIGN.md §15);
+/// * predictions — single or batch alike, a single being a one-lane batch
+///   — whose body is *large* (over [`INLINE_MAX_BODY`]: a full scenario
+///   sweep of cold solves), is *tolerant* (`max_rel_err`: a cell miss may
+///   fetch from a peer over the network and re-verify with a local solve,
+///   DESIGN.md §15), or contains a *general* model (an arbitrarily sized
+///   Appendix-A AMVA). Small exact closed-form predictions are bounded —
+///   each lane is a microseconds fixed-point solve — and run inline;
 /// * cell transfer (`/v1/cell/...`) — an import runs a spot-probe solve,
 ///   and an export can race a slot still being built.
 ///
 /// Stalling the reactor for milliseconds would add that stall to every
-/// other connection's latency. Everything else — exact single predict,
-/// metrics, topology — is microseconds even on a cache miss, and
-/// answering it inline saves two thread hand-offs per request.
+/// other connection's latency. Everything else — small exact closed-form
+/// predictions, metrics, topology — is microseconds even on a cache miss,
+/// and answering it inline saves two thread hand-offs per request.
 fn offload(request: &Request) -> bool {
-    if request.path == "/v1/predict/batch" {
-        return request.body.len() > INLINE_BATCH_MAX_BODY
-            || batch_body_forces_offload(&request.body);
+    match request.path.as_str() {
+        "/v1/predict" | "/v1/predict/batch" => {
+            request.body.len() > INLINE_MAX_BODY || body_forces_offload(&request.body)
+        }
+        path => path.starts_with("/v1/cell/"),
     }
-    request.path.starts_with("/v1/cell/")
-        || (request.path == "/v1/predict" && memmem(&request.body, b"max_rel_err"))
 }
 
-/// Does a small batch body carry a token that forces worker offload —
-/// `max_rel_err` (tolerant lanes can fetch cells over the network) or
-/// `general` (an Appendix-A model of arbitrary size)? One pass with
-/// first-byte dispatch: this runs on the reactor for every batch under
-/// the inline cap, and two naive [`memmem`] passes over a few KB would
-/// cost a measurable slice of the hand-off they avoid. A false positive
-/// (the token in some future free-form field) merely offloads; misses
-/// are impossible because the wire keys are literal.
-fn batch_body_forces_offload(body: &[u8]) -> bool {
+/// Does a small predict body carry a token that forces worker offload —
+/// `max_rel_err`, `general`, or any `\u` escape? The JSON decoder turns
+/// escapes into characters, so a key spelled with one (`max\u005frel_err`)
+/// would slip past a raw-byte match; the in-repo codec never writes an
+/// escape into a scenario body, so treating every one as heavy costs
+/// honest clients nothing. One pass with first-byte dispatch: this runs on
+/// the reactor for every predict body under the inline cap. A false
+/// positive (the token in some future free-form field) merely offloads;
+/// misses are impossible because every other spelling of the wire keys
+/// needs an escape.
+fn body_forces_offload(body: &[u8]) -> bool {
     let mut rest = body;
     while let Some(&byte) = rest.first() {
         match byte {
             b'm' if rest.starts_with(b"max_rel_err") => return true,
             b'g' if rest.starts_with(b"general") => return true,
+            b'\\' if rest.starts_with(b"\\u") => return true,
             _ => {}
         }
         rest = &rest[1..];
     }
     false
-}
-
-/// Naive substring search (the bodies are small and the needle is fixed;
-/// anything fancier is not worth the code).
-fn memmem(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack
-        .windows(needle.len())
-        .any(|window| window == needle)
 }
 
 /// How a worker finished its job.
@@ -806,10 +801,11 @@ impl Reactor {
                         self.shared.jobs.push(job);
                         return;
                     }
-                    // Inline fast path: cheap requests (single predict,
-                    // metrics, health) are answered on the reactor thread
-                    // itself — one thread wakeup per request, no hand-off,
-                    // no completion doorbell. This is what keeps warm
+                    // Inline fast path: cheap requests (small exact
+                    // closed-form predictions, metrics, topology) are
+                    // answered on the reactor thread itself — one thread
+                    // wakeup per request, no hand-off, no completion
+                    // doorbell. This is what keeps warm
                     // single-request latency at thread-per-connection
                     // levels while idle connections scale past C10K.
                     let stream = Arc::clone(&conn.stream);
@@ -964,6 +960,70 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse one raw request, as the reactor would have.
+    fn request(method: &str, path: &str, body: &str) -> Request {
+        let mut parser = RequestParser::new();
+        parser.push(
+            format!(
+                "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        parser.poll().expect("parse").expect("complete request")
+    }
+
+    /// `text` with every `ch` spelled as a JSON unicode escape (backslash,
+    /// `u`, four hex digits), which the decoder reads back as `ch`.
+    fn escape(text: &str, ch: char) -> String {
+        let backslash = char::from(0x5c);
+        text.replace(ch, &format!("{backslash}u{:04x}", u32::from(ch)))
+    }
+
+    #[test]
+    fn offload_rule_table() {
+        const A2A: &str =
+            r#""kind":"all_to_all","machine":{"p":32,"st":25,"so":200,"c2":0},"w":1000"#;
+        const GENERAL: &str = r#""kind":"general","machine":{"p":8,"st":10,"so":100,"c2":2},"w":[300,300],"v":[[0,1],[1,0]]"#;
+        let escaped_tol = format!(r#","{}":0.05"#, escape("max_rel_err", '_'));
+        let escaped_general = GENERAL.replace("general", &escape("general", 'a'));
+        let pad = " ".repeat(INLINE_MAX_BODY);
+        // (case, scenario fields, request-level fields, offloaded?)
+        let cases = [
+            ("exact closed-form", A2A, "", false),
+            ("tolerant", A2A, r#","max_rel_err":0.05"#, true),
+            ("general", GENERAL, "", true),
+            ("escaped tolerance key", A2A, &escaped_tol, true),
+            ("escaped general kind", &escaped_general, "", true),
+            ("over 3 KB", A2A, &pad, true),
+        ];
+        for (case, fields, extra, heavy) in cases {
+            let single = format!("{{{fields}{extra}}}");
+            let batch = format!(r#"{{"scenarios":[{{{fields}}}]{extra}}}"#);
+            for (path, body) in [("/v1/predict", &single), ("/v1/predict/batch", &batch)] {
+                assert_eq!(
+                    offload(&request("POST", path, body)),
+                    heavy,
+                    "{case} on {path}"
+                );
+            }
+        }
+        // The escapes are real: the decoder reads them as the plain keys,
+        // so these bodies are tolerant and General respectively.
+        assert!(!escaped_tol.contains("max_rel_err"));
+        assert!(!escaped_general.contains("general"));
+        let doc = crate::json::parse(&format!("{{{A2A}{escaped_tol}}}")).unwrap();
+        assert_eq!(crate::codec::max_rel_err_from_json(&doc), Ok(0.05));
+        let doc = crate::json::parse(&format!("{{{escaped_general}}}")).unwrap();
+        let scenario = crate::codec::scenario_from_json(&doc).unwrap();
+        assert_eq!(scenario.kind(), "general");
+        // Cell transfer always offloads; metrics and topology never do.
+        assert!(offload(&request("GET", "/v1/cell/0-20-a", "")));
+        assert!(offload(&request("POST", "/v1/cell/0-20-a", "{}")));
+        assert!(!offload(&request("GET", "/metrics", "")));
+        assert!(!offload(&request("GET", "/v1/cluster", "")));
+    }
 
     #[test]
     fn drain_executes_jobs_stranded_after_workers_exit() {

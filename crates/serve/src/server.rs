@@ -19,12 +19,12 @@
 //! so the reactor re-arms the connection. Idle keep-alive connections
 //! therefore cost a few kilobytes of reactor state instead of a blocked
 //! worker thread: the concurrent-connection ceiling is the fd limit, not
-//! the worker count. *Within* a batch request the scenario list goes
-//! through [`InterpCache::predict_batch`](crate::interp::InterpCache):
+//! the worker count. Both predict endpoints take one path: a single
+//! request is a one-lane batch. The scenario list goes through
+//! [`InterpCache::predict_batch`](crate::interp::InterpCache):
 //! cache-resident and certified-interpolated lanes are answered in place,
 //! and the remaining misses are key-deduped and solved together by the
-//! SoA batched fixed-point kernel — one kernel invocation per request
-//! instead of lane-at-a-time work-queue claims.
+//! SoA batched fixed-point kernel — one kernel invocation per request.
 //!
 //! Status codes: `200` success, `400` malformed HTTP/JSON/schema, `404`
 //! unknown path, `405` wrong method, `422` well-formed but unsolvable
@@ -48,7 +48,6 @@ use crate::interp::{CellKey, ImportOutcome, InterpCache};
 use crate::json::{parse, Json};
 use crate::metrics::{CacheCounters, ClusterCounters, Endpoint, Metrics};
 use crate::reactor::{Completion, Done, Reactor, Shared};
-use lopc_core::Scenario;
 
 /// Server tunables; the defaults suit tests and the quickstart binary.
 #[derive(Clone, Debug)]
@@ -193,7 +192,6 @@ impl Service {
             interp_hits: self.interp.interp_hits(),
             interp_fallbacks: self.interp.interp_fallbacks(),
             interp_cells_built: self.interp.cells_built(),
-            interp_cells_prefetched: self.interp.cells_prefetched(),
         }
     }
 
@@ -253,11 +251,11 @@ impl Service {
         } else {
             match (path, method) {
                 ("/v1/predict", "POST") => {
-                    let (r, n) = self.predict(body);
+                    let (r, n) = self.predict(body, false);
                     (Endpoint::Predict, r, n)
                 }
                 ("/v1/predict/batch", "POST") => {
-                    let (r, n) = self.predict_batch(body);
+                    let (r, n) = self.predict(body, true);
                     (Endpoint::Batch, r, n)
                 }
                 ("/metrics", "GET") => {
@@ -366,33 +364,21 @@ impl Service {
         }
     }
 
-    fn decode_scenario(body: &[u8]) -> Result<(Scenario, f64), Reply> {
-        let text = std::str::from_utf8(body).map_err(|_| Reply::error(400, "body is not UTF-8"))?;
-        let doc = parse(text).map_err(|e| Reply::error(400, format!("invalid JSON: {e}")))?;
-        let max_rel_err =
-            max_rel_err_from_json(&doc).map_err(|e| Reply::error(400, e.to_string()))?;
-        let scenario = scenario_from_json(&doc)
-            .map_err(|e| Reply::error(400, format!("invalid scenario: {e}")))?;
-        // Model-level validation up front: well-formed but unsolvable
-        // requests are rejected (422) before they touch the cache.
-        scenario
-            .validate()
-            .map_err(|e| Reply::error(422, format!("invalid parameters: {e}")))?;
-        Ok((scenario, max_rel_err))
-    }
-
-    fn predict(&self, body: &[u8]) -> (Reply, u64) {
-        let (scenario, max_rel_err) = match Self::decode_scenario(body) {
-            Ok(s) => s,
-            Err(reply) => return (reply, 0),
+    /// `POST /v1/predict` (`batch = false`) and `POST /v1/predict/batch`
+    /// (`batch = true`) share one path: a single request is a one-lane
+    /// batch whose scenario is the whole body. Lanes are decoded and
+    /// model-validated up front — malformed is 400, well-formed but
+    /// unsolvable 422, before anything touches the cache — then answered
+    /// by one [`InterpCache::predict_batch`] call. The first failing lane
+    /// (smallest index) reports the error; batch errors name that index.
+    fn predict(&self, body: &[u8], batch: bool) -> (Reply, u64) {
+        let at = |i: usize| {
+            if batch {
+                format!(" at index {i}")
+            } else {
+                String::new()
+            }
         };
-        match self.interp.predict(&scenario, max_rel_err) {
-            Ok(p) => (Reply::ok(&prediction_to_json(&p)), 1),
-            Err(e) => (Reply::error(422, format!("unsolvable scenario: {e}")), 0),
-        }
-    }
-
-    fn predict_batch(&self, body: &[u8]) -> (Reply, u64) {
         let text = match std::str::from_utf8(body) {
             Ok(t) => t,
             Err(_) => return (Reply::error(400, "body is not UTF-8"), 0),
@@ -405,9 +391,13 @@ impl Service {
             Ok(tol) => tol,
             Err(e) => return (Reply::error(400, e.to_string()), 0),
         };
-        let items = match doc.get("scenarios").and_then(Json::as_array) {
-            Some(items) => items,
-            None => return (Reply::error(400, "body must be {\"scenarios\": [...]}"), 0),
+        let items = if batch {
+            match doc.get("scenarios").and_then(Json::as_array) {
+                Some(items) => items,
+                None => return (Reply::error(400, "body must be {\"scenarios\": [...]}"), 0),
+            }
+        } else {
+            std::slice::from_ref(&doc)
         };
         let mut scenarios = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
@@ -415,54 +405,43 @@ impl Service {
                 Ok(s) => s,
                 Err(e) => {
                     return (
-                        Reply::error(400, format!("invalid scenario at index {i}: {e}")),
+                        Reply::error(400, format!("invalid scenario{}: {e}", at(i))),
                         0,
                     )
                 }
             };
             if let Err(e) = s.validate() {
                 return (
-                    Reply::error(422, format!("invalid parameters at index {i}: {e}")),
+                    Reply::error(422, format!("invalid parameters{}: {e}", at(i))),
                     0,
                 );
             }
             scenarios.push(s);
         }
-        match self.solve_batch(&scenarios, max_rel_err) {
-            Ok(predictions) => (
-                Reply::ok(&Json::Object(vec![(
-                    "predictions".into(),
-                    Json::Array(predictions),
-                )])),
-                scenarios.len() as u64,
-            ),
-            Err((i, e)) => (
-                Reply::error(422, format!("unsolvable scenario at index {i}: {e}")),
-                0,
-            ),
-        }
-    }
-
-    /// Solve a batch through the interpolation layer's batched entry:
-    /// lanes answered by resident exact entries or certified cells are
-    /// served immediately, the remaining cache misses are key-deduped and
-    /// solved together by the SoA fixed-point kernel
-    /// ([`lopc_core::scenario::solve_batch`]) instead of lane-at-a-time
-    /// claims. The first failing lane (smallest index) reports the error.
-    fn solve_batch(
-        &self,
-        scenarios: &[Scenario],
-        max_rel_err: f64,
-    ) -> Result<Vec<Json>, (usize, lopc_core::ModelError)> {
-        let results = self.interp.predict_batch(scenarios, max_rel_err);
-        let mut out = Vec::with_capacity(results.len());
-        for (i, result) in results.into_iter().enumerate() {
+        let mut predictions = Vec::with_capacity(scenarios.len());
+        for (i, result) in self
+            .interp
+            .predict_batch(&scenarios, max_rel_err)
+            .into_iter()
+            .enumerate()
+        {
             match result {
-                Ok(p) => out.push(prediction_to_json(&p)),
-                Err(e) => return Err((i, e)),
+                Ok(p) => predictions.push(prediction_to_json(&p)),
+                Err(e) => {
+                    return (
+                        Reply::error(422, format!("unsolvable scenario{}: {e}", at(i))),
+                        0,
+                    )
+                }
             }
         }
-        Ok(out)
+        let n = predictions.len() as u64;
+        let reply = if batch {
+            Json::Object(vec![("predictions".into(), Json::Array(predictions))])
+        } else {
+            predictions.pop().expect("one lane")
+        };
+        (Reply::ok(&reply), n)
     }
 }
 
@@ -641,7 +620,7 @@ pub fn start_on(listener: TcpListener, config: ServerConfig) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lopc_core::Machine;
+    use lopc_core::{Machine, Scenario};
 
     fn service() -> Service {
         Service::new(4, 64)

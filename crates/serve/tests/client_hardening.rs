@@ -18,13 +18,31 @@ use std::time::{Duration, Instant};
 
 use lopc_core::{Machine, Scenario};
 use lopc_serve::server::{start, start_on, ServerConfig};
-use lopc_serve::{Client, ClientConfig, ClientError, ClusterClient, RetryPolicy};
+use lopc_serve::{
+    predictions_identical, Client, ClientConfig, ClientError, ClusterClient, RetryPolicy,
+};
 
 fn scenario() -> Scenario {
     Scenario::AllToAll {
         machine: Machine::new(32, 25.0, 200.0).with_c2(0.0),
         w: 1000.0,
     }
+}
+
+/// A server that accepts every connection and instantly hangs up, counting
+/// the dials.
+fn door_slammer() -> (SocketAddr, Arc<AtomicU32>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let accepts = Arc::new(AtomicU32::new(0));
+    let counter = Arc::clone(&accepts);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            counter.fetch_add(1, Ordering::SeqCst);
+            drop(stream);
+        }
+    });
+    (addr, accepts)
 }
 
 /// A port with nothing behind it: bind, read the address, drop the
@@ -101,23 +119,7 @@ fn stale_keepalive_connections_are_replayed_transparently() {
 /// the retryable transport error, not a protocol mirage.
 #[test]
 fn transient_errors_retry_exactly_the_configured_budget() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let accepts = Arc::new(AtomicU32::new(0));
-    let counter = Arc::clone(&accepts);
-    std::thread::spawn(move || {
-        // Slam the door on more connections than any budget below allows.
-        for _ in 0..16 {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    drop(stream);
-                }
-                Err(_) => break,
-            }
-        }
-    });
-
+    let (addr, accepts) = door_slammer();
     let config = ClientConfig {
         retry: RetryPolicy {
             attempts: 3,
@@ -248,21 +250,8 @@ fn routed_batches_reuse_the_pooled_connection() {
 #[test]
 fn half_open_reprobe_is_single_flight_under_contention() {
     // The dead member: accepts and instantly hangs up, counting dials.
-    let dead_listener = TcpListener::bind("127.0.0.1:0").expect("bind dead");
-    let dead_addr = dead_listener.local_addr().expect("addr").to_string();
-    let accepts = Arc::new(AtomicU32::new(0));
-    let counter = Arc::clone(&accepts);
-    std::thread::spawn(move || {
-        for _ in 0..4096 {
-            match dead_listener.accept() {
-                Ok((stream, _)) => {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    drop(stream);
-                }
-                Err(_) => break,
-            }
-        }
-    });
+    let (dead_addr, accepts) = door_slammer();
+    let dead_addr = dead_addr.to_string();
 
     // Two live nodes whose topology includes the dead member.
     let listeners: Vec<TcpListener> = (0..2)
@@ -341,6 +330,81 @@ fn half_open_reprobe_is_single_flight_under_contention() {
     for n in nodes {
         n.shutdown();
     }
+}
+
+/// A routed wave replays a sub-batch only on a connection pooled before
+/// the wave: that is the stale keep-alive race. When a connection the wave
+/// dialed itself fails before a response byte, the member itself is sick,
+/// so its lanes fail over to a survivor at once instead of redialing the
+/// member through the client's retry budget. With the default retry
+/// policy, one routed single and one routed batch against a
+/// door-slamming member each dial it exactly once.
+#[test]
+fn routed_waves_never_replay_on_a_freshly_dialed_connection() {
+    let (dead, accepts) = door_slammer();
+    let dead = dead.to_string();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let live_addr = listener.local_addr().expect("addr").to_string();
+    let live = start_on(
+        listener,
+        ServerConfig {
+            workers: 2,
+            peers: vec![dead.clone()],
+            advertise: Some(live_addr),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start node");
+    let lanes: Vec<Scenario> = (0..16)
+        .map(|i| Scenario::AllToAll {
+            machine: Machine::new(32, 25.0, 200.0).with_c2(0.0),
+            w: 100.0 * (i + 1) as f64,
+        })
+        .collect();
+    // A fresh router per request: every member starts out up, with no
+    // connection pooled.
+    let router = || ClusterClient::connect(live.addr()).expect("router");
+    let probe = router();
+    let single = lanes
+        .iter()
+        .find(|s| probe.owner_of(s) == Some(dead.as_str()))
+        .expect("the door-slammer owns some lane");
+    // Dials of the door-slammer since `before`. The kernel completes a
+    // dial before the accept loop counts it, so wait for the first count
+    // and then for any stragglers.
+    let dials_since = |before: u32| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while accepts.load(Ordering::SeqCst) == before && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        accepts.load(Ordering::SeqCst) - before
+    };
+
+    let before = accepts.load(Ordering::SeqCst);
+    let served = router().predict(single).expect("the single fails over");
+    let library = lopc_core::scenario::solve(single).expect("library solve");
+    assert!(predictions_identical(&served, &library));
+    assert_eq!(
+        dials_since(before),
+        1,
+        "a routed single redialed its failed owner"
+    );
+
+    let before = accepts.load(Ordering::SeqCst);
+    let served = router()
+        .predict_batch(&lanes)
+        .expect("the batch fails over");
+    for (s, p) in lanes.iter().zip(&served) {
+        let library = lopc_core::scenario::solve(s).expect("library solve");
+        assert!(predictions_identical(p, &library));
+    }
+    assert_eq!(
+        dials_since(before),
+        1,
+        "a routed batch redialed its failed owner"
+    );
+    live.shutdown();
 }
 
 /// Error statuses are answers, not failures: they must not be retried

@@ -153,7 +153,7 @@ fn response_schemas_do_not_drift() {
     );
     assert_eq!(
         keys(doc.get("interp").unwrap()),
-        vec!["hits", "fallbacks", "cells_built", "cells_prefetched"]
+        vec!["hits", "fallbacks", "cells_built"]
     );
     assert_eq!(
         keys(doc.get("connections").unwrap()),
@@ -220,7 +220,6 @@ fn prometheus_exposition_schema_does_not_drift() {
             "lopc_interp_hits_total",
             "lopc_interp_fallbacks_total",
             "lopc_interp_cells_built_total",
-            "lopc_interp_cells_prefetched_total",
             "lopc_open_connections",
             "lopc_idle_connections",
             "lopc_connections_opened_total",
