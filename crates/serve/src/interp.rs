@@ -1300,41 +1300,89 @@ mod tests {
         assert!(rel_resid(&p, &exact) <= cert);
     }
 
+    /// Serve `w` from `c` as a client-server scenario on `m` (`ps = None`,
+    /// so the discrete optimum may move inside a cell) and check the answer
+    /// against the exact solve: within its certificate when interpolated,
+    /// bit-identical otherwise. Returns whether it was interpolated.
+    fn check_client_server_answer(c: &InterpCache, m: Machine, w: f64) -> bool {
+        let q = Scenario::ClientServer {
+            machine: m,
+            w,
+            ps: None,
+        };
+        let (p, served) = c.predict_traced(&q, 1e-2).unwrap();
+        let exact = lopc_core::scenario::solve(&q).unwrap();
+        match served {
+            Served::Interpolated { certified_rel_err } => {
+                assert!(certified_rel_err <= 1e-2);
+                assert!(
+                    rel_resid(&p, &exact) <= certified_rel_err,
+                    "w={w}: interpolated answer outside its certificate"
+                );
+                true
+            }
+            Served::Exact => {
+                assert_eq!(
+                    p.r.to_bits(),
+                    exact.r.to_bits(),
+                    "w={w}: untrusted (or uncovered) queries stay exact"
+                );
+                false
+            }
+        }
+    }
+
     #[test]
-    fn client_server_optimal_ps_cells_agree_or_fall_back() {
-        // Sweep W through a region where the optimal server count moves,
-        // geometrically and linearly: some cells come out untrusted. Every
-        // answer must be within its certificate when interpolated (corners
-        // agreed) and bit-identical exact otherwise (corners disagreed ->
-        // untrusted cell).
+    fn prefetched_cells_serve_only_with_a_valid_certificate() {
+        // A linear client-server sweep crosses regions where the discrete
+        // optimum moves: some cells come out untrusted. A batch over the
+        // sweep builds its cells ahead of the single requests that then
+        // land between its points, in those same cells; a cell built
+        // before its query gets no special trust.
+        let c = interp_cache();
         let m = Machine::new(32, 50.0, 131.0).with_c2(1.0);
         let q = |w: f64| Scenario::ClientServer {
             machine: m,
             w,
             ps: None,
         };
-        let geometric = (0..60).map(|i| 300.0 * 1.07f64.powi(i));
-        let linear = (0..80).map(|i| 400.0 + 12.5 * i as f64);
-        for sweep in [geometric.collect::<Vec<f64>>(), linear.collect()] {
-            let c = interp_cache();
-            for w in sweep {
-                let (p, served) = c.predict_traced(&q(w), 1e-2).unwrap();
-                let exact = lopc_core::scenario::solve(&q(w)).unwrap();
-                match served {
-                    Served::Interpolated { certified_rel_err } => {
-                        assert!(certified_rel_err <= 1e-2);
-                        assert!(
-                            rel_resid(&p, &exact) <= certified_rel_err,
-                            "w={w}: interpolated answer outside its certificate"
-                        );
-                    }
-                    Served::Exact => assert_eq!(
-                        p.r.to_bits(),
-                        exact.r.to_bits(),
-                        "w={w}: untrusted (or uncovered) queries stay exact"
-                    ),
-                }
+        let sweep: Vec<Scenario> = (0..80).map(|i| q(400.0 + 12.5 * i as f64)).collect();
+        for r in c.predict_batch(&sweep, 1e-2) {
+            r.unwrap();
+        }
+        let built = c.cells_built();
+        let cell_of = |s: &Scenario| locate(s).unwrap().key.to_wire();
+        let touched: std::collections::BTreeSet<String> = sweep.iter().map(cell_of).collect();
+        let (mut interpolated, mut exact) = (0, 0);
+        for w in (0..79).map(|i| 406.25 + 12.5 * i as f64) {
+            if !touched.contains(&cell_of(&q(w))) {
+                continue;
             }
+            if check_client_server_answer(&c, m, w) {
+                interpolated += 1;
+            } else {
+                exact += 1;
+            }
+        }
+        assert_eq!(
+            c.cells_built(),
+            built,
+            "every single lands in a cell the batch built ahead of it"
+        );
+        assert!(interpolated > 0, "no cell ahead of the singles certified");
+        assert!(exact > 0, "no cell ahead of the singles came out untrusted");
+    }
+
+    #[test]
+    fn client_server_optimal_ps_cells_agree_or_fall_back() {
+        // Sweep W geometrically through a region where the optimal server
+        // count moves: every answer must be within its certificate when
+        // interpolated (corners agreed) and bit-identical exact otherwise
+        // (corners disagreed -> untrusted cell).
+        let c = interp_cache();
+        let m = Machine::new(32, 50.0, 131.0).with_c2(1.0);
+        for i in 0..60 {
+            check_client_server_answer(&c, m, 300.0 * 1.07f64.powi(i));
         }
     }
 
