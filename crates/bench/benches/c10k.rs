@@ -2,16 +2,16 @@
 //! population (persisted as the `c10k` section of `BENCH_sim.json`).
 //!
 //! The LoPC thesis in serving clothes: idle *waiting* connections must not
-//! contend for the *computing* resource (worker threads). The old
-//! thread-per-connection core capped concurrent connections at the worker
-//! count; the epoll reactor parks idle connections as a few hundred bytes
+//! contend for the *computing* resource (serving threads). The old
+//! thread-per-connection core capped concurrent connections at the thread
+//! count; the epoll reactors park idle connections as a few hundred bytes
 //! of slab state. This bench measures exactly that decoupling:
 //!
 //! * `c10k/active_baseline` — p99 single-request latency, 4 closed-loop
 //!   clients, **zero** idle connections;
 //! * `c10k/active_under_idle` — the same 4 clients with `LOPC_C10K_CONNS`
 //!   (default 10 000) established idle keep-alive connections parked on
-//!   the same server (4 worker threads throughout);
+//!   the same server (4 reactor threads throughout);
 //! * derived: requests/s for both phases, p99 ratio (acceptance: ≤ 2×),
 //!   sustained idle connection count, and resident memory per idle
 //!   connection.
@@ -194,7 +194,7 @@ fn main() {
         _ => None,
     };
     println!(
-        "[c10k] parked {idle_conns} idle keep-alive connections on {WORKERS} workers{}",
+        "[c10k] parked {idle_conns} idle keep-alive connections on {WORKERS} reactors{}",
         bytes_per_conn
             .map(|b| format!(", ~{b:.0} bytes server RSS per conn"))
             .unwrap_or_default()

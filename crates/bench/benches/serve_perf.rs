@@ -11,7 +11,7 @@
 //!   over the pool on one keep-alive connection: per-request overhead;
 //! * `serve_mixed/open_loop_4clients` — four concurrent clients issuing
 //!   single mixed requests (16 each per iteration): the contended path
-//!   through accept queue, worker pool, and cache shards;
+//!   through accept, the reactors, and cache shards;
 //!
 //! plus the derived headlines `cache_hit_speedup` (cold ns / warm ns for
 //! the identical batch shape — the acceptance criterion requires > 1×),

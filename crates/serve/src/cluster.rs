@@ -51,6 +51,7 @@
 //! about a flapping third, and that is fine because any node can serve
 //! any key.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,6 +76,12 @@ pub const VNODES: usize = 64;
 /// How long a peer stays marked down before the next request is allowed
 /// to re-probe it (half-open recovery).
 pub const DEFAULT_COOLDOWN: Duration = Duration::from_secs(1);
+
+/// Connect and read bound on node-to-node calls. A cell pull runs inline
+/// on a serving reactor, so a hung home would freeze every connection on
+/// it for this long — once per cooldown, since a timed-out home is marked
+/// down. A healthy loopback pull takes well under 1 ms.
+const PEER_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Hash for ring point placement: FNV-1a over the bytes, finished with a
 /// SplitMix64-style avalanche so vnode points spread uniformly even for
@@ -285,8 +292,11 @@ struct PeerState {
     addr: String,
     sock: Option<SocketAddr>,
     health: Health,
-    /// Pooled keep-alive connection for pull-path requests.
+    /// Pooled keep-alive connection for pulls. Pushes never use it.
     conn: Mutex<Option<Client>>,
+    /// Cells waiting for the peer's push thread, as `(path, body)`, and
+    /// whether that thread is running.
+    pushes: Mutex<(VecDeque<(String, String)>, bool)>,
     /// Requests this process sent to the peer (fetches + pushes).
     forwarded: AtomicU64,
     /// Those that failed at transport/protocol level.
@@ -301,6 +311,7 @@ impl PeerState {
             sock,
             health: Health::new(),
             conn: Mutex::new(None),
+            pushes: Mutex::new((VecDeque::new(), false)),
             forwarded: AtomicU64::new(0),
             errors: AtomicU64::new(0),
         }
@@ -355,8 +366,8 @@ impl ClusterState {
             // Node-to-node calls: fail fast and let the ring walk
             // failover — the cluster layer is its own retry policy.
             peer_config: ClientConfig {
-                connect_timeout: Duration::from_millis(500),
-                read_timeout: Some(Duration::from_secs(5)),
+                connect_timeout: PEER_TIMEOUT,
+                read_timeout: Some(PEER_TIMEOUT),
                 retry: RetryPolicy::none(),
             },
             cells_shipped: AtomicU64::new(0),
@@ -434,14 +445,15 @@ impl ClusterState {
         ])
     }
 
-    /// One request on the peer's pooled connection; transport failure
-    /// tears the connection down and marks the peer down for the cooldown.
+    /// One request on `conn` (dialed first if empty); transport failure
+    /// drops the connection and marks the peer down for the cooldown.
     /// Every call releases any probe token the caller's claim acquired: a
     /// success (or a status answer — the peer is alive) marks the peer up,
     /// a transport failure marks it down.
     fn peer_request(
         &self,
         peer: &PeerState,
+        conn: &mut Option<Client>,
         method: &str,
         path: &str,
         body: &[u8],
@@ -454,25 +466,19 @@ impl ClusterState {
                     format!("peer address {:?} is not a socket address", peer.addr),
                 )));
             };
-            let mut conn = peer.conn.lock().expect("peer conn poisoned");
-            let attempt = (|| {
-                if conn.is_none() {
-                    *conn = Some(Client::connect_with(sock, self.peer_config)?);
-                }
-                conn.as_mut()
-                    .expect("just connected")
-                    .request(method, path, body)
-            })();
-            if attempt.is_err() {
-                *conn = None;
+            if conn.is_none() {
+                *conn = Some(Client::connect_with(sock, self.peer_config)?);
             }
-            attempt
+            conn.as_mut()
+                .expect("just connected")
+                .request(method, path, body)
         })();
         match &result {
             // A non-2xx status is an *answer*; only transport-level
             // failures indict the peer.
             Ok(_) | Err(ClientError::Status(..)) => peer.health.mark_up(),
             Err(_) => {
+                *conn = None;
                 peer.errors.fetch_add(1, Ordering::Relaxed);
                 peer.health.mark_down(self.cooldown);
             }
@@ -490,13 +496,17 @@ impl ClusterState {
         Some(idx)
     }
 
-    /// Ask `key`'s home for the cell (`GET /v1/cell/{key}`). `Some` is
-    /// decoded but unverified. `None` when this node is the home, the home
-    /// is down, or it has no such cell (404).
+    /// Ask `key`'s home for the cell (`GET /v1/cell/{key}`) on the peer's
+    /// pooled connection. `Some` is decoded but unverified. `None` when
+    /// this node is the home, the home is down, or it has no such cell
+    /// (404).
     pub fn fetch_cell(&self, key: &CellKey) -> Option<CellExport> {
         let peer = self.peers[self.claim_home(key)?].as_ref()?;
         let path = format!("/v1/cell/{}", key.to_wire());
-        let (status, body) = self.peer_request(peer, "GET", &path, b"").ok()?;
+        let (status, body) = {
+            let mut conn = peer.conn.lock().expect("peer conn poisoned");
+            self.peer_request(peer, &mut conn, "GET", &path, b"").ok()?
+        };
         if status != 200 {
             return None;
         }
@@ -504,24 +514,61 @@ impl ClusterState {
         cell_from_json(&doc).ok()
     }
 
-    /// Offer a cell this node built to `key`'s home, from a detached
-    /// background thread so the request that built it never waits on the
-    /// network. A no-op when this node is the home or the home is down.
-    /// Best-effort: the receiver re-verifies, so a lost or corrupted push
-    /// costs nothing but warmth.
+    /// Offer a cell this node built to `key`'s home: queue it for the
+    /// home's push thread, starting that thread if none is running, so the
+    /// request that built the cell never waits on the network. A no-op
+    /// when this node is the home or the home is down. Best-effort: the
+    /// receiver re-verifies, so a lost or corrupted push costs nothing but
+    /// warmth.
     pub fn push_cell(self: &Arc<Self>, key: &CellKey, export: &CellExport) {
-        let Some(idx) = self.claim_home(key) else {
+        let Some(idx) = self.ring.owner(key.hash64()) else {
             return;
         };
-        let state = Arc::clone(self);
-        let body = cell_to_json(export).to_compact();
-        let path = format!("/v1/cell/{}", export.wire_key);
-        std::thread::spawn(move || {
-            let peer = state.peers[idx].as_ref().expect("a claimed home is a peer");
-            if let Ok((200..=299, _)) = state.peer_request(peer, "POST", &path, body.as_bytes()) {
-                state.count_shipped();
+        let Some(peer) = &self.peers[idx] else {
+            return;
+        };
+        if !peer.health.selectable(Instant::now()) {
+            return;
+        }
+        let cell = (
+            format!("/v1/cell/{}", export.wire_key),
+            cell_to_json(export).to_compact(),
+        );
+        let mut pushes = peer.pushes.lock().expect("push queue poisoned");
+        pushes.0.push_back(cell);
+        if !std::mem::replace(&mut pushes.1, true) {
+            let state = Arc::clone(self);
+            std::thread::spawn(move || state.drain_pushes(idx));
+        }
+    }
+
+    /// A peer's push thread: deliver its queued cells in order over a
+    /// connection of its own — a pull never waits behind a push — and exit
+    /// once the queue is empty. Cells queued for a home that has since
+    /// gone down are dropped.
+    fn drain_pushes(&self, idx: usize) {
+        let peer = self.peers[idx].as_ref().expect("a push target is a peer");
+        let mut conn = None;
+        loop {
+            let (path, body) = {
+                let mut pushes = peer.pushes.lock().expect("push queue poisoned");
+                match pushes.0.pop_front() {
+                    Some(cell) => cell,
+                    None => {
+                        pushes.1 = false;
+                        return;
+                    }
+                }
+            };
+            if peer.health.claim(Instant::now()).is_none() {
+                continue;
             }
-        });
+            if let Ok((200..=299, _)) =
+                self.peer_request(peer, &mut conn, "POST", &path, body.as_bytes())
+            {
+                self.count_shipped();
+            }
+        }
     }
 }
 

@@ -280,9 +280,10 @@ pub enum ImportOutcome {
 
 /// The cluster's side of cell shipping, plugged into the cache by the
 /// serving layer. Every cell has one *home* node; both calls concern only
-/// that node and are no-ops when this node is the home. They run on
-/// whatever thread missed a cell — implementations must bound their own
-/// latency (short timeouts / background threads).
+/// that node and are no-ops when this node is the home. They run on the
+/// serving thread that missed a cell, inline with every other connection
+/// it serves — implementations must bound their own latency (short
+/// timeouts, a background push).
 pub trait CellSource: Send + Sync {
     /// A cell miss: ask the cell's home for it. `Some` is decoded but
     /// **unverified** — the cache re-verifies before admitting.

@@ -26,11 +26,12 @@
 //!   byte-by-byte;
 //! * [`sys`] — a thin `libc`-free shim over the raw Linux syscalls the
 //!   reactor needs (`epoll_*`, `eventfd2`, `prlimit64`);
-//! * [`server`] — the epoll reactor + worker-pool server and its
-//!   endpoints (`POST /v1/predict`, `POST /v1/predict/batch`,
-//!   `GET /metrics`, plus the cluster tier's `GET /v1/cluster` and
-//!   `GET|POST /v1/cell/{key}`), multiplexing thousands of idle
-//!   keep-alive connections on one thread;
+//! * [`server`] — the server and its endpoints (`POST /v1/predict`,
+//!   `POST /v1/predict/batch`, `GET /metrics`, plus the cluster tier's
+//!   `GET /v1/cluster` and `GET|POST /v1/cell/{key}`): one epoll reactor
+//!   per serving thread, each dealt its share of the connections and
+//!   running their requests inline, so thousands of idle keep-alive
+//!   connections cost no thread;
 //! * [`cluster`] — the distributed serving tier (DESIGN.md §15):
 //!   consistent-hash sharding of the caches across N nodes, node-to-node
 //!   cell transfer with re-verification on import, lazy peer failure

@@ -55,7 +55,7 @@ fn main() {
                 println!(
                     "lopc-serve: LoPC prediction service\n\n\
                      options:\n  --addr HOST:PORT    bind address (default 127.0.0.1:7070; port 0 = ephemeral)\n  \
-                     --workers N         worker threads (default: available parallelism)\n  \
+                     --workers N         serving threads: reactors that run requests inline (default: available parallelism)\n  \
                      --cache-shards N    cache shard count (default 16)\n  \
                      --cache-capacity N  cache entries per shard (default 256)\n  \
                      --idle-timeout-ms N close keep-alive connections idle this long (default 30000)\n  \

@@ -128,7 +128,7 @@ pub struct Metrics {
     conns_opened: AtomicU64,
     conns_closed: AtomicU64,
     conns_idle_closed: AtomicU64,
-    /// Requests currently dispatched to workers (gauge).
+    /// Requests currently being handled (gauge).
     dispatched_now: AtomicU64,
     reactor_wakeups: AtomicU64,
     reactor_events: AtomicU64,
@@ -187,12 +187,12 @@ impl Metrics {
         }
     }
 
-    /// A parsed request left the reactor for the worker pool.
+    /// A reactor started handling a parsed request.
     pub fn conn_dispatched(&self) {
         self.dispatched_now.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A dispatched request completed (response written or failed).
+    /// The request's handler returned.
     pub fn conn_undispatched(&self) {
         self.dispatched_now.fetch_sub(1, Ordering::Relaxed);
     }
@@ -218,7 +218,7 @@ impl Metrics {
     }
 
     /// Open connections with no request in flight (gauge): the keep-alive
-    /// population parked in the reactor, costing no worker thread.
+    /// population parked in the reactors, costing no thread.
     pub fn idle_connections(&self) -> u64 {
         self.open_connections()
             .saturating_sub(self.dispatched_now.load(Ordering::Relaxed))

@@ -1,5 +1,6 @@
-//! The prediction server: an epoll reactor plus a fixed pool of worker
-//! threads, dispatching six endpoints over the scenario cache.
+//! The prediction server: `workers` epoll reactors, each running its own
+//! connections' requests inline, dispatching six endpoints over the
+//! scenario cache.
 //!
 //! | Endpoint | Body | Response |
 //! |---|---|---|
@@ -10,17 +11,16 @@
 //! | `GET /v1/cell/{key}` | — | one interpolation-cell export, or 404 |
 //! | `POST /v1/cell/{key}` | cell export | re-verify and admit (422 = rejected) |
 //!
-//! Threading model: a single **reactor** thread multiplexes every
-//! connection over epoll (see the `reactor` module) — accepting, reading,
-//! incrementally parsing, and writing, all non-blocking — and hands each
-//! *complete parsed request* to a fixed pool of `workers` threads over a
-//! request queue. A worker computes the reply, writes the response bytes
-//! straight to the socket, and posts a completion back through an eventfd
-//! so the reactor re-arms the connection. Idle keep-alive connections
+//! Threading model: `workers` **reactor** threads (see the `reactor`
+//! module) share the listener and are dealt its connections in turn;
+//! each multiplexes its connections over epoll — accepting, reading,
+//! incrementally parsing and writing, all non-blocking — and runs every
+//! complete request's handler itself, then writes the response. There is
+//! no worker pool and no request queue. Idle keep-alive connections
 //! therefore cost a few kilobytes of reactor state instead of a blocked
-//! worker thread: the concurrent-connection ceiling is the fd limit, not
-//! the worker count. Both predict endpoints take one path: a single
-//! request is a one-lane batch. The scenario list goes through
+//! thread: the concurrent-connection ceiling is the fd limit, not the
+//! thread count. Both predict endpoints take one path: a single request
+//! is a one-lane batch. The scenario list goes through
 //! [`InterpCache::predict_batch`](crate::interp::InterpCache):
 //! cache-resident and certified-interpolated lanes are answered in place,
 //! and the remaining misses are key-deduped and solved together by the
@@ -30,9 +30,7 @@
 //! unknown path, `405` wrong method, `422` well-formed but unsolvable
 //! scenario (model validation/solver failure), `500` never intentionally.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,14 +45,15 @@ use crate::http::{write_response, Request};
 use crate::interp::{CellKey, ImportOutcome, InterpCache};
 use crate::json::{parse, Json};
 use crate::metrics::{CacheCounters, ClusterCounters, Endpoint, Metrics};
-use crate::reactor::{Completion, Done, Reactor, Shared};
+use crate::reactor::{Reactor, Shared};
 
 /// Server tunables; the defaults suit tests and the quickstart binary.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads (0 = available parallelism).
+    /// Serving threads: reactors, each running its own connections'
+    /// requests inline (0 = available parallelism).
     pub workers: usize,
     /// Cache shard count.
     pub cache_shards: usize,
@@ -451,8 +450,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     service: Arc<Service>,
     shared: Arc<Shared>,
-    reactor_thread: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    reactors: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -467,93 +465,47 @@ impl ServerHandle {
     }
 
     /// Stop the server: shutdown is an *event*, not a poll. Flag + eventfd
-    /// wake the reactor out of `epoll_wait`; it closes the listener and
-    /// every idle connection immediately, waits only for requests already
-    /// dispatched to workers, and exits. Workers drain the request queue
-    /// and park out. Every thread is joined on return.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake.signal();
-        self.shared.jobs.wake_all();
-        if let Some(t) = self.reactor_thread.take() {
-            let _ = t.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+    /// wake every reactor out of `epoll_wait` (one still running a request
+    /// finishes it first); each closes its connections and exits. Every
+    /// thread is joined on return.
+    pub fn shutdown(self) {
+        self.shared.stop();
+        for reactor in self.reactors {
+            let _ = reactor.join();
         }
     }
 }
 
-/// Compute and write one response directly to the (non-blocking) socket.
-/// The direct write is the fast path — the thread that computed the reply
-/// also sends it; only a filled socket buffer falls back to the reactor's
-/// `EPOLLOUT` machinery via [`Done::Partial`].
-fn run_request(service: &Service, stream: &TcpStream, req: &Request) -> Done {
-    let reply = service.handle_request(
-        &req.method,
-        &req.path,
-        req.query.as_deref(),
-        req.header("accept"),
-        &req.body,
-    );
-    let keep_alive = req.keep_alive();
-    // RFC 9110 §9.3.2: responses to HEAD must carry no body, or a
-    // conforming client desyncs on the kept-alive connection.
-    let body = if req.method == "HEAD" {
-        ""
-    } else {
-        &reply.body
-    };
-    let mut bytes = Vec::with_capacity(128 + body.len());
-    write_response(
-        &mut bytes,
-        reply.status,
-        reply.content_type,
-        body,
-        keep_alive,
-    )
-    .expect("in-memory write");
-    let mut pos = 0;
-    while pos < bytes.len() {
-        match (&*stream).write(&bytes[pos..]) {
-            Ok(0) => return Done::Failed,
-            Ok(n) => pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                return Done::Partial {
-                    rest: bytes[pos..].to_vec(),
-                    keep_alive,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Done::Failed,
-        }
-    }
-    Done::Written { keep_alive }
-}
-
-/// Serve one parsed request end to end (handler + response write), with
-/// panics contained to [`Done::Failed`]. Called from worker threads for
-/// solver-heavy jobs and from the reactor itself on the inline fast path —
-/// either way a panicking handler must cost one connection, not a thread.
-pub(crate) fn execute(service: &Service, stream: &TcpStream, request: &Request) -> Done {
+/// Compute one request's complete response bytes into `out` (cleared
+/// first). `false` when the handler panicked: the reactor then drops the
+/// connection — a panic costs one connection, not a serving thread.
+pub(crate) fn respond(service: &Service, req: &Request, out: &mut Vec<u8>) -> bool {
+    out.clear();
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_request(service, stream, request)
+        let reply = service.handle_request(
+            &req.method,
+            &req.path,
+            req.query.as_deref(),
+            req.header("accept"),
+            &req.body,
+        );
+        // RFC 9110 §9.3.2: responses to HEAD must carry no body, or a
+        // conforming client desyncs on the kept-alive connection.
+        let body = if req.method == "HEAD" {
+            ""
+        } else {
+            &reply.body
+        };
+        write_response(
+            out,
+            reply.status,
+            reply.content_type,
+            body,
+            req.keep_alive(),
+        )
+        .expect("in-memory write");
     }))
-    .unwrap_or(Done::Failed)
-}
-
-/// Worker thread body: pop parsed requests until shutdown drains the
-/// queue. A completion is *always* posted — even when the handler panics —
-/// so the reactor's shutdown drain can never wait on a job that will not
-/// report back.
-fn worker_loop(service: &Service, shared: &Shared) {
-    while let Some(job) = shared.jobs.pop(&shared.shutdown) {
-        let done = execute(service, &job.stream, &job.request);
-        shared.complete(Completion {
-            token: job.token,
-            done,
-        });
-    }
+    .is_ok()
 }
 
 /// Bind and start a server.
@@ -581,39 +533,40 @@ pub fn start_on(listener: TcpListener, config: ServerConfig) -> std::io::Result<
         &config.peers,
         config.vnodes,
     )));
-    let shared = Arc::new(Shared::new()?);
     // Many-connection serving is fd-bound; lift the soft limit as far as
     // the environment allows (best effort — C10K needs ~10k fds).
     let _ = crate::sys::raise_nofile_limit(65536);
 
-    let workers_n = if config.workers == 0 {
+    let reactors_n = if config.workers == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
     } else {
         config.workers
     };
-    let mut workers = Vec::with_capacity(workers_n);
-    for _ in 0..workers_n {
-        let service = Arc::clone(&service);
-        let shared = Arc::clone(&shared);
-        workers.push(std::thread::spawn(move || worker_loop(&service, &shared)));
-    }
-
-    let reactor = Reactor::new(
-        listener,
-        Arc::clone(&service),
-        Arc::clone(&shared),
-        config.idle_timeout,
-    )?;
-    let reactor_thread = std::thread::spawn(move || reactor.run());
+    let shared = Arc::new(Shared::new(reactors_n)?);
+    let listener = Arc::new(listener);
+    let reactors = (0..reactors_n)
+        .map(|id| {
+            Reactor::new(
+                id,
+                Arc::clone(&listener),
+                Arc::clone(&service),
+                Arc::clone(&shared),
+                config.idle_timeout,
+            )
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let reactors = reactors
+        .into_iter()
+        .map(|reactor| std::thread::spawn(move || reactor.run()))
+        .collect();
 
     Ok(ServerHandle {
         addr,
         service,
         shared,
-        reactor_thread: Some(reactor_thread),
-        workers,
+        reactors,
     })
 }
 

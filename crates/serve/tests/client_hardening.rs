@@ -17,9 +17,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lopc_core::{Machine, Scenario};
+use lopc_serve::cluster::{route_hash, DEFAULT_COOLDOWN, VNODES};
+use lopc_serve::interp::rel_resid;
 use lopc_serve::server::{start, start_on, ServerConfig};
 use lopc_serve::{
-    predictions_identical, Client, ClientConfig, ClientError, ClusterClient, RetryPolicy,
+    predictions_identical, Client, ClientConfig, ClientError, ClusterClient, HashRing,
+    RetryPolicy,
 };
 
 fn scenario() -> Scenario {
@@ -429,4 +432,88 @@ fn error_statuses_are_answers_not_retries() {
         other => panic!("expected Status, got: {other}"),
     }
     server.shutdown();
+}
+
+/// A cell pull runs inline on a serving thread, so a cell home that
+/// accepts and never answers must cost one bounded node-to-node wait, not
+/// its full read timeout per request: a tolerant request homed there is
+/// answered within 1 s, from a locally built cell within tolerance of the
+/// library. The timed-out home is marked down, so further misses homed
+/// there inside the cooldown never dial it — the hung listener accepts
+/// exactly once.
+#[test]
+fn a_hung_cell_home_costs_one_bounded_pull() {
+    const TOL: f64 = 1e-3;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let hung = listener.local_addr().expect("addr").to_string();
+    let accepts = Arc::new(AtomicU32::new(0));
+    let counter = Arc::clone(&accepts);
+    std::thread::spawn(move || {
+        // Hold every connection open; never read, never reply.
+        let mut held = Vec::new();
+        for stream in listener.incoming() {
+            counter.fetch_add(1, Ordering::SeqCst);
+            held.push(stream);
+        }
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let node_addr = listener.local_addr().expect("addr").to_string();
+    let node = start_on(
+        listener,
+        ServerConfig {
+            workers: 2,
+            peers: vec![hung.clone()],
+            advertise: Some(node_addr.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start node");
+    // Tolerant lanes in four distinct cells, each homed at the hung peer.
+    let ring = HashRing::new(vec![hung.clone(), node_addr], VNODES);
+    let mut cells = Vec::new();
+    let homed: Vec<Scenario> = (0..400)
+        .map(|i| Scenario::AllToAll {
+            machine: Machine::new(32, 25.0, 200.0).with_c2(0.0),
+            w: 100.0 * 1.05f64.powi(i),
+        })
+        .filter(|s| {
+            let cell = route_hash(s, TOL);
+            let home = &ring.nodes()[ring.owner(cell).expect("non-empty ring")];
+            let fresh = *home == hung && !cells.contains(&cell);
+            cells.push(cell);
+            fresh
+        })
+        .take(4)
+        .collect();
+    assert_eq!(homed.len(), 4, "too few cells homed at the hung peer");
+
+    let mut client = Client::connect(node.addr()).expect("connect");
+    // The first miss marks the home down after this instant, so misses
+    // finished within one cooldown of it all fall inside the cooldown.
+    let first_started = Instant::now();
+    for s in &homed {
+        let started = Instant::now();
+        let served = client.predict_within(s, TOL).expect("tolerant predict");
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "a miss homed at a hung peer took {took:?}"
+        );
+        let exact = lopc_core::scenario::solve(s).expect("library solve");
+        let err = rel_resid(&served, &exact);
+        assert!(err <= TOL, "answer off by {err:.2e}");
+    }
+    let since = first_started.elapsed();
+    assert!(
+        since < DEFAULT_COOLDOWN,
+        "the misses outlived the cooldown ({since:?}); the test proves nothing"
+    );
+    // The kernel completes a dial before the accept loop counts it.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(
+        accepts.load(Ordering::SeqCst),
+        1,
+        "a miss inside the cooldown dialed the hung home again"
+    );
+    node.shutdown();
 }

@@ -1,11 +1,11 @@
 //! Regression gate on server shutdown latency.
 //!
-//! Shutdown is an *event*: the flag plus an eventfd doorbell wake the
-//! reactor out of `epoll_wait`, it closes the listener and every idle
-//! connection immediately, waits only for requests already dispatched to
-//! workers, and joins. There is no poll interval anywhere on the path, so
-//! shutdown must complete — every thread joined — well inside 50 ms even
-//! with a thousand idle keep-alive connections parked in the reactor. If
+//! Shutdown is an *event*: the flag plus an eventfd doorbell wake every
+//! reactor out of `epoll_wait`; each finishes the request it is running,
+//! if any, closes its connections and exits, and the handle joins them.
+//! There is no poll interval anywhere on the path, so shutdown must
+//! complete — every thread joined — well inside 50 ms even with a thousand
+//! idle keep-alive connections parked in the reactors. If
 //! this assert starts failing, something on the shutdown path has regressed
 //! into waiting on a timeout; fix that rather than loosening the bound —
 //! slow shutdown breaks test suites and rolling restarts alike.
@@ -40,8 +40,8 @@ fn idle_server_shuts_down_quickly() {
 #[test]
 fn shutdown_with_idle_keepalive_connections() {
     let server = start(config()).expect("bind");
-    // Connections mid-keep-alive: they cost the reactor a slab slot each,
-    // never a worker thread, and shutdown closes them without waiting.
+    // Connections mid-keep-alive: they cost a reactor a slab slot each,
+    // never a thread, and shutdown closes them without waiting.
     let scenario = Scenario::AllToAll {
         machine: Machine::new(32, 25.0, 200.0).with_c2(0.0),
         w: 1000.0,
@@ -103,16 +103,13 @@ fn shutdown_with_a_thousand_idle_connections() {
 
 #[test]
 fn shutdown_races_batch_dispatch_without_hanging() {
-    // Regression: a batch job the reactor dispatches while handling the
-    // very event batch that delivered the shutdown doorbell can land in
-    // the queue after the last worker — seeing the flag over an empty
-    // queue — has already exited. The reactor must execute such stranded
-    // jobs itself during its drain; before it did, shutdown joined a
-    // reactor spinning on an in-flight count that could never reach zero.
-    // The window is microseconds wide, so hammer the interleaving.
+    // Shutdown while a batch runs inline: the doorbell can land in the
+    // same epoll batch as the request's readability, or while the reactor
+    // is inside the batch's handler. Either way the reactor finishes that
+    // one request, sees the flag, closes its connections and exits — it
+    // must never wait on work it will not run itself. The window is
+    // microseconds wide, so hammer the interleaving.
     use std::io::Write;
-    // Enough lanes to exceed the reactor's inline-batch cap: the race under
-    // test only exists for batches that travel to the worker pool.
     let lanes: Vec<String> = (0..64)
         .map(|i| {
             format!(
@@ -143,7 +140,7 @@ fn shutdown_races_batch_dispatch_without_hanging() {
             let _ = tx.send(());
         });
         rx.recv_timeout(Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("round {round}: shutdown hung on a stranded batch job"));
+            .unwrap_or_else(|_| panic!("round {round}: shutdown hung on an inline batch"));
         drop(conn);
     }
 }
@@ -153,7 +150,7 @@ fn shutdown_after_traffic_bursts() {
     let server = start(config()).expect("bind");
     let addr = server.addr();
     // A burst of short-lived connections that have already closed: stale
-    // slab slots and queued completions must not delay shutdown.
+    // slab slots must not delay shutdown.
     for _ in 0..8 {
         let mut c = Client::connect(addr).expect("connect");
         let _ = c.metrics().expect("metrics");

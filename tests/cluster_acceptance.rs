@@ -28,7 +28,8 @@ use lopc_serve::interp::rel_resid;
 use lopc_serve::server::{start_on, ServerConfig, ServerHandle};
 use lopc_serve::{predictions_identical, CellKey, Client, ClusterClient, HashRing};
 
-/// Worker threads per node in [`start_cluster`].
+/// Serving threads per node in [`start_cluster`]: reactors, each running
+/// its own connections' requests (cell pulls included) inline.
 const WORKERS: usize = 2;
 
 /// Bind `n` ephemeral listeners first, then start a node on each with the
@@ -593,9 +594,10 @@ fn killing_a_cell_home_mid_tolerant_sweep_stays_within_tolerance() {
         assert_within(&sweep, &served, TOL);
     }
 
-    // Each survivor may contact the dead home once per concurrent worker
-    // before the first failure marks it down, then once per cooldown
-    // window for the half-open re-probe.
+    // Each survivor may contact the dead home once per serving thread
+    // (a pull) plus once from its push thread before the first failure
+    // marks it down, then once per cooldown window for the half-open
+    // re-probe.
     let windows = (killed_at.elapsed().as_secs_f64() / DEFAULT_COOLDOWN.as_secs_f64()).ceil();
     let bound = WORKERS as u64 + windows as u64 + 1;
     let mut failed_over = 0;
