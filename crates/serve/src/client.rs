@@ -22,19 +22,25 @@
 //!   [`RetryPolicy::attempts`] times total, sleeping an exponentially
 //!   growing, jittered backoff between attempts so a recovering server is
 //!   not met by synchronized client stampedes.
-//! * **Never retry after a partial response** — once any response byte
-//!   has been consumed, a failure leaves the request's effect unknowable
-//!   *and* the response unreconstructable, so the error surfaces
-//!   immediately. The one always-safe retry is the stale keep-alive race:
-//!   EOF *before the first response byte* means the server closed the idle
-//!   connection under us and the request can be replayed on a fresh one.
+//! * **Never retry after a partial response** — once any byte of the
+//!   response has arrived, a failure leaves the request's effect
+//!   unknowable *and* the response unreconstructable, so the error
+//!   surfaces immediately. The rule reads the response parser's state: a
+//!   failure while it holds no byte of the response (EOF or a read error
+//!   before the first byte) is the stale keep-alive race, the server
+//!   closing the idle connection under us, and the request is replayed on
+//!   a fresh connection.
+//! * **Over-cap bodies are refused locally** — a body over
+//!   [`http::MAX_BODY_BYTES`] fails as the server's own 400, before any
+//!   dial: the server refuses the head and closes while the body is still
+//!   being written, so the client would see only a reset and retry.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::codec::{prediction_from_json, scenario_to_json, MAX_REL_ERR_FIELD};
-use crate::http::{read_response, HttpError};
+use crate::http::{self, HttpError, ResponseParser};
 use crate::json::{parse, Json};
 use lopc_core::{Prediction, Scenario};
 
@@ -190,10 +196,10 @@ impl Default for ClientConfig {
     }
 }
 
-/// The two halves of one live connection.
+/// One live connection: the socket and the parser framing its responses.
 struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    parser: ResponseParser,
 }
 
 impl Conn {
@@ -203,10 +209,9 @@ impl Conn {
         // Nagle batching.
         stream.set_nodelay(true)?;
         stream.set_read_timeout(config.read_timeout)?;
-        let writer = BufWriter::new(stream.try_clone()?);
         Ok(Conn {
-            reader: BufReader::new(stream),
-            writer,
+            stream,
+            parser: ResponseParser::new(),
         })
     }
 }
@@ -328,27 +333,24 @@ impl Client {
     /// flight before reading any reply — the servers overlap their work
     /// while the client is still writing. Must be paired with
     /// [`Client::pipeline_recv`]; interleaving other requests in between
-    /// would desynchronize the connection. A failure drops the connection.
+    /// would desynchronize the connection. A failure drops the connection;
+    /// a body over the cap fails as the server's 400, before any dial.
     pub(crate) fn pipeline_send(
         &mut self,
         method: &str,
         path: &str,
         body: &[u8],
     ) -> Result<(), ClientError> {
+        if let Some(refusal) = http::body_over_cap(body.len()) {
+            return Err(ClientError::Status(400, refusal));
+        }
         if self.conn.is_none() {
             self.conn = Some(Conn::dial(self.addr, &self.config)?);
         }
         let conn = self.conn.as_mut().expect("connection just dialed");
-        let wrote = (|| {
-            write!(
-                conn.writer,
-                "{method} {path} HTTP/1.1\r\nhost: lopc-serve\r\ncontent-length: {}\r\n\r\n",
-                body.len()
-            )?;
-            conn.writer.write_all(body)?;
-            conn.writer.flush()
-        })();
-        if let Err(e) = wrote {
+        let mut out = Vec::with_capacity(body.len() + 128);
+        http::write_request(&mut out, method, path, body);
+        if let Err(e) = conn.stream.write_all(&out) {
             self.conn = None;
             return Err(e.into());
         }
@@ -363,46 +365,38 @@ impl Client {
     /// [`AttemptError::AfterResponse`] failure must surface. Any failure,
     /// and a `connection: close` response, drops the connection.
     pub(crate) fn pipeline_recv(&mut self) -> Result<(u16, Vec<u8>), AttemptError> {
-        let before = AttemptError::BeforeResponse;
         let Some(conn) = self.conn.as_mut() else {
-            return Err(before(ClientError::Io(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "no connection to receive on",
-            ))));
+            return Err(AttemptError::BeforeResponse(ClientError::Io(
+                io::Error::new(io::ErrorKind::NotConnected, "no connection to receive on"),
+            )));
         };
-        // Peek before parsing: an error or clean EOF *here* means no
-        // response byte was consumed, so the request is safely replayable
-        // (the classic stale keep-alive race — the server idle-closed the
-        // connection while our request was in flight).
-        match conn.reader.fill_buf() {
-            Ok([]) => {
-                self.conn = None;
-                return Err(before(ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection before responding",
-                ))));
-            }
-            Ok(_) => {}
-            Err(e) => {
-                self.conn = None;
-                return Err(before(e.into()));
-            }
-        }
-        match read_response(&mut conn.reader) {
-            Ok(resp) => {
+        let failure = match conn.parser.read_from(&mut conn.stream) {
+            Ok(Some(resp)) => {
                 if !resp.keep_alive {
                     // The server declared this connection over; keeping
                     // it would make the next request hit the stale
                     // keep-alive race deterministically.
                     self.conn = None;
                 }
-                Ok((resp.status, resp.body))
+                return Ok((resp.status, resp.body));
             }
-            Err(e) => {
-                self.conn = None;
-                Err(AttemptError::AfterResponse(e.into()))
-            }
-        }
+            Ok(None) => ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection before responding",
+            )),
+            Err(e) => e.into(),
+        };
+        // No byte of this response buffered: nothing was consumed, so the
+        // request is safely replayable (the stale keep-alive race — the
+        // server idle-closed the connection while the request was in
+        // flight).
+        let replayable = !conn.parser.mid_message();
+        self.conn = None;
+        Err(if replayable {
+            AttemptError::BeforeResponse(failure)
+        } else {
+            AttemptError::AfterResponse(failure)
+        })
     }
 
     /// Whether a connection is open, so the next request reuses it rather
@@ -482,7 +476,7 @@ impl Client {
     pub fn set_read_timeout(&mut self, dur: Option<Duration>) -> io::Result<()> {
         self.config.read_timeout = dur;
         match &self.conn {
-            Some(conn) => conn.reader.get_ref().set_read_timeout(dur),
+            Some(conn) => conn.stream.set_read_timeout(dur),
             None => Ok(()),
         }
     }
@@ -499,11 +493,7 @@ impl Client {
             return Ok(true);
         };
         let mut byte = [0u8; 1];
-        match conn.reader.read(&mut byte) {
-            Ok(0) => Ok(true),
-            Ok(_) => Ok(false),
-            Err(e) => Err(e),
-        }
+        Ok(conn.parser.buffered() == 0 && conn.stream.read(&mut byte)? == 0)
     }
 
     /// `GET /metrics`.

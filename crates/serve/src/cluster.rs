@@ -875,9 +875,10 @@ impl ClusterClient {
             DialFailed(ClientError),
             /// Writing failed: nothing of the response was consumed.
             SendFailed(ClientError),
-            /// The half-open probe token went to another caller between
-            /// partitioning and dispatch: retryable, no connection held.
-            ClaimLost,
+            /// Never sent, no connection held: the body is over the cap
+            /// (a 400), or the half-open probe token went to another
+            /// caller between partitioning and dispatch (retryable).
+            Unsent(ClientError),
         }
         // Phase one: put every sub-batch in flight.
         let mut wave = Vec::with_capacity(groups.len());
@@ -885,12 +886,24 @@ impl ClusterClient {
             let node = &self.nodes[owner];
             let sub: Vec<&Scenario> = lanes.iter().map(|&i| &scenarios[i]).collect();
             let body = batch_request_body(&sub, max_rel_err);
-            // Claim at dispatch time, not partition time: a half-open
-            // node admits exactly one probe across all concurrent
-            // callers (forced groups bypass the gate — every member is
-            // down and only re-dialing heals).
-            if !forced && node.health.claim(Instant::now()).is_none() {
-                wave.push((owner, lanes, sub, None, false, Sent::ClaimLost));
+            // A sub-batch over the body cap is the server's 400 without a
+            // dial or a claim: the node's health is not in question.
+            // Otherwise claim at dispatch time, not partition time: a
+            // half-open node admits exactly one probe across all
+            // concurrent callers (forced groups bypass the gate — every
+            // member is down and only re-dialing heals).
+            let unsent = match crate::http::body_over_cap(body.len()) {
+                Some(refusal) => Some(ClientError::Status(400, refusal)),
+                None if !forced && node.health.claim(Instant::now()).is_none() => {
+                    Some(ClientError::Io(io::Error::new(
+                        io::ErrorKind::WouldBlock,
+                        "node went down (or its probe was taken) mid-partition",
+                    )))
+                }
+                None => None,
+            };
+            if let Some(e) = unsent {
+                wave.push((owner, lanes, sub, None, false, Sent::Unsent(e)));
                 continue;
             }
             let mut guard = node.conn.lock().expect("node conn poisoned");
@@ -923,19 +936,16 @@ impl ClusterClient {
         wave.into_iter()
             .map(|(owner, lanes, sub, guard, warm, sent)| {
                 let node = &self.nodes[owner];
-                // A lost claim never touched the node: no connection, no
-                // health verdict (marking down here would clobber the
-                // *winning* prober's token). The error is retryable, so
-                // the lanes re-partition next round.
+                // An unsent sub-batch never touched the node: no
+                // connection, no health verdict (marking down after a
+                // lost claim would clobber the *winning* prober's token).
+                // A lost claim is retryable, so its lanes re-partition
+                // next round; a refused body fails the batch.
                 let Some(mut guard) = guard else {
-                    return (
-                        owner,
-                        lanes,
-                        Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::WouldBlock,
-                            "node went down (or its probe was taken) mid-partition",
-                        ))),
-                    );
+                    let Sent::Unsent(e) = sent else {
+                        unreachable!("only an unsent sub-batch holds no lock")
+                    };
+                    return (owner, lanes, Err(e));
                 };
                 // The stale keep-alive race: the server idle-closed a
                 // pooled connection under the send. No response byte was
@@ -954,8 +964,8 @@ impl ClusterClient {
                         client.predict_batch_refs(&sub, max_rel_err)
                     }
                     (Sent::DialFailed(e) | Sent::SendFailed(e), _) => Err(e),
-                    (Sent::Flying, None) | (Sent::ClaimLost, _) => {
-                        unreachable!("a sent request holds a client; a lost claim holds no lock")
+                    (Sent::Flying, None) | (Sent::Unsent(_), _) => {
+                        unreachable!("a sent request holds a client; an unsent one holds no lock")
                     }
                 };
                 match &result {

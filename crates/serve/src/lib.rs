@@ -20,10 +20,9 @@
 //!   multilinear interpolation between cached exact solves when the
 //!   surrounding grid cell's certificate is within the tolerance (see
 //!   DESIGN.md §12);
-//! * [`http`] — a dependency-free HTTP/1.1 subset on `std::net`, with
-//!   both a blocking reference parser and the incremental
-//!   [`RequestParser`](http::RequestParser) the reactor resumes
-//!   byte-by-byte;
+//! * [`http`] — a dependency-free HTTP/1.1 subset on `std::net`: one
+//!   incremental [`Parser`](http::Parser), resumed byte by byte, frames
+//!   the reactor's requests and the client's responses;
 //! * [`sys`] — a thin `libc`-free shim over the raw Linux syscalls the
 //!   reactor needs (`epoll_*`, `eventfd2`, `prlimit64`);
 //! * [`server`] — the server and its endpoints (`POST /v1/predict`,

@@ -642,7 +642,7 @@ impl Reactor {
             return true;
         }
         conn.wpos = 0;
-        conn.close_after_write = !request.keep_alive();
+        conn.close_after_write = !request.keep_alive;
         if matches!(self.flush(index), ConnFate::Alive) {
             let conn = self.slots[index].as_ref().expect("live slot");
             let more = !drained || conn.peer_eof || conn.parser.buffered() > 0;

@@ -496,14 +496,8 @@ pub(crate) fn respond(service: &Service, req: &Request, out: &mut Vec<u8>) -> bo
         } else {
             &reply.body
         };
-        write_response(
-            out,
-            reply.status,
-            reply.content_type,
-            body,
-            req.keep_alive(),
-        )
-        .expect("in-memory write");
+        write_response(out, reply.status, reply.content_type, body, req.keep_alive)
+            .expect("in-memory write");
     }))
     .is_ok()
 }

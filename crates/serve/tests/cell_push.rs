@@ -9,7 +9,7 @@
 //! This is its own test binary so the process thread count read from
 //! `/proc/self/status` sees only this test's threads.
 
-use std::io::{BufReader, BufWriter};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use lopc_core::{Machine, Scenario};
 use lopc_serve::cluster::{route_hash, VNODES};
-use lopc_serve::http::{read_request, write_response};
+use lopc_serve::http::{write_response, RequestParser};
 use lopc_serve::interp::rel_resid;
 use lopc_serve::server::{start_on, ServerConfig};
 use lopc_serve::{Client, HashRing};
@@ -37,10 +37,9 @@ fn threads() -> usize {
 
 /// One connection of the fake home: every `GET` is a 404 at once (it holds
 /// no cells), every `POST` is accepted after [`PUSH_DELAY`] and counted.
-fn serve_fake_home(stream: TcpStream, posts: &AtomicU32) {
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = BufWriter::new(stream);
-    while let Ok(Some(request)) = read_request(&mut reader) {
+fn serve_fake_home(mut stream: TcpStream, posts: &AtomicU32) {
+    let mut parser = RequestParser::new();
+    while let Ok(Some(request)) = parser.read_from(&mut stream) {
         let (status, body) = if request.method == "POST" {
             std::thread::sleep(PUSH_DELAY);
             posts.fetch_add(1, Ordering::SeqCst);
@@ -48,7 +47,11 @@ fn serve_fake_home(stream: TcpStream, posts: &AtomicU32) {
         } else {
             (404, r#"{"error":"no resident cell"}"#)
         };
-        if write_response(&mut writer, status, "application/json", body, true).is_err() {
+        // One write per response, as the server makes: a head and a body
+        // written apart would meet Nagle's algorithm and a delayed ACK.
+        let mut out = Vec::new();
+        write_response(&mut out, status, "application/json", body, true).expect("in-memory write");
+        if stream.write_all(&out).is_err() {
             return;
         }
     }

@@ -16,13 +16,13 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lopc_core::{Machine, Scenario};
+use lopc_core::{GeneralModel, Machine, Scenario};
 use lopc_serve::cluster::{route_hash, DEFAULT_COOLDOWN, VNODES};
+use lopc_serve::http::{RequestParser, MAX_BODY_BYTES};
 use lopc_serve::interp::rel_resid;
 use lopc_serve::server::{start, start_on, ServerConfig};
 use lopc_serve::{
-    predictions_identical, Client, ClientConfig, ClientError, ClusterClient, HashRing,
-    RetryPolicy,
+    predictions_identical, Client, ClientConfig, ClientError, ClusterClient, HashRing, RetryPolicy,
 };
 
 fn scenario() -> Scenario {
@@ -210,6 +210,143 @@ fn never_retries_after_a_partial_response() {
         1,
         "a partially consumed response must never be replayed"
     );
+}
+
+/// Ambiguous response framing — two different `content-length`s, or
+/// `transfer-encoding: chunked` — could desync a pooled connection. The
+/// client fails the request as a protocol error, never replays it (the
+/// fake server accepts once), and hangs up (the fake server reads EOF).
+#[test]
+fn ambiguous_response_framing_fails_without_replay() {
+    for reply in [
+        "HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 7\r\n\r\n{}",
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let accepts = Arc::new(AtomicU32::new(0));
+        let counter = Arc::clone(&accepts);
+        let (hung_up, saw_eof) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for mut stream in listener.incoming().flatten() {
+                counter.fetch_add(1, Ordering::SeqCst);
+                let mut parser = RequestParser::new();
+                if let Ok(Some(_)) = parser.read_from(&mut stream) {
+                    let _ = stream.write_all(reply.as_bytes());
+                    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+                    let _ = hung_up.send(matches!(parser.read_from(&mut stream), Ok(None)));
+                }
+            }
+        });
+        let config = ClientConfig {
+            read_timeout: Some(Duration::from_secs(2)),
+            retry: RetryPolicy {
+                attempts: 3,
+                base_backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(20),
+            },
+            ..ClientConfig::default()
+        };
+        let mut client = Client::connect_with(addr, config).expect("connect");
+        let err = client
+            .request("GET", "/metrics", b"")
+            .expect_err("ambiguous framing must fail");
+        assert!(matches!(err, ClientError::Protocol(_)), "{reply:?}: {err}");
+        let eof = saw_eof.recv_timeout(Duration::from_secs(10));
+        assert_eq!(eof, Ok(true), "{reply:?}: the client kept the connection");
+        assert_eq!(accepts.load(Ordering::SeqCst), 1, "{reply:?} was replayed");
+    }
+}
+
+/// The server refuses an over-cap head and closes while the body is still
+/// being written, so a client that sent it would see only a reset, which
+/// it retries. The client applies the server's rule itself: a 60-lane
+/// `General` P=64 batch (5.1 MB), direct or routed, fails with the
+/// server's 400 and wording without dialing (neither node's
+/// `opened_connections_total` moves), and the router marks no node down.
+#[test]
+fn an_over_cap_batch_is_the_servers_400_without_a_dial() {
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+        .collect();
+    let addrs: Vec<String> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("addr").to_string())
+        .collect();
+    let nodes: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            let config = ServerConfig {
+                workers: 1,
+                peers: vec![addrs[1 - i].clone()],
+                advertise: Some(addrs[i].clone()),
+                ..ServerConfig::default()
+            };
+            start_on(listener, config).expect("start node")
+        })
+        .collect();
+    let router = ClusterClient::connect(nodes[0].addr()).expect("router");
+    let mut direct = Client::connect(nodes[0].addr()).expect("connect");
+    direct
+        .metrics()
+        .expect("the direct connection is registered");
+    // Lanes owned by node 0, so the routed wave sends them as one
+    // over-cap sub-batch.
+    let home = Some(addrs[0].as_str());
+    let batch: Vec<Scenario> = (0..)
+        .map(|i| {
+            let machine = Machine::new(64, 25.0, 200.0).with_c2(0.0);
+            Scenario::General(GeneralModel::homogeneous_all_to_all(
+                machine,
+                1000.0 + i as f64,
+            ))
+        })
+        .filter(|s| router.owner_of(s) == home)
+        .take(60)
+        .collect();
+    let opened = || {
+        nodes
+            .iter()
+            .map(|n| n.service().metrics().opened_connections_total())
+            .collect::<Vec<_>>()
+    };
+    let before = opened();
+    let refused = |how: &str, err: ClientError| {
+        let ClientError::Status(400, m) = &err else {
+            panic!("{how}: expected the server's 400, got {err}");
+        };
+        let len = m
+            .strip_prefix("body of ")
+            .and_then(|m| m.strip_suffix(&format!(" bytes exceeds {MAX_BODY_BYTES}")))
+            .and_then(|n| n.parse::<usize>().ok())
+            .unwrap_or_else(|| panic!("{how}: not the server's wording: {m:?}"));
+        assert!(len > MAX_BODY_BYTES, "{how}: {m}");
+        assert!(!err.is_retryable(), "{how}: a status is an answer");
+    };
+    refused(
+        "direct",
+        direct.predict_batch(&batch).expect_err("over cap"),
+    );
+    refused(
+        "routed",
+        router.predict_batch(&batch).expect_err("over cap"),
+    );
+    assert_eq!(opened(), before, "an over-cap batch dialed a node");
+    assert!(
+        batch.iter().all(|s| router.owner_of(s) == home),
+        "the router marked the lanes' owner down"
+    );
+    // The direct connection survives, and the router still routes.
+    direct.metrics().expect("direct connection still serves");
+    assert_eq!(opened(), before, "the direct client redialed");
+    let small = scenario();
+    let served = router.predict(&small).expect("routed single");
+    let library = lopc_core::scenario::solve(&small).expect("library solve");
+    assert!(predictions_identical(&served, &library));
+    for node in nodes {
+        node.shutdown();
+    }
 }
 
 /// The router keeps one warm keep-alive connection per node: a burst of

@@ -3,8 +3,13 @@
 //! the response schemas. The CI smoke job runs exactly this suite, so
 //! non-2xx answers and schema drift fail there, not in production.
 
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::Duration;
+
 use lopc_core::{GeneralModel, Machine, Scenario};
 use lopc_serve::codec::PREDICTION_FIELDS;
+use lopc_serve::http::ResponseParser;
 use lopc_serve::json::{parse, Json};
 use lopc_serve::server::{start, ServerConfig};
 use lopc_serve::Client;
@@ -241,16 +246,14 @@ fn prometheus_exposition_schema_does_not_drift() {
 
     // Content negotiation: Accept: text/plain reaches the same renderer.
     let (status, body) = {
-        use std::io::Write;
-        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        let mut writer = std::io::BufWriter::new(stream.try_clone().unwrap());
-        write!(
-            writer,
-            "GET /metrics HTTP/1.1\r\nhost: x\r\naccept: text/plain\r\n\r\n"
-        )
-        .unwrap();
-        writer.flush().unwrap();
-        let resp = lopc_serve::http::read_response(&mut std::io::BufReader::new(stream)).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nhost: x\r\naccept: text/plain\r\n\r\n")
+            .unwrap();
+        let resp = ResponseParser::new()
+            .read_from(&mut stream)
+            .unwrap()
+            .expect("a response");
         (resp.status, String::from_utf8(resp.body).unwrap())
     };
     assert_eq!(status, 200);
@@ -360,6 +363,51 @@ fn http_errors_are_clean_json_not_hangs() {
     assert_eq!(status, 405);
     assert!(client.metrics().is_ok(), "framing survived HEAD and PUT");
 
+    server.shutdown();
+}
+
+/// RFC 9112 §9.3 over a socket: an HTTP/1.0 request without the
+/// `keep-alive` option, or any request whose `Connection` options include
+/// `close`, is answered with `connection: close` and then EOF — not held
+/// open until the idle timeout. An HTTP/1.0 request that asks for
+/// keep-alive gets it, and its connection serves a second request.
+#[test]
+fn http_1_0_requests_get_connection_close_then_eof() {
+    let server = start_server();
+    for (head, persists) in [
+        ("GET /v1/cluster HTTP/1.0\r\n\r\n", false),
+        (
+            "GET /v1/cluster HTTP/1.1\r\nconnection: close, TE\r\n\r\n",
+            false,
+        ),
+        (
+            "GET /v1/cluster HTTP/1.0\r\nconnection: TE, keep-alive\r\n\r\n",
+            true,
+        ),
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // Far below the 30 s idle timeout: a connection wrongly held open
+        // fails the read instead of stalling the test.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut parser = ResponseParser::new();
+        for _ in 0..if persists { 2 } else { 1 } {
+            stream.write_all(head.as_bytes()).unwrap();
+            let resp = parser.read_from(&mut stream).unwrap().expect("a response");
+            assert_eq!(resp.status, 200, "{head:?}");
+            let connection = if persists { "keep-alive" } else { "close" };
+            assert_eq!(resp.header("connection"), Some(connection), "{head:?}");
+            assert_eq!(resp.keep_alive, persists, "{head:?}");
+        }
+        if !persists {
+            let eof = parser.read_from(&mut stream);
+            assert!(
+                matches!(eof, Ok(None)),
+                "{head:?}: expected EOF, got {eof:?}"
+            );
+        }
+    }
     server.shutdown();
 }
 

@@ -9,18 +9,24 @@
 //!    predictions identical to library calls.
 //! 2. **No panics**: arbitrary byte soup — random garbage, truncations, and
 //!    single-byte corruptions of *valid* documents — makes every decoder
-//!    (JSON, scenario codec, HTTP request parser) return an error or a
-//!    different valid parse, never panic. Each fuzz case runs the decoder
-//!    inside `catch_unwind` so a panic fails the test with the offending
-//!    input attached.
+//!    (JSON, scenario codec, the HTTP parser in both directions) return an
+//!    error or a different valid parse, never panic. Each fuzz case runs the
+//!    decoder inside `catch_unwind` so a panic fails the test with the
+//!    offending input attached.
+//!
+//! And for HTTP, a third: a parse does not depend on how TCP splits the
+//! bytes. Dripping a message in at every chunk size and at every two-piece
+//! split gives exactly what pushing it whole and polling once gives.
 
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::io::BufReader;
 
 use lopc_core::{GeneralModel, Machine, Scenario};
-use lopc_serve::http::{read_request, read_response, HttpError, Request, RequestParser};
+use lopc_serve::http::{
+    write_request, write_response, HttpError, Message, Parser, Request, RequestParser, Response,
+    ResponseParser,
+};
 use lopc_serve::json::{parse, Json};
 use lopc_serve::{scenario_from_json, scenario_to_json};
 
@@ -240,34 +246,41 @@ fn http_parsers_fuzz_never_panic() {
         } else {
             corrupt(base, &mut rng)
         };
+        // Both directions run through the one parser: pushed whole with
+        // EOF after the input, and dripped a byte at a time.
         if is_request {
-            assert_no_panic(&mutated, "http request parser", |bytes| {
-                let _ = read_request(&mut BufReader::new(bytes));
+            assert_no_panic(&mutated, "http request parser", |mut bytes| {
+                let _ = drip::<Request>(bytes, 1);
+                let _ = RequestParser::new().read_from(&mut bytes);
             });
         } else {
-            assert_no_panic(&mutated, "http response parser", |bytes| {
-                let _ = read_response(&mut BufReader::new(bytes));
+            assert_no_panic(&mutated, "http response parser", |mut bytes| {
+                let _ = drip::<Response>(bytes, 1);
+                let _ = ResponseParser::new().read_from(&mut bytes);
             });
         }
     }
 }
 
-// -- incremental vs one-shot parser ---------------------------------------
+// -- drip vs push-all -----------------------------------------------------
 //
-// The reactor parses requests with the resumable `RequestParser`, fed
-// whatever fragments the socket delivers; `read_request` is the blocking
-// reference. The two must agree *byte for byte* on every input and every
-// split, or served behaviour would depend on TCP segmentation.
+// The reactor and the client feed the one incremental parser whatever
+// fragments their sockets deliver. A parse must not depend on that split:
+// dripping the bytes in, polling after every piece, must give exactly what
+// pushing them all and polling once gives, or served behaviour would
+// depend on TCP segmentation.
 
-/// Reference result: the one-shot blocking parser over the whole input.
-fn oneshot(input: &[u8]) -> Result<Option<Request>, HttpError> {
-    read_request(&mut BufReader::new(input))
+/// The oracle: every byte pushed, then one poll.
+fn push_all<M: Message>(input: &[u8]) -> Result<Option<M>, HttpError> {
+    let mut parser = Parser::new();
+    parser.push(input);
+    parser.poll()
 }
 
-/// Feed `input` to the incremental parser in `chunk`-byte pieces, polling
-/// after every piece; `Ok(None)` means the input ran out mid-request.
-fn drip(input: &[u8], chunk: usize) -> Result<Option<Request>, HttpError> {
-    let mut parser = RequestParser::new();
+/// Feed `input` in `chunk`-byte pieces, polling after every piece;
+/// `Ok(None)` means the input ran out mid-message.
+fn drip<M: Message>(input: &[u8], chunk: usize) -> Result<Option<M>, HttpError> {
+    let mut parser = Parser::new();
     for piece in input.chunks(chunk.max(1)) {
         parser.push(piece);
         match parser.poll() {
@@ -278,45 +291,43 @@ fn drip(input: &[u8], chunk: usize) -> Result<Option<Request>, HttpError> {
     Ok(None)
 }
 
-/// EOF-truncation errors only the blocking parser can see: it knows the
-/// stream ended, while the incremental parser just reports "need more
-/// bytes" (EOF is the reactor's signal, out of band from parsing). Every
-/// other error must match word for word.
-fn is_eof_truncation(e: &HttpError) -> bool {
-    matches!(e, HttpError::Bad(m) if m == "truncated header line"
-        || m == "connection closed inside headers"
-        || m == "connection closed inside body")
+/// Feed `input` in two pieces split at byte `at`, polling after each.
+fn split<M: Message>(input: &[u8], at: usize) -> Result<Option<M>, HttpError> {
+    let mut parser = Parser::new();
+    parser.push(&input[..at]);
+    match parser.poll() {
+        Ok(None) => {
+            parser.push(&input[at..]);
+            parser.poll()
+        }
+        done => done,
+    }
 }
 
-/// Assert the incremental parse of `input` split into `chunk`-byte pieces
-/// is byte-for-byte equivalent to the one-shot reference.
-fn assert_parsers_agree(input: &[u8], chunk: usize) {
-    let reference = oneshot(input);
-    let incremental = drip(input, chunk);
-    match (&reference, &incremental) {
-        // Complete request: identical parse, field for field, byte for
-        // byte (Request derives Eq).
-        (Ok(Some(a)), Ok(Some(b))) => assert_eq!(
+/// Assert a split parse of `input` equals the push-all oracle: the same
+/// message, field for field and byte for byte, or the same error, word for
+/// word.
+fn assert_matches_oracle<M: Message + PartialEq + std::fmt::Debug>(
+    how: &str,
+    input: &[u8],
+    got: Result<Option<M>, HttpError>,
+) {
+    let oracle = push_all::<M>(input);
+    match (&oracle, &got) {
+        (Ok(a), Ok(b)) => assert_eq!(
             a,
             b,
-            "chunk={chunk}: parses differ on {:?}",
+            "{how}: parses differ on {:?}",
             String::from_utf8_lossy(input)
         ),
-        // Clean empty input: both report "nothing yet".
-        (Ok(None), Ok(None)) => {}
-        // The stream died mid-request: the blocking parser reports the
-        // truncation; the incremental one is still waiting for bytes that
-        // will never come (the reactor turns that EOF into a close).
-        (Err(e), Ok(None)) if is_eof_truncation(e) => {}
-        // Any other error: same error, same wording.
         (Err(HttpError::Bad(a)), Err(HttpError::Bad(b))) => assert_eq!(
             a,
             b,
-            "chunk={chunk}: error wording differs on {:?}",
+            "{how}: error wording differs on {:?}",
             String::from_utf8_lossy(input)
         ),
         _ => panic!(
-            "chunk={chunk}: one-shot {reference:?} vs incremental {incremental:?} on {:?}",
+            "{how}: push-all {oracle:?} vs {got:?} on {:?}",
             String::from_utf8_lossy(input)
         ),
     }
@@ -327,11 +338,9 @@ fn valid_request_corpus() -> Vec<Vec<u8>> {
         .map(|i| {
             let mut vr = SmallRng::seed_from_u64(i);
             let body = scenario_to_json(&random_scenario(&mut vr)).to_compact();
-            format!(
-                "POST /v1/predict HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .into_bytes()
+            let mut wire = Vec::new();
+            write_request(&mut wire, "POST", "/v1/predict", body.as_bytes());
+            wire
         })
         .collect();
     corpus.push(b"GET /metrics HTTP/1.1\r\n\r\n".to_vec());
@@ -341,6 +350,7 @@ fn valid_request_corpus() -> Vec<Vec<u8>> {
     );
     corpus.push(b"GET / HTTP/1.1\nhost: x\n\n".to_vec()); // bare-LF lines
     corpus.push(b"HEAD /v1/predict? HTTP/1.1\r\nx: \xc3\xa9\r\n\r\n".to_vec());
+    corpus.push(b"GET /v1/cluster HTTP/1.0\r\nConnection: TE, Keep-Alive\r\n\r\n".to_vec());
     corpus
 }
 
@@ -353,6 +363,7 @@ fn malformed_request_corpus() -> Vec<Vec<u8>> {
         b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
         b"GET / HTTP/1.1\r\n: empty\r\n\r\n",
         b"GET / HTTP/1.1\r\nbad name: x\r\n\r\n",
+        b"POST / HTTP/1.1\r\ncontent-length\t: 77\r\n\r\n",
         b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
         b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
         b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
@@ -366,52 +377,119 @@ fn malformed_request_corpus() -> Vec<Vec<u8>> {
     .collect()
 }
 
-/// Every corpus request, dripped one byte at a time — every byte boundary
-/// is a resume point — plus a spread of other chunk sizes.
-#[test]
-fn incremental_parser_matches_oneshot_at_every_boundary() {
+fn valid_response_corpus() -> Vec<Vec<u8>> {
+    let mut corpus: Vec<Vec<u8>> = (0..10u64)
+        .map(|i| {
+            let mut vr = SmallRng::seed_from_u64(i);
+            let body = scenario_to_json(&random_scenario(&mut vr)).to_compact();
+            let mut wire = Vec::new();
+            write_response(&mut wire, 200, "application/json", &body, i % 3 != 0)
+                .expect("in-memory write");
+            wire
+        })
+        .collect();
+    corpus.push(b"HTTP/1.1 404 Not Found\r\ncontent-length: 0\r\n\r\n".to_vec());
+    corpus.push(b"HTTP/1.1 204\r\ncontent-length: 0\r\n\r\n".to_vec()); // no reason
+    corpus.push(b"HTTP/1.0 200 OK\nconnection: keep-alive\ncontent-length: 2\n\n{}".to_vec());
+    corpus.push(
+        b"HTTP/1.1 500 Internal Server Error\r\nx: \xc3\xa9\r\ncontent-length: 1\r\n\r\n!".to_vec(),
+    );
+    corpus
+}
+
+fn malformed_response_corpus() -> Vec<Vec<u8>> {
+    [
+        &b"HTTP/1.1\r\n\r\n"[..],
+        b"NOTHTTP 200 OK\r\ncontent-length: 0\r\n\r\n",
+        b"HTTP/2 200 OK\r\ncontent-length: 0\r\n\r\n",
+        b"HTTP/1.1 xyz OK\r\ncontent-length: 0\r\n\r\n",
+        b"HTTP/1.1 2000 OK\r\ncontent-length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 3\r\n\r\nabc",
+        b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n2\r\nab\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\ncontent-length\t: 2\r\n\r\nab",
+        b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nab",
+        b"HTTP/1.1 200 OK\r\ncontent-length: 99999999\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\ntrunc",
+        b"",
+    ]
+    .iter()
+    .map(|b| b.to_vec())
+    .collect()
+}
+
+fn request_corpus() -> Vec<Vec<u8>> {
     let mut corpus = valid_request_corpus();
     corpus.extend(malformed_request_corpus());
-    for input in &corpus {
-        for chunk in [1, 2, 3, 7, input.len().max(1)] {
-            assert_parsers_agree(input, chunk);
+    corpus
+}
+
+fn response_corpus() -> Vec<Vec<u8>> {
+    let mut corpus = valid_response_corpus();
+    corpus.extend(malformed_response_corpus());
+    corpus
+}
+
+/// Every corpus message, valid or not, dripped at every chunk size from
+/// one byte (every byte boundary a resume point) to the whole input.
+#[test]
+fn drip_matches_push_all_at_every_chunk_size() {
+    for input in request_corpus() {
+        for chunk in 1..=input.len().max(1) {
+            assert_matches_oracle(
+                &format!("chunk={chunk}"),
+                &input,
+                drip::<Request>(&input, chunk),
+            );
+        }
+    }
+    for input in response_corpus() {
+        for chunk in 1..=input.len().max(1) {
+            assert_matches_oracle(
+                &format!("chunk={chunk}"),
+                &input,
+                drip::<Response>(&input, chunk),
+            );
         }
     }
 }
 
 /// Two-piece splits at *every* position: the resume happens exactly once,
-/// at each possible boundary (request line, header, separator, body).
+/// at each possible boundary (start line, header, separator, body).
 #[test]
-fn incremental_parser_matches_oneshot_for_every_two_piece_split() {
-    for input in valid_request_corpus() {
-        let reference = oneshot(&input)
-            .expect("corpus is valid")
-            .expect("non-empty");
-        for split in 0..=input.len() {
-            let mut parser = RequestParser::new();
-            parser.push(&input[..split]);
-            let early = parser.poll();
-            let got = match early {
-                Ok(Some(req)) => {
-                    assert_eq!(split, input.len(), "request completed before all bytes");
-                    req
-                }
-                Ok(None) => {
-                    parser.push(&input[split..]);
-                    parser
-                        .poll()
-                        .unwrap_or_else(|e| panic!("split {split}: {e}"))
-                        .unwrap_or_else(|| panic!("split {split}: incomplete"))
-                }
-                Err(e) => panic!("split {split}: {e}"),
-            };
-            assert_eq!(got, reference, "split at byte {split}");
+fn drip_matches_push_all_for_every_two_piece_split() {
+    for input in request_corpus() {
+        for at in 0..=input.len() {
+            assert_matches_oracle(&format!("split={at}"), &input, split::<Request>(&input, at));
         }
+    }
+    for input in response_corpus() {
+        for at in 0..=input.len() {
+            assert_matches_oracle(
+                &format!("split={at}"),
+                &input,
+                split::<Response>(&input, at),
+            );
+        }
+    }
+    // Under the oracle, the valid corpora are complete messages and the
+    // malformed ones never are.
+    for input in valid_request_corpus() {
+        assert!(matches!(push_all::<Request>(&input), Ok(Some(_))));
+    }
+    for input in valid_response_corpus() {
+        assert!(matches!(push_all::<Response>(&input), Ok(Some(_))));
+    }
+    for input in malformed_request_corpus() {
+        assert!(!matches!(push_all::<Request>(&input), Ok(Some(_))));
+    }
+    for input in malformed_response_corpus() {
+        assert!(!matches!(push_all::<Response>(&input), Ok(Some(_))));
     }
 }
 
 /// Random corruptions of valid requests, dripped at several chunk sizes:
-/// the two parsers must classify every mutation identically.
+/// every mutation classifies as it does pushed whole.
 #[test]
 fn corrupted_requests_classify_identically_under_drip() {
     let mut rng = SmallRng::seed_from_u64(0xd21b);
@@ -419,36 +497,60 @@ fn corrupted_requests_classify_identically_under_drip() {
     for round in 0..1500 {
         let mutated = corrupt(&corpus[round % corpus.len()], &mut rng);
         for chunk in [1, 3, 17] {
-            assert_parsers_agree(&mutated, chunk);
+            assert_matches_oracle(
+                &format!("chunk={chunk}"),
+                &mutated,
+                drip::<Request>(&mutated, chunk),
+            );
         }
     }
 }
 
-/// Pipelined keep-alive traffic: several requests pushed through one
-/// parser in 1-byte drips come out identical to sequential one-shot reads
-/// of the same stream.
+/// The same for responses.
 #[test]
-fn pipelined_requests_drip_out_in_order() {
-    let corpus = valid_request_corpus();
-    let stream: Vec<u8> = corpus.iter().flatten().copied().collect();
-
-    let mut reference = Vec::new();
-    let mut reader = BufReader::new(&stream[..]);
-    while let Some(req) = read_request(&mut reader).expect("valid stream") {
-        reference.push(req);
-    }
-    assert_eq!(reference.len(), corpus.len());
-
-    let mut parser = RequestParser::new();
-    let mut incremental = Vec::new();
-    for byte in &stream {
-        parser.push(std::slice::from_ref(byte));
-        while let Some(req) = parser.poll().expect("valid stream") {
-            incremental.push(req);
+fn corrupted_responses_classify_identically_under_drip() {
+    let mut rng = SmallRng::seed_from_u64(0x5e5b);
+    let corpus = valid_response_corpus();
+    for round in 0..1500 {
+        let mutated = corrupt(&corpus[round % corpus.len()], &mut rng);
+        for chunk in [1, 3, 17] {
+            assert_matches_oracle(
+                &format!("chunk={chunk}"),
+                &mutated,
+                drip::<Response>(&mutated, chunk),
+            );
         }
     }
-    assert_eq!(incremental, reference);
-    assert!(!parser.mid_request(), "stream must end at a boundary");
+}
+
+/// Pipelined keep-alive traffic: several messages dripped a byte at a time
+/// through one parser come out identical to polling the whole stream
+/// pushed at once, for requests and responses alike.
+#[test]
+fn pipelined_requests_drip_out_in_order() {
+    fn assert_pipelines<M: Message + PartialEq + std::fmt::Debug>(corpus: &[Vec<u8>]) {
+        let stream: Vec<u8> = corpus.iter().flatten().copied().collect();
+        let mut parser = Parser::<M>::new();
+        parser.push(&stream);
+        let mut oracle = Vec::new();
+        while let Some(message) = parser.poll().expect("valid stream") {
+            oracle.push(message);
+        }
+        assert_eq!(oracle.len(), corpus.len());
+
+        let mut parser = Parser::<M>::new();
+        let mut dripped = Vec::new();
+        for byte in &stream {
+            parser.push(std::slice::from_ref(byte));
+            while let Some(message) = parser.poll().expect("valid stream") {
+                dripped.push(message);
+            }
+        }
+        assert_eq!(dripped, oracle);
+        assert!(!parser.mid_message(), "stream must end at a boundary");
+    }
+    assert_pipelines::<Request>(&valid_request_corpus());
+    assert_pipelines::<Response>(&valid_response_corpus());
 }
 
 /// Corruptions of a *valid* scenario document must decode, or fail with an
