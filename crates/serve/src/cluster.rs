@@ -19,22 +19,19 @@
 //!   *accumulates*. Killing a node therefore degrades capacity, never
 //!   correctness: requests rehash to the survivors, which simply solve
 //!   colder.
-//! * **Cell shipping** — each cell has one *home*, its ring owner. Routed
-//!   traffic builds every cell at its home, so nothing moves. A request
-//!   that reaches another node (sent there directly, or failed over) asks
-//!   only the home for a missing cell (`GET /v1/cell/{key}`), and offers a
-//!   cell it had to build only to the home (`POST /v1/cell/{key}`); a home
-//!   that is down is skipped both ways. Every shipped cell is re-verified
-//!   against a locally solved spot-probe before admission
-//!   ([`import_cell`](crate::interp::InterpCache::import_cell)) — the
-//!   sender is never trusted.
-//! * **Peer health** — failure detection is lazy: the first failed
-//!   node-to-node or client-to-node request marks the peer down for a
-//!   cooldown, requests rehash to ring survivors, and once the cooldown
-//!   elapses a **single** caller re-probes it (half-open: a CAS-guarded
-//!   probe token admits exactly one in-flight probe; everyone else keeps
-//!   routing to survivors until the probe succeeds), so recovery needs no
-//!   operator action and a still-dead node never eats a whole wave.
+//! * **Share-nothing nodes** — each cell has one *home*, its ring owner.
+//!   Routed traffic builds every cell at its home. A request that reaches
+//!   another node (sent there directly, or failed over) is answered from
+//!   that node's own caches, building the cell there if need be. A node
+//!   never opens a connection to another node, so no handler step waits on
+//!   the network, and what a node answers depends on no other node.
+//! * **Node health** — the routing client detects failure lazily: the
+//!   first failed request to a node marks it down for a cooldown, requests
+//!   rehash to ring survivors, and once the cooldown elapses a **single**
+//!   caller re-probes it (half-open: a CAS-guarded probe token admits
+//!   exactly one in-flight probe; everyone else keeps routing to survivors
+//!   until the probe succeeds), so recovery needs no operator action and a
+//!   still-dead node never eats a whole wave.
 //! * **Pipelined wave** — a routed batch partitions its lanes by owner
 //!   and puts every per-owner sub-batch in flight at once: it writes them
 //!   back to back over pooled per-node connections, then reads the
@@ -47,24 +44,22 @@
 //!   single is a one-lane wave.
 //!
 //! Membership is static per process (the `--peer` flags); health is a
-//! per-observer judgment, not gossip — two nodes may briefly disagree
-//! about a flapping third, and that is fine because any node can serve
-//! any key.
+//! per-client judgment, not gossip — two clients may briefly disagree
+//! about a flapping node, and that is fine because any node can serve any
+//! key.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::cache::CacheKey;
 use crate::client::{
     batch_predictions_from_response, batch_request_body, AttemptError, Client, ClientConfig,
-    ClientError, RetryPolicy,
+    ClientError,
 };
-use crate::codec::{cell_from_json, cell_to_json};
-use crate::interp::{serving_cell_hash, CellExport, CellKey, CellSource};
+use crate::interp::serving_cell_hash;
 use crate::json::Json;
 use lopc_core::{Prediction, Scenario};
 
@@ -73,15 +68,9 @@ use lopc_core::{Prediction, Scenario};
 /// the per-request binary search stay trivial.
 pub const VNODES: usize = 64;
 
-/// How long a peer stays marked down before the next request is allowed
+/// How long a node stays marked down before the next request is allowed
 /// to re-probe it (half-open recovery).
 pub const DEFAULT_COOLDOWN: Duration = Duration::from_secs(1);
-
-/// Connect and read bound on node-to-node calls. A cell pull runs inline
-/// on a serving reactor, so a hung home would freeze every connection on
-/// it for this long — once per cooldown, since a timed-out home is marked
-/// down. A healthy loopback pull takes well under 1 ms.
-const PEER_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Hash for ring point placement: FNV-1a over the bytes, finished with a
 /// SplitMix64-style avalanche so vnode points spread uniformly even for
@@ -217,8 +206,8 @@ enum Claim {
     Probe,
 }
 
-/// Lazy liveness for one remote (peer or route target): down-for-a-
-/// cooldown on transport failure, half-open re-probe admission after.
+/// Lazy liveness for one route target: down-for-a-cooldown on transport
+/// failure, half-open re-probe admission after.
 ///
 /// The half-open state is the part that needs care under concurrency:
 /// the instant a cooldown elapses, *every* concurrent caller used to be
@@ -240,13 +229,6 @@ impl Health {
             down_until: Mutex::new(None),
             probing: AtomicBool::new(false),
         }
-    }
-
-    /// Currently believed reachable (gauge for `/metrics`): a down target
-    /// stays unhealthy until a probe actually succeeds, not merely until
-    /// its cooldown elapses.
-    fn is_up(&self) -> bool {
-        self.down_until.lock().expect("health poisoned").is_none()
     }
 
     /// Could a request route here right now without stealing the probe
@@ -287,62 +269,13 @@ impl Health {
     }
 }
 
-/// Liveness + traffic counters for one peer, as judged by this process.
-struct PeerState {
-    addr: String,
-    sock: Option<SocketAddr>,
-    health: Health,
-    /// Pooled keep-alive connection for pulls. Pushes never use it.
-    conn: Mutex<Option<Client>>,
-    /// Cells waiting for the peer's push thread, as `(path, body)`, and
-    /// whether that thread is running.
-    pushes: Mutex<(VecDeque<(String, String)>, bool)>,
-    /// Requests this process sent to the peer (fetches + pushes).
-    forwarded: AtomicU64,
-    /// Those that failed at transport/protocol level.
-    errors: AtomicU64,
-}
-
-impl PeerState {
-    fn new(addr: String) -> PeerState {
-        let sock = addr.parse().ok();
-        PeerState {
-            addr,
-            sock,
-            health: Health::new(),
-            conn: Mutex::new(None),
-            pushes: Mutex::new((VecDeque::new(), false)),
-            forwarded: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Health/traffic snapshot of one peer for metrics exposition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PeerSnapshot {
-    /// The peer's advertised address.
-    pub addr: String,
-    /// This process currently considers the peer reachable.
-    pub healthy: bool,
-    /// Node-to-node requests sent to the peer (cell fetches + pushes).
-    pub forwarded: u64,
-    /// Of those, transport/protocol failures.
-    pub errors: u64,
-}
-
-/// Server-side cluster state: the ring, this node's identity, per-peer
-/// health, and the cell-transfer counters. One per server process; also
-/// the [`CellSource`] plugged into the [`InterpCache`](crate::InterpCache).
+/// Server-side cluster state: this node's identity and the ring it
+/// publishes. One per server process. A node never contacts its peers;
+/// the member list exists only for the routing clients that read it from
+/// `GET /v1/cluster`.
 pub struct ClusterState {
     self_addr: String,
     ring: HashRing,
-    /// Aligned with `ring.nodes()`: `Some(state)` for peers, `None` for
-    /// this node itself.
-    peers: Vec<Option<PeerState>>,
-    cooldown: Duration,
-    peer_config: ClientConfig,
-    cells_shipped: AtomicU64,
 }
 
 impl ClusterState {
@@ -352,29 +285,13 @@ impl ClusterState {
     pub fn new(self_addr: String, peer_addrs: &[String], vnodes: usize) -> ClusterState {
         let mut members: Vec<String> = peer_addrs.to_vec();
         members.push(self_addr.clone());
-        let ring = HashRing::new(members, vnodes);
-        let peers = ring
-            .nodes()
-            .iter()
-            .map(|addr| (*addr != self_addr).then(|| PeerState::new(addr.clone())))
-            .collect();
         ClusterState {
             self_addr,
-            ring,
-            peers,
-            cooldown: DEFAULT_COOLDOWN,
-            // Node-to-node calls: fail fast and let the ring walk
-            // failover — the cluster layer is its own retry policy.
-            peer_config: ClientConfig {
-                connect_timeout: PEER_TIMEOUT,
-                read_timeout: Some(PEER_TIMEOUT),
-                retry: RetryPolicy::none(),
-            },
-            cells_shipped: AtomicU64::new(0),
+            ring: HashRing::new(members, vnodes),
         }
     }
 
-    /// The address this node advertises to peers and clients.
+    /// The address this node advertises as its ring identity.
     pub fn self_addr(&self) -> &str {
         &self.self_addr
     }
@@ -384,34 +301,14 @@ impl ClusterState {
         &self.ring
     }
 
-    /// Cells this node shipped to peers (export hits + push deliveries).
+    /// Always 0: nodes never exchange cells. Kept so callers written
+    /// against the former node-to-node cell transfer still compile.
     pub fn cells_shipped(&self) -> u64 {
-        self.cells_shipped.load(Ordering::Relaxed)
-    }
-
-    /// Count one shipped cell (the server calls this when `GET /v1/cell`
-    /// serves an export).
-    pub fn count_shipped(&self) {
-        self.cells_shipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-peer health/traffic snapshots, in ring order.
-    pub fn peer_snapshots(&self) -> Vec<PeerSnapshot> {
-        self.peers
-            .iter()
-            .flatten()
-            .map(|p| PeerSnapshot {
-                addr: p.addr.clone(),
-                healthy: p.health.is_up(),
-                forwarded: p.forwarded.load(Ordering::Relaxed),
-                errors: p.errors.load(Ordering::Relaxed),
-            })
-            .collect()
+        0
     }
 
     /// The `GET /v1/cluster` topology document: identity, membership, and
-    /// ring geometry (enough for a client to rebuild the exact ring), plus
-    /// this node's health view of its peers.
+    /// ring geometry — enough for a client to rebuild the exact ring.
     pub fn topology_json(&self) -> Json {
         Json::Object(vec![
             ("self".into(), Json::Str(self.self_addr.clone())),
@@ -426,163 +323,7 @@ impl ClusterState {
                 ),
             ),
             ("vnodes".into(), Json::Num(self.ring.vnodes() as f64)),
-            (
-                "peers".into(),
-                Json::Array(
-                    self.peer_snapshots()
-                        .into_iter()
-                        .map(|p| {
-                            Json::Object(vec![
-                                ("addr".into(), Json::Str(p.addr)),
-                                ("healthy".into(), Json::Bool(p.healthy)),
-                                ("forwarded".into(), Json::Num(p.forwarded as f64)),
-                                ("errors".into(), Json::Num(p.errors as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
         ])
-    }
-
-    /// One request on `conn` (dialed first if empty); transport failure
-    /// drops the connection and marks the peer down for the cooldown.
-    /// Every call releases any probe token the caller's claim acquired: a
-    /// success (or a status answer — the peer is alive) marks the peer up,
-    /// a transport failure marks it down.
-    fn peer_request(
-        &self,
-        peer: &PeerState,
-        conn: &mut Option<Client>,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> Result<(u16, Vec<u8>), ClientError> {
-        peer.forwarded.fetch_add(1, Ordering::Relaxed);
-        let result = (|| {
-            let Some(sock) = peer.sock else {
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("peer address {:?} is not a socket address", peer.addr),
-                )));
-            };
-            if conn.is_none() {
-                *conn = Some(Client::connect_with(sock, self.peer_config)?);
-            }
-            conn.as_mut()
-                .expect("just connected")
-                .request(method, path, body)
-        })();
-        match &result {
-            // A non-2xx status is an *answer*; only transport-level
-            // failures indict the peer.
-            Ok(_) | Err(ClientError::Status(..)) => peer.health.mark_up(),
-            Err(_) => {
-                *conn = None;
-                peer.errors.fetch_add(1, Ordering::Relaxed);
-                peer.health.mark_down(self.cooldown);
-            }
-        }
-        result
-    }
-
-    /// Ring index of `key`'s home when the home is a peer this node may
-    /// contact now: `None` when this node is the home, or when the home is
-    /// down (or half-open with its probe token taken). A `Some` holds the
-    /// caller's claim, which the request it sends releases.
-    fn claim_home(&self, key: &CellKey) -> Option<usize> {
-        let idx = self.ring.owner(key.hash64())?;
-        self.peers[idx].as_ref()?.health.claim(Instant::now())?;
-        Some(idx)
-    }
-
-    /// Ask `key`'s home for the cell (`GET /v1/cell/{key}`) on the peer's
-    /// pooled connection. `Some` is decoded but unverified. `None` when
-    /// this node is the home, the home is down, or it has no such cell
-    /// (404).
-    pub fn fetch_cell(&self, key: &CellKey) -> Option<CellExport> {
-        let peer = self.peers[self.claim_home(key)?].as_ref()?;
-        let path = format!("/v1/cell/{}", key.to_wire());
-        let (status, body) = {
-            let mut conn = peer.conn.lock().expect("peer conn poisoned");
-            self.peer_request(peer, &mut conn, "GET", &path, b"").ok()?
-        };
-        if status != 200 {
-            return None;
-        }
-        let doc = crate::json::parse(std::str::from_utf8(&body).ok()?).ok()?;
-        cell_from_json(&doc).ok()
-    }
-
-    /// Offer a cell this node built to `key`'s home: queue it for the
-    /// home's push thread, starting that thread if none is running, so the
-    /// request that built the cell never waits on the network. A no-op
-    /// when this node is the home or the home is down. Best-effort: the
-    /// receiver re-verifies, so a lost or corrupted push costs nothing but
-    /// warmth.
-    pub fn push_cell(self: &Arc<Self>, key: &CellKey, export: &CellExport) {
-        let Some(idx) = self.ring.owner(key.hash64()) else {
-            return;
-        };
-        let Some(peer) = &self.peers[idx] else {
-            return;
-        };
-        if !peer.health.selectable(Instant::now()) {
-            return;
-        }
-        let cell = (
-            format!("/v1/cell/{}", export.wire_key),
-            cell_to_json(export).to_compact(),
-        );
-        let mut pushes = peer.pushes.lock().expect("push queue poisoned");
-        pushes.0.push_back(cell);
-        if !std::mem::replace(&mut pushes.1, true) {
-            let state = Arc::clone(self);
-            std::thread::spawn(move || state.drain_pushes(idx));
-        }
-    }
-
-    /// A peer's push thread: deliver its queued cells in order over a
-    /// connection of its own — a pull never waits behind a push — and exit
-    /// once the queue is empty. Cells queued for a home that has since
-    /// gone down are dropped.
-    fn drain_pushes(&self, idx: usize) {
-        let peer = self.peers[idx].as_ref().expect("a push target is a peer");
-        let mut conn = None;
-        loop {
-            let (path, body) = {
-                let mut pushes = peer.pushes.lock().expect("push queue poisoned");
-                match pushes.0.pop_front() {
-                    Some(cell) => cell,
-                    None => {
-                        pushes.1 = false;
-                        return;
-                    }
-                }
-            };
-            if peer.health.claim(Instant::now()).is_none() {
-                continue;
-            }
-            if let Ok((200..=299, _)) =
-                self.peer_request(peer, &mut conn, "POST", &path, body.as_bytes())
-            {
-                self.count_shipped();
-            }
-        }
-    }
-}
-
-/// The [`CellSource`] the server plugs into its `InterpCache`: a miss
-/// pulls from the cell's home, a local build is pushed to it.
-pub struct ClusterCellSource(pub Arc<ClusterState>);
-
-impl CellSource for ClusterCellSource {
-    fn fetch(&self, key: &CellKey) -> Option<CellExport> {
-        self.0.fetch_cell(key)
-    }
-
-    fn offer(&self, key: &CellKey, export: &CellExport) {
-        self.0.push_cell(key, export);
     }
 }
 
@@ -981,6 +722,7 @@ impl ClusterClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn addrs(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("10.0.0.{}:7070", i + 1)).collect()
@@ -1083,23 +825,14 @@ mod tests {
             doc.get("vnodes").and_then(Json::as_num),
             Some(VNODES as f64)
         );
-        let peers = doc.get("peers").and_then(Json::as_array).unwrap();
-        assert_eq!(peers.len(), 2, "self is not its own peer");
-        for p in peers {
-            assert_eq!(p.get("healthy").and_then(Json::as_bool), Some(true));
-            assert_eq!(p.get("forwarded").and_then(Json::as_num), Some(0.0));
-        }
     }
 
     #[test]
     fn single_node_cluster_is_degenerate_but_well_formed() {
         let state = ClusterState::new("10.0.0.1:7070".into(), &[], VNODES);
         assert_eq!(state.ring().len(), 1);
-        assert!(state.peer_snapshots().is_empty());
-        // No peers: every fetch is a miss, every push a no-op.
-        assert!(state
-            .fetch_cell(&CellKey::from_wire("0-20").unwrap())
-            .is_none());
+        let doc = state.topology_json();
+        assert_eq!(doc.get("nodes").and_then(Json::as_array).unwrap().len(), 1);
     }
 
     #[test]
@@ -1135,7 +868,7 @@ mod tests {
             );
             let keys = node.resident_cell_keys();
             assert_eq!(keys.len(), 1, "{s:?} built {keys:?}");
-            let cell = CellKey::from_wire(&keys[0]).unwrap().hash64();
+            let cell = keys[0].hash64();
             assert_eq!(route_hash(s, TOL), cell, "{s:?}");
             assert_eq!(route_hash(s, CERT_FLOOR), cell, "{s:?} at the floor");
             // Requests that never consult a cell keep the scenario key.
@@ -1159,20 +892,21 @@ mod tests {
 
     #[test]
     fn peer_health_cooldown_and_reprobe() {
-        let peer = PeerState::new("10.0.0.9:7070".into());
-        assert!(peer.health.is_up());
-        peer.health.mark_down(Duration::from_secs(3600));
-        assert!(!peer.health.is_up());
-        // Inside the cooldown nothing may touch the peer.
-        assert!(!peer.health.selectable(Instant::now()));
-        assert!(peer.health.claim(Instant::now()).is_none());
+        let health = Health::new();
+        assert!(health.selectable(Instant::now()));
+        health.mark_down(Duration::from_secs(3600));
+        // Inside the cooldown nothing may touch the node.
+        assert!(!health.selectable(Instant::now()));
+        assert!(health.claim(Instant::now()).is_none());
         // A re-probe is due once the cooldown has elapsed.
         let later = Instant::now() + Duration::from_secs(3601);
-        assert!(peer.health.selectable(later));
-        assert_eq!(peer.health.claim(later), Some(Claim::Probe));
-        peer.health.mark_up();
-        assert!(peer.health.is_up());
-        assert_eq!(peer.health.claim(Instant::now()), Some(Claim::Up));
+        assert!(health.selectable(later));
+        assert_eq!(health.claim(later), Some(Claim::Probe));
+        // While the probe is in flight the node is not selectable.
+        assert!(!health.selectable(later));
+        health.mark_up();
+        assert!(health.selectable(Instant::now()));
+        assert_eq!(health.claim(Instant::now()), Some(Claim::Up));
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //! Numbers use shortest-round-trip formatting, so decode(encode(x)) is
 //! bit-identical — served predictions equal direct library calls exactly.
 
-use crate::interp::CellExport;
 use crate::json::Json;
-use lopc_core::scenario::{AxisBracket, INTERP_AXES};
 use lopc_core::{GeneralModel, Machine, Prediction, Scenario};
 
 /// Why a document could not be decoded into a scenario or prediction.
@@ -297,93 +295,6 @@ pub fn prediction_from_json(v: &Json) -> Result<Prediction, DecodeError> {
             _ => Some(uint(v, "ps")? as usize),
         },
         iterations: uint(v, "iterations")? as usize,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Cell transfer (cluster tier)
-// ---------------------------------------------------------------------------
-
-/// Encode a [`CellExport`] as the `/v1/cell/{key}` wire document:
-///
-/// ```json
-/// {"key": "0-20-4088...-...", "template": {scenario}, "cert": 1e-4,
-///  "brackets": [{"lo": 750.0, "hi": 800.0}, ...],
-///  "corners": [{prediction}, ...]}
-/// ```
-///
-/// Numbers round-trip `f64` bit-exactly (shortest-round-trip formatting),
-/// which the import re-verification relies on: the receiver recomputes the
-/// centre residual from *these* corner bits.
-pub fn cell_to_json(export: &CellExport) -> Json {
-    Json::Object(vec![
-        ("key".into(), Json::Str(export.wire_key.clone())),
-        ("template".into(), scenario_to_json(&export.template)),
-        ("cert".into(), Json::Num(export.cert)),
-        (
-            "brackets".into(),
-            Json::Array(
-                export
-                    .brackets
-                    .iter()
-                    .map(|b| {
-                        Json::Object(vec![
-                            ("lo".into(), Json::Num(b.lo)),
-                            ("hi".into(), Json::Num(b.hi)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "corners".into(),
-            Json::Array(export.corners.iter().map(prediction_to_json).collect()),
-        ),
-    ])
-}
-
-/// Decode a `/v1/cell/{key}` document into a [`CellExport`].
-///
-/// This is *shape* validation only — key/grid/certificate trust is decided
-/// by [`InterpCache::import_cell`](crate::interp::InterpCache::import_cell)
-/// with a locally solved spot-probe.
-pub fn cell_from_json(v: &Json) -> Result<CellExport, DecodeError> {
-    let wire_key = field(v, "key")?
-        .as_str()
-        .ok_or_else(|| DecodeError("field \"key\" must be a string".into()))?
-        .to_string();
-    let template = scenario_from_json(field(v, "template")?)?;
-    let cert = num(v, "cert")?;
-    let bracket_items = field(v, "brackets")?
-        .as_array()
-        .ok_or_else(|| DecodeError("field \"brackets\" must be an array".into()))?;
-    if bracket_items.len() != INTERP_AXES {
-        return err(format!("\"brackets\" must have {INTERP_AXES} entries"));
-    }
-    let mut brackets = [AxisBracket { lo: 0.0, hi: 0.0 }; INTERP_AXES];
-    for (i, item) in bracket_items.iter().enumerate() {
-        brackets[i] = AxisBracket {
-            lo: num(item, "lo")?,
-            hi: num(item, "hi")?,
-        };
-    }
-    let corners = field(v, "corners")?
-        .as_array()
-        .ok_or_else(|| DecodeError("field \"corners\" must be an array".into()))?
-        .iter()
-        .map(prediction_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    // Corner count is bounded by the cell dimensionality; anything bigger
-    // is garbage not worth buffering further.
-    if corners.len() > 1 << INTERP_AXES {
-        return err("too many corners");
-    }
-    Ok(CellExport {
-        wire_key,
-        template,
-        brackets,
-        corners,
-        cert,
     })
 }
 

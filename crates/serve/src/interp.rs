@@ -46,29 +46,10 @@
 //! corners but not others — get an infinite certificate: permanently
 //! exact, never wrong.
 //!
-//! # Cell shipping (cluster tier, DESIGN.md §15)
-//!
-//! A built cell plus its certificate is a *portable, verifiable unit*:
-//! nothing in it refers to the process that built it. The cluster layer
-//! exploits that through three hooks on this module:
-//!
-//! * [`InterpCache::export_cell`] serializes a resident certified cell
-//!   (template scenario, brackets, corners, certificate) as a
-//!   [`CellExport`] for `GET /v1/cell/{key}`;
-//! * [`InterpCache::import_cell`] admits a shipped cell — but only after
-//!   **re-verifying the certificate against a locally solved spot-probe**:
-//!   the importer exactly solves the cell centre itself and requires
-//!   `rel_resid(interpolate(centre), exact) * SAFETY_FACTOR <= cert`.
-//!   Solvers are deterministic, so an honest peer's cell always passes
-//!   (its own certificate was derived from the *worst* probe, centre
-//!   included); a corrupted or forged cell fails and is replaced by an
-//!   untrusted cell — that key permanently falls back to exact solving.
-//!   Never trust the sender: the probe solve is the only authority.
-//! * a [`CellSource`] plugged in via [`InterpCache::set_cell_source`] lets
-//!   a cell miss ask the cell's home node for it before building it
-//!   locally, and offers every cell built here to its home.
-//!   [`serving_cell_hash`] names the cell a tolerant request would consult,
-//!   so a router can send the request to that home in the first place.
+//! [`serving_cell_hash`] names the cell a tolerant request would consult,
+//! so a cluster router can send the request to the one node that builds
+//! and holds that cell (DESIGN.md §15). Nodes never exchange cells: a node
+//! that gets a request for a cell it lacks builds the cell itself.
 //!
 //! Corner solutions are **owned by the cell**, not referenced from the
 //! LRU cache: a certificate can never outlive the data it certifies, and
@@ -158,8 +139,9 @@ impl CellKey {
         Some(CellKey(words.into_boxed_slice()))
     }
 
-    /// FNV-1a over the key words. Selects the local shard *and* routes the
-    /// cell on the cluster ring — peers must agree on a cell's home.
+    /// FNV-1a over the key words. Selects the local shard *and* places the
+    /// cell on the cluster ring — every node and router must agree on a
+    /// cell's home.
     pub fn hash64(&self) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         for &w in self.0.iter() {
@@ -169,37 +151,6 @@ impl CellKey {
             }
         }
         h
-    }
-
-    /// Wire form of the key: the words in lowercase hex joined by `-`,
-    /// URL-safe by construction (`GET /v1/cell/{wire}`).
-    pub fn to_wire(&self) -> String {
-        let mut out = String::with_capacity(self.0.len() * 17);
-        for (i, w) in self.0.iter().enumerate() {
-            if i > 0 {
-                out.push('-');
-            }
-            out.push_str(&format!("{w:x}"));
-        }
-        out
-    }
-
-    /// Parse a wire key. `None` for anything that is not a plausible key:
-    /// empty, non-hex, or more words than any scenario variant produces.
-    pub fn from_wire(wire: &str) -> Option<CellKey> {
-        // Largest legitimate key: 3 discrete words + 2 per axis.
-        const MAX_WORDS: usize = 3 + 2 * INTERP_AXES;
-        if wire.is_empty() || wire.len() > MAX_WORDS * 17 {
-            return None;
-        }
-        let words: Vec<u64> = wire
-            .split('-')
-            .map(|part| u64::from_str_radix(part, 16).ok())
-            .collect::<Option<Vec<u64>>>()?;
-        if words.len() > MAX_WORDS {
-            return None;
-        }
-        Some(CellKey(words.into_boxed_slice()))
     }
 }
 
@@ -245,55 +196,6 @@ pub fn serving_cell_hash(scenario: &Scenario, max_rel_err: f64) -> Option<u64> {
     locate(scenario).map(|at| at.key.hash64())
 }
 
-/// A cell in transit between nodes: everything needed to reconstruct (and
-/// independently re-verify) it. Produced by [`InterpCache::export_cell`],
-/// consumed by [`InterpCache::import_cell`]; the JSON codec lives in
-/// [`crate::codec`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CellExport {
-    /// The cell's wire key (`CellKey` words in hex, `-`-joined).
-    pub wire_key: String,
-    /// A scenario inside the cell — carries the discrete identity
-    /// (variant, machine, `ps`/`k`); its axis coordinates are overwritten
-    /// when reconstructing corners/probes.
-    pub template: Scenario,
-    /// The cell's axis brackets (degenerate entries span nothing).
-    pub brackets: [AxisBracket; INTERP_AXES],
-    /// Corner solutions in bitmask order (see `Cell`).
-    pub corners: Vec<Prediction>,
-    /// The *claimed* certificate — never trusted as shipped: the importer
-    /// re-derives trust from its own spot-probe solve.
-    pub cert: f64,
-}
-
-/// Outcome of [`InterpCache::import_cell`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum ImportOutcome {
-    /// Verified and admitted; later in-tolerance queries interpolate.
-    Admitted,
-    /// A cell for this key is already resident (kept; import dropped).
-    AlreadyResident,
-    /// Verification failed: the key slot was poisoned with an untrusted
-    /// cell, so this key permanently falls back to exact solving.
-    Rejected(String),
-}
-
-/// The cluster's side of cell shipping, plugged into the cache by the
-/// serving layer. Every cell has one *home* node; both calls concern only
-/// that node and are no-ops when this node is the home. They run on the
-/// serving thread that missed a cell, inline with every other connection
-/// it serves — implementations must bound their own latency (short
-/// timeouts, a background push).
-pub trait CellSource: Send + Sync {
-    /// A cell miss: ask the cell's home for it. `Some` is decoded but
-    /// **unverified** — the cache re-verifies before admitting.
-    fn fetch(&self, key: &CellKey) -> Option<CellExport>;
-
-    /// This node built `export` itself: offer it to the cell's home
-    /// (best-effort push; the receiver re-verifies).
-    fn offer(&self, key: &CellKey, export: &CellExport);
-}
-
 /// One built cell: brackets, exactly solved corners, certificate.
 #[derive(Debug)]
 struct Cell {
@@ -306,10 +208,6 @@ struct Cell {
     corners: Vec<Prediction>,
     /// Certified relative error; `INFINITY` = never interpolate here.
     cert: f64,
-    /// A scenario carrying the cell's discrete identity, kept so the cell
-    /// can be exported to peers. `None` for untrusted cells (which are
-    /// never shipped).
-    template: Option<Scenario>,
 }
 
 impl Cell {
@@ -319,7 +217,6 @@ impl Cell {
             span_axes: Vec::new(),
             corners: Vec::new(),
             cert: f64::INFINITY,
-            template: None,
         }
     }
 
@@ -450,10 +347,6 @@ pub struct InterpCache {
     interp_hits: AtomicU64,
     interp_fallbacks: AtomicU64,
     cells_built: AtomicU64,
-    cells_received: AtomicU64,
-    cells_rejected: AtomicU64,
-    /// The cluster hook; absent in single-node operation.
-    source: OnceLock<Arc<dyn CellSource>>,
 }
 
 impl InterpCache {
@@ -475,18 +368,7 @@ impl InterpCache {
             interp_hits: AtomicU64::new(0),
             interp_fallbacks: AtomicU64::new(0),
             cells_built: AtomicU64::new(0),
-            cells_received: AtomicU64::new(0),
-            cells_rejected: AtomicU64::new(0),
-            source: OnceLock::new(),
         }
-    }
-
-    /// Plug in the cluster's cell source (at most once; later calls are
-    /// ignored). With a source set, a cell miss first asks the cell's home
-    /// for it — admitting it only after local re-verification — and every
-    /// cell built here is offered to its home.
-    pub fn set_cell_source(&self, source: Arc<dyn CellSource>) {
-        let _ = self.source.set(source);
     }
 
     /// The underlying exact cache (counters, direct exact access).
@@ -517,15 +399,16 @@ impl InterpCache {
         0
     }
 
-    /// Cells admitted from peers after passing spot-probe re-verification.
+    /// Always 0: nodes never exchange cells. Kept so callers written
+    /// against the former node-to-node cell transfer still compile.
     pub fn cells_received(&self) -> u64 {
-        self.cells_received.load(Ordering::Relaxed)
+        0
     }
 
-    /// Shipped cells that failed re-verification and were rejected (their
-    /// keys permanently fall back to exact solving).
+    /// Always 0: nodes never exchange cells. Kept so callers written
+    /// against the former node-to-node cell transfer still compile.
     pub fn cells_rejected(&self) -> u64 {
-        self.cells_rejected.load(Ordering::Relaxed)
+        0
     }
 
     /// Cells currently resident across all shards.
@@ -648,7 +531,7 @@ impl InterpCache {
         // Build outside every lock; concurrent touchers of the same cell
         // block here instead of re-solving the corners.
         let slot = self.slot_for(&at.key);
-        let cell = slot.get_or_init(|| self.first_touch(&at.key, scenario, at.brackets));
+        let cell = slot.get_or_init(|| self.build_cell(scenario, at.brackets));
         if cell.cert > max_rel_err {
             return None;
         }
@@ -660,40 +543,6 @@ impl InterpCache {
         ))
     }
 
-    /// Fill an empty cell slot. With a cluster cell source plugged in, the
-    /// cell's home is asked first: a shipped cell is admitted only if it
-    /// survives local re-verification, and a failed verification poisons
-    /// the key to permanently-exact. Otherwise the cell is built here and
-    /// offered to its home.
-    fn first_touch(
-        &self,
-        key: &CellKey,
-        template: &Scenario,
-        brackets: [AxisBracket; INTERP_AXES],
-    ) -> Cell {
-        let source = self.source.get();
-        if let Some(export) = source.and_then(|s| s.fetch(key)) {
-            return match self.verify_export(key, &export) {
-                Ok(cell) => {
-                    self.cells_received.fetch_add(1, Ordering::Relaxed);
-                    cell
-                }
-                Err(_) => {
-                    self.cells_rejected.fetch_add(1, Ordering::Relaxed);
-                    Cell::untrusted(brackets)
-                }
-            };
-        }
-        self.cells_built.fetch_add(1, Ordering::Relaxed);
-        let cell = self.build_cell(template, brackets);
-        if let Some(source) = source {
-            if let Some(export) = make_export(key, &cell) {
-                source.offer(key, &export);
-            }
-        }
-        cell
-    }
-
     /// The build-once slot for `key` (creating it, and FIFO-evicting, as
     /// needed).
     fn slot_for(&self, key: &CellKey) -> Arc<OnceLock<Cell>> {
@@ -701,24 +550,10 @@ impl InterpCache {
         shard.lock().expect("cell shard poisoned").slot(key)
     }
 
-    /// Serialize the resident cell under `wire_key` for shipping to a
-    /// peer. `None` when the key is unparseable, the cell is absent or
-    /// still building, or it is untrusted (infinite certificates are a
-    /// local verdict, never shipped).
-    pub fn export_cell(&self, wire_key: &str) -> Option<CellExport> {
-        let key = CellKey::from_wire(wire_key)?;
-        let slot = {
-            let shard = &self.shards[(key.hash64() % self.shards.len() as u64) as usize];
-            let shard = shard.lock().expect("cell shard poisoned");
-            Arc::clone(shard.map.get(&key)?)
-        };
-        make_export(&key, slot.get()?)
-    }
-
-    /// Wire keys of every fully built resident cell (trusted or not), in
-    /// no particular order. Diagnostics and tests; the serving paths all
+    /// Keys of every fully built resident cell (trusted or not), in no
+    /// particular order. Diagnostics and tests; the serving paths all
     /// address cells by key.
-    pub fn resident_cell_keys(&self) -> Vec<String> {
+    pub fn resident_cell_keys(&self) -> Vec<CellKey> {
         let mut keys = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("cell shard poisoned");
@@ -727,158 +562,17 @@ impl InterpCache {
                     .map
                     .iter()
                     .filter(|(_, slot)| slot.get().is_some())
-                    .map(|(key, _)| key.to_wire()),
+                    .map(|(key, _)| key.clone()),
             );
         }
         keys
     }
 
-    /// Admit a cell shipped by a peer (the `POST /v1/cell/{key}` push
-    /// path), re-verifying its certificate against a locally solved
-    /// spot-probe first. A rejected import poisons the key with an
-    /// untrusted cell — permanently exact — unless a trusted cell is
-    /// already resident.
-    pub fn import_cell(&self, export: &CellExport) -> ImportOutcome {
-        let Some(key) = CellKey::from_wire(&export.wire_key) else {
-            self.cells_rejected.fetch_add(1, Ordering::Relaxed);
-            return ImportOutcome::Rejected("unparseable cell key".into());
-        };
-        match self.verify_export(&key, export) {
-            Ok(cell) => {
-                let slot = self.slot_for(&key);
-                let mut admitted = false;
-                slot.get_or_init(|| {
-                    admitted = true;
-                    cell
-                });
-                if admitted {
-                    self.cells_received.fetch_add(1, Ordering::Relaxed);
-                    ImportOutcome::Admitted
-                } else {
-                    ImportOutcome::AlreadyResident
-                }
-            }
-            Err(reason) => {
-                self.cells_rejected.fetch_add(1, Ordering::Relaxed);
-                let slot = self.slot_for(&key);
-                slot.get_or_init(|| Cell::untrusted(export.brackets));
-                ImportOutcome::Rejected(reason)
-            }
-        }
-    }
-
-    /// The import gate: structural validation plus certificate
-    /// re-verification against a **locally solved** spot-probe. The sender
-    /// is never trusted — the only authorities consulted are the claimed
-    /// key (which binds the discrete identity and the bracket bit
-    /// patterns), the local reference grid, and the local exact solver.
-    ///
-    /// Honest peers always pass: solvers are deterministic and
-    /// bit-identical across nodes, so the centre residual recomputed here
-    /// equals the one the builder observed, and the builder's certificate
-    /// dominates `SAFETY_FACTOR` times its *worst* probe residual — the
-    /// centre included.
-    fn verify_export(&self, key: &CellKey, export: &CellExport) -> Result<Cell, String> {
-        // The claimed key must be derivable from the shipped template and
-        // brackets: this binds variant, machine size, `ps`/`k`, and every
-        // bracket endpoint bit pattern.
-        match CellKey::of(&export.template, &export.brackets) {
-            Some(recomputed) if recomputed == *key => {}
-            Some(_) => return Err("cell key does not match template and brackets".into()),
-            None => return Err("template scenario is not interpolation-eligible".into()),
-        }
-        // Brackets must be real cells of the local reference grid — not
-        // arbitrary intervals a sender invented.
-        let kinds = export
-            .template
-            .interp_axes()
-            .expect("eligible template (key recomputed above)");
-        for (i, b) in export.brackets.iter().enumerate() {
-            let kind = kinds[i].kind;
-            if !b.lo.is_finite() || !b.hi.is_finite() {
-                return Err(format!("axis {i} bracket is not finite"));
-            }
-            let (min, max) = kind.valid_range();
-            if !(min..=max).contains(&b.lo) || !(min..=max).contains(&b.hi) {
-                return Err(format!("axis {i} bracket outside the valid range"));
-            }
-            let probe = if b.is_degenerate() {
-                b.lo
-            } else {
-                0.5 * (b.lo + b.hi)
-            };
-            if kind.bracket(probe) != Some(*b) {
-                return Err(format!("axis {i} bracket is not a grid cell"));
-            }
-        }
-        let span_axes: Vec<usize> = (0..INTERP_AXES)
-            .filter(|&i| !export.brackets[i].is_degenerate())
-            .collect();
-        if export.corners.len() != 1 << span_axes.len() {
-            return Err(format!(
-                "expected {} corners, got {}",
-                1 << span_axes.len(),
-                export.corners.len()
-            ));
-        }
-        if !export.cert.is_finite() || export.cert < CERT_FLOOR {
-            return Err("claimed certificate below the floor or non-finite".into());
-        }
-        // Same structural rules a local build enforces.
-        let first = export.corners[0];
-        for c in &export.corners {
-            if c.ps != first.ps || !nan_compatible(c, &first) {
-                return Err("corners disagree on discrete optimum or NaN pattern".into());
-            }
-            if corner_fields(c).into_iter().any(|f| f.is_infinite()) {
-                return Err("corner component is infinite".into());
-            }
-        }
-        let cell = Cell {
-            brackets: export.brackets,
-            span_axes,
-            corners: export.corners.clone(),
-            cert: export.cert,
-            template: Some(export.template.clone()),
-        };
-        // The spot-probe: exactly solve the cell centre *here* and demand
-        // the shipped data re-earns its certificate.
-        let centre_coords: [f64; INTERP_AXES] =
-            std::array::from_fn(|i| 0.5 * (export.brackets[i].lo + export.brackets[i].hi));
-        let Some(centre) = export.template.with_axis_values(centre_coords) else {
-            return Err("cell centre is not a constructible scenario".into());
-        };
-        if let Err(e) = centre.validate() {
-            return Err(format!("cell centre is not a valid scenario: {e}"));
-        }
-        let probe = self.cache.solve_batch(std::slice::from_ref(&centre)).pop();
-        let exact = match probe.expect("one lane") {
-            Ok(p) => p,
-            Err(e) => return Err(format!("centre spot-probe unsolvable: {e}")),
-        };
-        if exact.ps != cell.corners[0].ps {
-            return Err("centre spot-probe disagrees on the discrete optimum".into());
-        }
-        let centre_axes: [AxisValue; INTERP_AXES] = std::array::from_fn(|i| AxisValue {
-            kind: kinds[i].kind,
-            value: centre_coords[i],
-        });
-        let resid = rel_resid(&cell.interpolate(&centre_axes), &exact);
-        let scaled = resid * SAFETY_FACTOR;
-        // A NaN residual must reject too, so NaN is checked explicitly.
-        if scaled.is_nan() || scaled > cell.cert {
-            return Err(format!(
-                "spot-probe residual {resid:e} breaks the claimed certificate {:e}",
-                cell.cert
-            ));
-        }
-        Ok(cell)
-    }
-
-    /// Solve the cell's corners and probes and derive the certificate —
-    /// all exact solves issued as **one batch** through
-    /// [`SolutionCache::solve_batch`], so the whole build runs through the
-    /// SoA fixed-point kernel instead of `2^d + 1 + 2d` sequential solves.
+    /// Build a cell on its first touch: solve its corners and probes and
+    /// derive the certificate — all exact solves issued as **one batch**
+    /// through [`SolutionCache::solve_batch`], so the whole build runs
+    /// through the SoA fixed-point kernel instead of `2^d + 1 + 2d`
+    /// sequential solves.
     ///
     /// The probe set is the centre plus, for cells spanning two or more
     /// axes, every face midpoint: in 1-D the leading-order interpolation
@@ -886,6 +580,7 @@ impl InterpCache {
     /// of opposite sign can cancel there while peaking on a face. The
     /// certificate covers the worst residual over all probes.
     fn build_cell(&self, template: &Scenario, brackets: [AxisBracket; INTERP_AXES]) -> Cell {
+        self.cells_built.fetch_add(1, Ordering::Relaxed);
         let span_axes: Vec<usize> = (0..INTERP_AXES)
             .filter(|&i| !brackets[i].is_degenerate())
             .collect();
@@ -951,7 +646,6 @@ impl InterpCache {
             span_axes,
             corners,
             cert: f64::INFINITY,
-            template: Some(template.clone()),
         };
         let kinds = template.interp_axes().expect("eligible template");
         let mut worst = 0.0f64;
@@ -977,18 +671,6 @@ impl InterpCache {
     }
 }
 
-/// The shippable form of a resident cell; `None` for untrusted cells.
-fn make_export(key: &CellKey, cell: &Cell) -> Option<CellExport> {
-    let template = cell.template.clone()?;
-    cell.cert.is_finite().then(|| CellExport {
-        wire_key: key.to_wire(),
-        template,
-        brackets: cell.brackets,
-        corners: cell.corners.clone(),
-        cert: cell.cert,
-    })
-}
-
 /// Same components defined (`NaN`) in both predictions.
 fn nan_compatible(a: &Prediction, b: &Prediction) -> bool {
     corner_fields(a)
@@ -1001,6 +683,7 @@ fn nan_compatible(a: &Prediction, b: &Prediction) -> bool {
 mod tests {
     use super::*;
     use lopc_core::Machine;
+    use std::collections::HashSet;
 
     fn machine() -> Machine {
         Machine::new(32, 25.0, 200.0).with_c2(0.0)
@@ -1252,10 +935,7 @@ mod tests {
         // as single requests (one-lane batches), and both build the same
         // cells.
         let lanes: Vec<Scenario> = (0..50).map(|i| a2a(700.0 + 10.0 * i as f64)).collect();
-        let touched: std::collections::BTreeSet<String> = lanes
-            .iter()
-            .map(|s| locate(s).unwrap().key.to_wire())
-            .collect();
+        let touched: HashSet<CellKey> = lanes.iter().map(|s| locate(s).unwrap().key).collect();
         let batch = interp_cache();
         for r in batch.predict_batch(&lanes, 5e-2) {
             r.unwrap();
@@ -1264,9 +944,8 @@ mod tests {
         for q in &lanes {
             singles.predict(q, 5e-2).unwrap();
         }
-        let resident = |c: &InterpCache| -> std::collections::BTreeSet<String> {
-            c.resident_cell_keys().into_iter().collect()
-        };
+        let resident =
+            |c: &InterpCache| -> HashSet<CellKey> { c.resident_cell_keys().into_iter().collect() };
         for c in [&batch, &singles] {
             assert_eq!(c.cells_built(), resident(c).len() as u64);
             assert!(
@@ -1352,8 +1031,8 @@ mod tests {
             r.unwrap();
         }
         let built = c.cells_built();
-        let cell_of = |s: &Scenario| locate(s).unwrap().key.to_wire();
-        let touched: std::collections::BTreeSet<String> = sweep.iter().map(cell_of).collect();
+        let cell_of = |s: &Scenario| locate(s).unwrap().key;
+        let touched: HashSet<CellKey> = sweep.iter().map(cell_of).collect();
         let (mut interpolated, mut exact) = (0, 0);
         for w in (0..79).map(|i| 406.25 + 12.5 * i as f64) {
             if !touched.contains(&cell_of(&q(w))) {
@@ -1385,243 +1064,5 @@ mod tests {
         for i in 0..60 {
             check_client_server_answer(&c, m, 300.0 * 1.07f64.powi(i));
         }
-    }
-
-    /// Warm `c` with a tolerant W sweep and return every resident export.
-    fn warm_and_export(c: &InterpCache) -> Vec<CellExport> {
-        for i in 0..50 {
-            c.predict(&a2a(700.0 + 10.0 * i as f64), 5e-2).unwrap();
-        }
-        let exports: Vec<CellExport> = c
-            .resident_cell_keys()
-            .into_iter()
-            .filter_map(|k| c.export_cell(&k))
-            .collect();
-        assert!(!exports.is_empty(), "sweep built no exportable cells");
-        exports
-    }
-
-    #[test]
-    fn wire_keys_round_trip_and_reject_garbage() {
-        let c = interp_cache();
-        warm_and_export(&c);
-        for wire in c.resident_cell_keys() {
-            let key = CellKey::from_wire(&wire).expect("own key must parse");
-            assert_eq!(key.to_wire(), wire);
-            assert!(
-                wire.chars().all(|ch| ch.is_ascii_hexdigit() || ch == '-'),
-                "wire key must be URL-safe: {wire:?}"
-            );
-        }
-        for bad in [
-            "",
-            "-",
-            "xyz",
-            "0-20-",
-            "0--1",
-            "0-20-deadbeefdeadbeef0",  // 17-hex-digit word overflows u64
-            "0-1-2-3-4-5-6-7-8-9-a-b", // more words than any variant
-            "0 20",
-            "0-20-a\n",
-        ] {
-            assert!(CellKey::from_wire(bad).is_none(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn export_import_round_trip_is_admitted_and_bit_identical() {
-        let a = interp_cache();
-        let exports = warm_and_export(&a);
-        let b = interp_cache();
-        for e in &exports {
-            assert_eq!(b.import_cell(e), ImportOutcome::Admitted, "{}", e.wire_key);
-        }
-        assert_eq!(b.cells_received(), exports.len() as u64);
-        assert_eq!(b.cells_rejected(), 0);
-        // Served answers from imported cells are bit-identical to the
-        // builder's: same corners, same arithmetic.
-        for i in 0..50 {
-            let q = a2a(700.0 + 10.0 * i as f64);
-            let pa = a.predict(&q, 5e-2).unwrap();
-            let pb = b.predict(&q, 5e-2).unwrap();
-            assert_eq!(pa.r.to_bits(), pb.r.to_bits(), "w diverged at {i}");
-        }
-        // Re-import: every cell already resident.
-        for e in &exports {
-            assert_eq!(b.import_cell(e), ImportOutcome::AlreadyResident);
-        }
-    }
-
-    #[test]
-    fn imports_skip_corner_solves_entirely() {
-        let a = interp_cache();
-        let exports = warm_and_export(&a);
-        let b = interp_cache();
-        for e in &exports {
-            b.import_cell(e);
-        }
-        // The importer paid one spot-probe solve per cell — not the 2+3
-        // (corners + probes) a local build costs.
-        assert_eq!(b.cache().misses(), exports.len() as u64);
-        assert_eq!(b.cells_built(), 0, "imports must not count as builds");
-    }
-
-    #[test]
-    fn tampered_imports_are_rejected_and_pinned_exact() {
-        let a = interp_cache();
-        let exports = warm_and_export(&a);
-        let b = interp_cache();
-
-        // Corner tampering: scale one corner's runtime by 1.5 — the local
-        // centre spot-probe no longer fits the claimed certificate.
-        let mut corners_tampered = exports[0].clone();
-        corners_tampered.corners[0].r *= 1.5;
-        assert!(matches!(
-            b.import_cell(&corners_tampered),
-            ImportOutcome::Rejected(_)
-        ));
-        // The slot is pinned untrusted: re-shipping the honest cell does
-        // not displace the verdict (it reports Rejected, not Admitted).
-        assert!(matches!(
-            b.import_cell(&exports[0]),
-            ImportOutcome::AlreadyResident | ImportOutcome::Rejected(_)
-        ));
-        // And tolerant queries in that cell are served exactly.
-        let (p, served) = b.predict_traced(&a2a(705.0), 5e-2).unwrap();
-        if CellKey::from_wire(&exports[0].wire_key).is_some() {
-            let exact = lopc_core::scenario::solve(&a2a(705.0)).unwrap();
-            if matches!(served, Served::Exact) {
-                assert_eq!(p.r.to_bits(), exact.r.to_bits());
-            }
-        }
-
-        // Certificate tampering: claim far more precision than the probes
-        // support.
-        let c = interp_cache();
-        let mut cert_tampered = exports[0].clone();
-        cert_tampered.cert = CERT_FLOOR;
-        if let ImportOutcome::Admitted = c.import_cell(&cert_tampered) {
-            // Only possible if the honest cert was already at the floor —
-            // in which case nothing was actually tampered.
-            assert_eq!(exports[0].cert, CERT_FLOOR);
-        }
-
-        // Below-floor certificate: structurally rejected.
-        let d = interp_cache();
-        let mut floor_tampered = exports[0].clone();
-        floor_tampered.cert = CERT_FLOOR / 2.0;
-        assert!(matches!(
-            d.import_cell(&floor_tampered),
-            ImportOutcome::Rejected(_)
-        ));
-
-        // Bracket tampering: intervals that are not local grid cells.
-        let e = interp_cache();
-        let mut bracket_tampered = exports[0].clone();
-        for b in bracket_tampered.brackets.iter_mut() {
-            if !b.is_degenerate() {
-                b.hi *= 1.01;
-            }
-        }
-        assert!(matches!(
-            e.import_cell(&bracket_tampered),
-            ImportOutcome::Rejected(_)
-        ));
-
-        // Key tampering: key and payload must agree.
-        let f = interp_cache();
-        let mut key_tampered = exports[0].clone();
-        key_tampered.wire_key = "0-7".into();
-        assert!(matches!(
-            f.import_cell(&key_tampered),
-            ImportOutcome::Rejected(_)
-        ));
-    }
-
-    /// An in-process [`CellSource`]: a shared map standing in for the peer
-    /// network.
-    struct MapSource {
-        cells: Mutex<std::collections::HashMap<String, CellExport>>,
-        fetches: AtomicU64,
-        offers: Mutex<Vec<CellExport>>,
-    }
-
-    impl MapSource {
-        fn new() -> Arc<MapSource> {
-            Arc::new(MapSource {
-                cells: Mutex::new(std::collections::HashMap::new()),
-                fetches: AtomicU64::new(0),
-                offers: Mutex::new(Vec::new()),
-            })
-        }
-    }
-
-    impl CellSource for MapSource {
-        fn fetch(&self, key: &CellKey) -> Option<CellExport> {
-            self.fetches.fetch_add(1, Ordering::Relaxed);
-            self.cells.lock().unwrap().get(&key.to_wire()).cloned()
-        }
-
-        fn offer(&self, _key: &CellKey, export: &CellExport) {
-            self.offers.lock().unwrap().push(export.clone());
-        }
-    }
-
-    #[test]
-    fn cell_source_pull_warms_misses_and_push_offers_builds() {
-        // Node A sweeps and exports; the "network" is a map.
-        let a = interp_cache();
-        let source_a = MapSource::new();
-        a.set_cell_source(Arc::clone(&source_a) as Arc<dyn CellSource>);
-        let exports = warm_and_export(&a);
-        // Every trusted cell A built was offered to its home.
-        let offered: std::collections::BTreeSet<String> = source_a
-            .offers
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|e| e.wire_key.clone())
-            .collect();
-        let built: std::collections::BTreeSet<String> =
-            exports.iter().map(|e| e.wire_key.clone()).collect();
-        assert_eq!(offered, built, "every locally built cell is offered");
-
-        // Node B, wired to a source holding A's cells, serves the same
-        // sweep by pulling + verifying instead of building.
-        let source_b = MapSource::new();
-        source_b
-            .cells
-            .lock()
-            .unwrap()
-            .extend(exports.iter().map(|e| (e.wire_key.clone(), e.clone())));
-        let b = interp_cache();
-        b.set_cell_source(Arc::clone(&source_b) as Arc<dyn CellSource>);
-        for i in 0..50 {
-            let q = a2a(700.0 + 10.0 * i as f64);
-            let exact = lopc_core::scenario::solve(&q).unwrap();
-            let (pa, sa) = a.predict_traced(&q, 5e-2).unwrap();
-            let (pb, sb) = b.predict_traced(&q, 5e-2).unwrap();
-            // Tolerant answers honor the certificate on both nodes. (They
-            // need not be byte-equal: A serves on-grid queries from the
-            // exact corner solves its builds cached, which B — having
-            // *imported* the cells — does not hold.)
-            assert!(rel_resid(&pa, &exact) <= 5e-2, "i={i}: {sa:?}");
-            assert!(rel_resid(&pb, &exact) <= 5e-2, "i={i}: {sb:?}");
-            // When both nodes interpolate, the shipped cell must
-            // reproduce the builder's arithmetic bit for bit.
-            if let (Served::Interpolated { .. }, Served::Interpolated { .. }) = (&sa, &sb) {
-                assert_eq!(pa.r.to_bits(), pb.r.to_bits(), "i={i}");
-            }
-        }
-        assert!(source_b.fetches.load(Ordering::Relaxed) > 0);
-        assert!(b.cells_received() > 0, "pulls must admit shipped cells");
-        assert_eq!(b.cells_rejected(), 0, "honest ships never reject");
-        assert!(
-            b.cache().misses() < a.cache().misses(),
-            "warming from the peer must cost fewer exact solves \
-             (b={} vs a={})",
-            b.cache().misses(),
-            a.cache().misses()
-        );
     }
 }

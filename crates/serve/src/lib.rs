@@ -27,14 +27,13 @@
 //!   reactor needs (`epoll_*`, `eventfd2`, `prlimit64`);
 //! * [`server`] — the server and its endpoints (`POST /v1/predict`,
 //!   `POST /v1/predict/batch`, `GET /metrics`, plus the cluster tier's
-//!   `GET /v1/cluster` and `GET|POST /v1/cell/{key}`): one epoll reactor
-//!   per serving thread, each dealt its share of the connections and
-//!   running their requests inline, so thousands of idle keep-alive
-//!   connections cost no thread;
+//!   `GET /v1/cluster`): one epoll reactor per serving thread, each dealt
+//!   its share of the connections and running their requests inline, so
+//!   thousands of idle keep-alive connections cost no thread;
 //! * [`cluster`] — the distributed serving tier (DESIGN.md §15):
-//!   consistent-hash sharding of the caches across N nodes, node-to-node
-//!   cell transfer with re-verification on import, lazy peer failure
-//!   detection, and the routing [`ClusterClient`];
+//!   consistent-hash sharding of the caches across N share-nothing nodes,
+//!   and the routing [`ClusterClient`] with its lazy node failure
+//!   detection;
 //! * [`client`] — the in-repo blocking client (smoke tests, CI, the
 //!   load-generator bench), with connect/read timeouts and bounded
 //!   jittered retry.
@@ -82,10 +81,10 @@ pub use cache::SolutionCache;
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};
 pub use cluster::{ClusterClient, ClusterState, HashRing};
 pub use codec::{
-    cell_from_json, cell_to_json, prediction_from_json, prediction_to_json, predictions_identical,
-    scenario_from_json, scenario_to_json, DecodeError,
+    prediction_from_json, prediction_to_json, predictions_identical, scenario_from_json,
+    scenario_to_json, DecodeError,
 };
-pub use interp::{CellExport, CellKey, ImportOutcome, InterpCache, Served};
+pub use interp::{CellKey, InterpCache, Served};
 pub use json::{parse, Json};
 pub use metrics::Metrics;
 pub use server::{start, start_on, Reply, ServerConfig, ServerHandle, Service};

@@ -59,7 +59,7 @@ fn main() {
                      --cache-shards N    cache shard count (default 16)\n  \
                      --cache-capacity N  cache entries per shard (default 256)\n  \
                      --idle-timeout-ms N close keep-alive connections idle this long (default 30000)\n  \
-                     --peer HOST:PORT    another cluster node (repeatable; all nodes list each other)\n  \
+                     --peer HOST:PORT    another ring member, published in GET /v1/cluster (repeatable; all nodes list each other)\n  \
                      --advertise H:P     ring identity to advertise (default: the bound address)\n  \
                      --vnodes N          virtual ring points per node (default 64)"
                 );
@@ -76,8 +76,7 @@ fn main() {
     let addr = handle.addr();
     println!("lopc-serve listening on http://{addr}");
     println!(
-        "endpoints: POST /v1/predict | POST /v1/predict/batch | GET /metrics | \
-         GET /v1/cluster | GET|POST /v1/cell/{{key}}"
+        "endpoints: POST /v1/predict | POST /v1/predict/batch | GET /metrics | GET /v1/cluster"
     );
     println!(
         "example:\n  curl -s http://{addr}/v1/predict -d \

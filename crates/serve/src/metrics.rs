@@ -10,8 +10,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cluster::PeerSnapshot;
-
 /// Number of histogram buckets: bucket 63 absorbs everything ≥ 2^63 ns.
 const BUCKETS: usize = 64;
 
@@ -94,23 +92,14 @@ pub struct CacheCounters {
 
 /// Point-in-time snapshot of the cluster tier (DESIGN.md §15), passed into
 /// the renderers by the server (which owns the
-/// [`ClusterState`](crate::cluster::ClusterState)). A peerless node reports a one-node
-/// ring and an empty peer list — the schema never changes shape with the
-/// deployment.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// [`ClusterState`](crate::cluster::ClusterState)). A peerless node reports a
+/// one-node ring — the schema never changes shape with the deployment.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ClusterCounters {
     /// Ring members, including this node.
     pub nodes: u64,
     /// Virtual points per node on the ring.
     pub vnodes_per_node: u64,
-    /// Interpolation cells this node shipped to peers.
-    pub cells_shipped: u64,
-    /// Shipped cells admitted after spot-probe re-verification.
-    pub cells_received: u64,
-    /// Shipped cells rejected by re-verification (slot pinned exact).
-    pub cells_rejected: u64,
-    /// Per-peer health and traffic, in ring order.
-    pub peers: Vec<PeerSnapshot>,
 }
 
 /// Process-global service metrics; share by reference.
@@ -300,35 +289,6 @@ impl Metrics {
                 Json::Object(vec![
                     ("nodes".into(), Json::Num(cluster.nodes as f64)),
                     ("vnodes".into(), Json::Num(cluster.vnodes_per_node as f64)),
-                    (
-                        "cells_shipped".into(),
-                        Json::Num(cluster.cells_shipped as f64),
-                    ),
-                    (
-                        "cells_received".into(),
-                        Json::Num(cluster.cells_received as f64),
-                    ),
-                    (
-                        "cells_rejected".into(),
-                        Json::Num(cluster.cells_rejected as f64),
-                    ),
-                    (
-                        "peers".into(),
-                        Json::Array(
-                            cluster
-                                .peers
-                                .iter()
-                                .map(|p| {
-                                    Json::Object(vec![
-                                        ("addr".into(), Json::Str(p.addr.clone())),
-                                        ("healthy".into(), Json::Bool(p.healthy)),
-                                        ("forwarded".into(), Json::Num(p.forwarded as f64)),
-                                        ("errors".into(), Json::Num(p.errors as f64)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
                 ]),
             ),
             (
@@ -467,57 +427,6 @@ impl Metrics {
             "Consistent-hash ring members, including this node.",
             "gauge",
             &[("".into(), cluster.nodes as f64)],
-        );
-        family(
-            "lopc_cluster_cells_shipped_total",
-            "Interpolation cells shipped to peers.",
-            "counter",
-            &[("".into(), cluster.cells_shipped as f64)],
-        );
-        family(
-            "lopc_cluster_cells_received_total",
-            "Shipped cells admitted after spot-probe re-verification.",
-            "counter",
-            &[("".into(), cluster.cells_received as f64)],
-        );
-        family(
-            "lopc_cluster_cells_rejected_total",
-            "Shipped cells rejected by re-verification.",
-            "counter",
-            &[("".into(), cluster.cells_rejected as f64)],
-        );
-        let peer_label = |addr: &str| format!("{{peer=\"{addr}\"}}");
-        // HELP/TYPE always emitted, even with zero peers, so the scrape
-        // schema is deployment-independent.
-        family(
-            "lopc_cluster_peer_up",
-            "1 when this node currently considers the peer reachable.",
-            "gauge",
-            &cluster
-                .peers
-                .iter()
-                .map(|p| (peer_label(&p.addr), if p.healthy { 1.0 } else { 0.0 }))
-                .collect::<Vec<_>>(),
-        );
-        family(
-            "lopc_cluster_peer_forwarded_total",
-            "Node-to-node requests sent to the peer.",
-            "counter",
-            &cluster
-                .peers
-                .iter()
-                .map(|p| (peer_label(&p.addr), p.forwarded as f64))
-                .collect::<Vec<_>>(),
-        );
-        family(
-            "lopc_cluster_peer_errors_total",
-            "Node-to-node requests to the peer that failed.",
-            "counter",
-            &cluster
-                .peers
-                .iter()
-                .map(|p| (peer_label(&p.addr), p.errors as f64))
-                .collect::<Vec<_>>(),
         );
         let quantiles: Vec<(String, f64)> = [(0.5, "0.5"), (0.99, "0.99")]
             .iter()
@@ -669,23 +578,6 @@ mod tests {
         let cluster = ClusterCounters {
             nodes: 3,
             vnodes_per_node: 64,
-            cells_shipped: 5,
-            cells_received: 4,
-            cells_rejected: 1,
-            peers: vec![
-                PeerSnapshot {
-                    addr: "10.0.0.2:7070".into(),
-                    healthy: true,
-                    forwarded: 9,
-                    errors: 0,
-                },
-                PeerSnapshot {
-                    addr: "10.0.0.3:7070".into(),
-                    healthy: false,
-                    forwarded: 2,
-                    errors: 2,
-                },
-            ],
         };
         let text = m.to_prometheus(&counters, &cluster);
         for needle in [
@@ -701,13 +593,6 @@ mod tests {
             "lopc_interp_cells_built_total 2",
             "lopc_request_latency_ns{quantile=\"0.5\"}",
             "lopc_cluster_ring_nodes 3",
-            "lopc_cluster_cells_shipped_total 5",
-            "lopc_cluster_cells_received_total 4",
-            "lopc_cluster_cells_rejected_total 1",
-            "lopc_cluster_peer_up{peer=\"10.0.0.2:7070\"} 1",
-            "lopc_cluster_peer_up{peer=\"10.0.0.3:7070\"} 0",
-            "lopc_cluster_peer_forwarded_total{peer=\"10.0.0.2:7070\"} 9",
-            "lopc_cluster_peer_errors_total{peer=\"10.0.0.3:7070\"} 2",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
@@ -721,33 +606,18 @@ mod tests {
 
     #[test]
     fn cluster_schema_is_deployment_independent() {
-        // A peerless node still exposes every cluster family (HELP/TYPE
-        // with zero samples for the per-peer ones) and the full JSON
-        // section — scrapers never see the schema change shape.
+        // A peerless node still exposes the cluster family and the full
+        // JSON section — scrapers never see the schema change shape.
         let m = Metrics::new();
         let text = m.to_prometheus(&CacheCounters::default(), &ClusterCounters::default());
-        for needle in [
-            "# TYPE lopc_cluster_ring_nodes gauge",
-            "# TYPE lopc_cluster_cells_shipped_total counter",
-            "# TYPE lopc_cluster_cells_received_total counter",
-            "# TYPE lopc_cluster_cells_rejected_total counter",
-            "# TYPE lopc_cluster_peer_up gauge",
-            "# TYPE lopc_cluster_peer_forwarded_total counter",
-            "# TYPE lopc_cluster_peer_errors_total counter",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
+        assert!(
+            text.contains("# TYPE lopc_cluster_ring_nodes gauge"),
+            "missing the ring family in:\n{text}"
+        );
         let doc = m.to_json(&CacheCounters::default(), &ClusterCounters::default());
         let cluster = doc.get("cluster").unwrap();
-        for key in [
-            "nodes",
-            "vnodes",
-            "cells_shipped",
-            "cells_received",
-            "cells_rejected",
-        ] {
+        for key in ["nodes", "vnodes"] {
             assert!(cluster.get(key).unwrap().as_num().is_some(), "{key}");
         }
-        assert!(cluster.get("peers").unwrap().as_array().unwrap().is_empty());
     }
 }

@@ -15,11 +15,10 @@
 //!   belongs to reactor n mod N. A connection accepted by another reactor
 //!   reaches its owner through that owner's inbox, rung by its wake
 //!   [`EventFd`].
-//! * two rules keep inline handling fair: a connection is served at most
-//!   one request per loop pass (pipelined follow-ups wait on the re-pump
-//!   list while the other connections get their turn), and the only
-//!   handler step that waits on the network — a cell pull from a peer —
-//!   is bounded by the cluster tier's short node-to-node timeouts.
+//! * no handler step waits on the network (a node never contacts another
+//!   node), and one rule keeps inline handling fair: a connection is
+//!   served at most one request per loop pass (pipelined follow-ups wait
+//!   on the re-pump list while the other connections get their turn).
 //! * **shutdown is an event**: flag + doorbells. Requests run inline, so a
 //!   reactor that sees the flag has nothing in flight: it closes the
 //!   listener registration and its connections, and exits — no polling,

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lopc_core::{GeneralModel, Machine, Scenario};
-use lopc_serve::cluster::{route_hash, DEFAULT_COOLDOWN, VNODES};
+use lopc_serve::cluster::{route_hash, VNODES};
 use lopc_serve::http::{RequestParser, MAX_BODY_BYTES};
 use lopc_serve::interp::rel_resid;
 use lopc_serve::server::{start, start_on, ServerConfig};
@@ -571,15 +571,13 @@ fn error_statuses_are_answers_not_retries() {
     server.shutdown();
 }
 
-/// A cell pull runs inline on a serving thread, so a cell home that
-/// accepts and never answers must cost one bounded node-to-node wait, not
-/// its full read timeout per request: a tolerant request homed there is
-/// answered within 1 s, from a locally built cell within tolerance of the
-/// library. The timed-out home is marked down, so further misses homed
-/// there inside the cooldown never dial it — the hung listener accepts
-/// exactly once.
+/// Nodes share nothing: a node answers tolerant requests for cells homed
+/// at a peer from cells it builds itself, and never contacts the peer. The
+/// peer here accepts and never answers, so any dial to it would stall a
+/// serving thread; instead every lane is answered within 1 s and within
+/// tolerance of the library, and the hung listener sees no accept.
 #[test]
-fn a_hung_cell_home_costs_one_bounded_pull() {
+fn a_hung_cell_home_is_never_contacted() {
     const TOL: f64 = 1e-3;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let hung = listener.local_addr().expect("addr").to_string();
@@ -625,32 +623,25 @@ fn a_hung_cell_home_costs_one_bounded_pull() {
     assert_eq!(homed.len(), 4, "too few cells homed at the hung peer");
 
     let mut client = Client::connect(node.addr()).expect("connect");
-    // The first miss marks the home down after this instant, so misses
-    // finished within one cooldown of it all fall inside the cooldown.
-    let first_started = Instant::now();
     for s in &homed {
         let started = Instant::now();
         let served = client.predict_within(s, TOL).expect("tolerant predict");
         let took = started.elapsed();
         assert!(
             took < Duration::from_secs(1),
-            "a miss homed at a hung peer took {took:?}"
+            "a lane homed at a hung peer took {took:?}"
         );
         let exact = lopc_core::scenario::solve(s).expect("library solve");
         let err = rel_resid(&served, &exact);
         assert!(err <= TOL, "answer off by {err:.2e}");
     }
-    let since = first_started.elapsed();
-    assert!(
-        since < DEFAULT_COOLDOWN,
-        "the misses outlived the cooldown ({since:?}); the test proves nothing"
-    );
+    assert_eq!(node.service().interp().cells_built(), 4);
     // The kernel completes a dial before the accept loop counts it.
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(
         accepts.load(Ordering::SeqCst),
-        1,
-        "a miss inside the cooldown dialed the hung home again"
+        0,
+        "the node contacted the hung home of a cell"
     );
     node.shutdown();
 }
