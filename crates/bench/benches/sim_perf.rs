@@ -44,20 +44,21 @@ fn sim_cfg(p: usize, fanout: u32) -> SimConfig {
 
 /// One hold-model item; the scheduler microbench's event stand-in. The
 /// payload pads the item to the size of the engine's internal event record
-/// (~72 bytes) so scheduler data movement is modelled realistically — a
-/// heap sift moves whole events, not just keys.
+/// (56 bytes: time, sequence, node and event kind) so scheduler data
+/// movement is modelled realistically — a heap sift moves whole events, not
+/// just keys.
 #[derive(Clone, Copy)]
 struct HoldItem {
     t: f64,
     seq: u64,
-    _payload: [u64; 7],
+    _payload: [u64; 5],
 }
 impl HoldItem {
     fn new(t: f64, seq: u64) -> Self {
         HoldItem {
             t,
             seq,
-            _payload: [0; 7],
+            _payload: [0; 5],
         }
     }
 }

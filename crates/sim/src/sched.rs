@@ -18,6 +18,34 @@
 //! simulation run is bit-reproducible regardless of the scheduler — the
 //! property the differential proptests in `tests/differential.rs` pin down.
 //!
+//! # Year aliasing
+//!
+//! The wheel repeats every *year* (`nbuckets × width` time units), so an
+//! event scheduled a whole number of years ahead lands in the bucket being
+//! drained. The engine does exactly this on the schedule LoPC is validated
+//! on: constant handler and work times, threads in lockstep. At P = 4096
+//! with `W` = 512, the 4,096 first events all tie at t = 512, the width
+//! estimate finds no distinct gap and keeps 1.0, and the wheel settles at
+//! 512 buckets — a year of exactly `W`. Every `ComputeDone` is then parked
+//! one year ahead in the bucket the position is draining.
+//!
+//! The calendar's buckets are therefore unsorted bags: a push appends. When
+//! the position reaches a bucket's earliest slot, the bag is sorted and
+//! becomes the queue's *run*, whose tail (that slot's items) is popped
+//! while the bucket starts an empty bag; items parked for later years land
+//! in that bag, and a push into the slot being drained above the run's
+//! minimum waits in a small binary heap instead of being inserted into the
+//! run. Neither kind of push moves the run. The earlier layout kept each
+//! bucket sorted descending and, at the next pop visit, binary-inserted
+//! each push at its place, so each parked event shifted the whole bucket:
+//! 11.4 M moved events (about 640 MB of `memmove`) in one 85,769-event run.
+//! Per event on the sequential engine (4 cycles; 2-vCPU Xeon VM, one vCPU
+//! pinned; median of three alternating runs), that layout took 439 ns at
+//! P = 4096 with `W` = 512, 882 ns with `W` = 1024 and 1,572 ns at P = 8192
+//! with `W` = 1024; this one takes 206, 171 and 235 ns, against 211–325
+//! and 300–490 ns for the binary heap at P = 4096 and 8192. `W` = 500,
+//! which does not alias, read 142–228 ns before and 132–215 ns after.
+//!
 //! # Example
 //!
 //! ```
@@ -68,9 +96,10 @@ pub enum Scheduler {
 }
 
 /// Largest steady-state pending-event population at which the binary heap
-/// still beats the calendar queue end to end (committed `BENCH_sim.json`
-/// baseline: heap ~1.5× faster at `P ≤ 32`, calendar ~2× faster at
-/// `P = 1024`; the break-even sits at a few dozen pending events).
+/// is kept. In `sim_perf`'s end-to-end runs (DESIGN.md §9, medians of
+/// fifteen) the heap is ~1.3× faster at `P = 32` (32 pending events), the
+/// calendar queue ~1.06× faster at `P = 256` (512 pending) and ~2.0×
+/// faster at `P = 1024` (4,096 pending).
 pub const ADAPTIVE_HEAP_MAX_PENDING: usize = 32;
 
 impl Scheduler {
@@ -215,60 +244,45 @@ const OCCUPANCY: usize = 4;
 /// land on the wheel rather than in the overflow list.
 const WIDTH_GAPS: f64 = 12.0;
 /// Years ahead of the position an item may be parked in the wheel before it
-/// is exiled to the overflow list. Parked items cost nothing until their
-/// year comes up (the slot-match rule skips them), whereas overflow inserts
+/// is exiled to the overflow list. A parked item is sorted again each time
+/// its bucket's run is taken (once per year), whereas overflow inserts
 /// memmove a sorted `Vec` — so the overflow should only catch genuinely
 /// far-future events (several× the live-event span ahead).
 const FAR_YEARS: u64 = 4;
 
-/// Appended items tolerated before a bucket visit falls back to a full sort
-/// instead of binary-inserting each one into the sorted prefix.
-const SORT_APPENDIX: usize = 8;
-
-/// One wheel bucket: items plus the lazy-sort watermark (kept in the same
-/// struct so a pop touches one cache line for both).
+/// One wheel bucket: an unsorted bag of items plus the slot of its earliest.
 ///
-/// `items[..sorted_len]` is sorted descending by `(time, seq)`;
-/// `items[sorted_len..]` is an unsorted appendix of recent pushes. Pushes
-/// are therefore always `O(1)` appends; the next pop visit folds the
-/// appendix in — binary-inserting a few items, or running one full sort
-/// when a bulk load (rebuild, overflow drain, a freshly refilled bucket)
-/// left a large appendix. This keeps the engine's push-pop interleaving on
-/// the current slot from re-sorting a long bucket on every pop.
+/// A push appends without reading the bag. The bag is only sorted when the
+/// position reaches its earliest slot, and then becomes the queue's run
+/// (see [`CalendarQueue`]).
 struct Bucket<T> {
     items: Vec<T>,
-    /// Length of the sorted-descending prefix.
-    sorted_len: usize,
+    /// Slot of the earliest item in `items` (`u64::MAX` when empty).
+    min_slot: u64,
 }
 
 impl<T> Default for Bucket<T> {
     fn default() -> Self {
         Bucket {
             items: Vec::new(),
-            sorted_len: 0,
+            min_slot: u64::MAX,
         }
     }
 }
 
-impl<T: Keyed> Bucket<T> {
-    /// Fold the unsorted appendix into the sorted prefix.
+impl<T> Bucket<T> {
     #[inline]
-    fn ensure_sorted(&mut self) {
-        let n = self.items.len();
-        if self.sorted_len >= n {
-            return;
-        }
-        if self.sorted_len == 0 || n - self.sorted_len > SORT_APPENDIX {
-            self.items
-                .sort_unstable_by(|a, b| key(b).partial_cmp(&key(a)).unwrap());
-        } else {
-            for i in self.sorted_len..n {
-                let pos = self.items[..i].partition_point(|x| key_less(&self.items[i], x));
-                self.items[pos..=i].rotate_right(1);
-            }
-        }
-        self.sorted_len = n;
+    fn push(&mut self, item: T, slot: u64) {
+        self.items.push(item);
+        self.min_slot = self.min_slot.min(slot);
     }
+}
+
+/// Discrete slot of a timestamp at `inv_width` slots per time unit.
+/// Saturates on overflow; times are non-negative by contract.
+#[inline]
+fn slot_at(t: Time, inv_width: Time) -> u64 {
+    (t * inv_width) as u64
 }
 
 /// `O(1)`-amortized calendar queue: a circular bucketed time wheel with
@@ -281,14 +295,24 @@ impl<T: Keyed> Bucket<T> {
 /// DESIGN.md §4):
 ///
 /// * every pending item in the wheel has `slot ≥ cur_slot` (the current
-///   position); buckets are **lazily sorted** via a sorted-prefix watermark
-///   (`Bucket`): pushes append in `O(1)`, and a pop visit folds the
-///   appendix in before popping the bucket minimum from the tail — so
-///   tie-heavy schedules (constant service times produce many simultaneous
-///   events) cost `O(b log b)` per bucket, not `O(b²)`;
-/// * an item only pops when its exact slot comes up (`slot == cur_slot`),
-///   which keeps items from later years parked in their bucket without
-///   breaking the global order;
+///   position), and an item only pops when its exact slot comes up, which
+///   keeps items from later years parked in their bucket without breaking
+///   the global order;
+/// * buckets are **unsorted bags**: a push appends in `O(1)`. When the
+///   position reaches a bucket's earliest slot, the bag is sorted
+///   descending and swapped in as the **run**: that slot's items are its
+///   tail (the next pop is its last element), and its later years, the
+///   `floor` under them, go back to the bucket before the position moves.
+///   The bucket meanwhile holds an empty bag, so the pushes the engine
+///   makes a year ahead — into the very bucket being drained, whenever a
+///   delay is a multiple of the year — append there and never move the
+///   run;
+/// * while the run or `in_slot` is non-empty the current bucket holds no
+///   item of `cur_slot`: a push into `cur_slot` below the run's minimum
+///   (such as a popped event pushed straight back) appends to the run, and
+///   one above it goes to the `in_slot` binary heap instead of being
+///   inserted into the run; a pop takes the smaller of the run's last item
+///   and the heap's top;
 /// * items more than `FAR_YEARS` years ahead of `cur_slot` at insertion
 ///   time go to `overflow`, kept sorted *ascending* (far-future pushes
 ///   append in `O(1)`); the cached `overflow_min_slot` guard drains the
@@ -302,12 +326,13 @@ impl<T: Keyed> Bucket<T> {
 ///   (Brown's rule, scaled to the occupancy target) — when the population
 ///   doubles or quarters relative to the bucket capacity.
 ///
-/// Rebuilds cost `O(n log n)` but only occur on population doublings/
-/// quarterings or persistent mis-tuning, so the amortized per-operation cost
-/// stays constant. Pops follow ascending `(time, seq)` exactly, matching
+/// Each item is sorted with its bag once per year it stays parked. Rebuilds
+/// cost `O(n log n)` but only occur on population doublings/quarterings or
+/// persistent mis-tuning, so the amortized per-operation cost stays
+/// constant. Pops follow ascending `(time, seq)` exactly, matching
 /// [`BinaryHeapQueue`] item for item; times must be non-negative and finite.
 pub struct CalendarQueue<T> {
-    /// Wheel buckets (`slot & mask`), lazily sorted within a bucket.
+    /// Wheel buckets (`slot & mask`), unsorted.
     buckets: Vec<Bucket<T>>,
     /// `nbuckets − 1` (bucket count is a power of two).
     mask: usize,
@@ -317,11 +342,19 @@ pub struct CalendarQueue<T> {
     inv_width: Time,
     /// Current position: the slot the next pop scans first.
     cur_slot: u64,
+    /// The sorted bag the run came from: `run[floor..]` holds the items of
+    /// `cur_slot`, descending; `run[..floor]` its later years, which go back
+    /// to their bucket before the position moves.
+    run: Vec<T>,
+    floor: usize,
+    /// Items pushed into `cur_slot` above the run's minimum.
+    in_slot: BinaryHeap<MinEntry<T>>,
     /// Items beyond one year of `cur_slot`, sorted ascending by `(t, seq)`.
     overflow: Vec<T>,
     /// Slot of `overflow`'s head (`u64::MAX` when empty), checked every pop.
     overflow_min_slot: u64,
-    /// Items currently in the wheel (`len - overflow.len()`).
+    /// Items currently in the wheel, `run` and `in_slot` (`len -
+    /// overflow.len()`).
     wheel_len: usize,
     /// Total pending items.
     len: usize,
@@ -347,6 +380,9 @@ impl<T: Keyed> CalendarQueue<T> {
             width: 1.0,
             inv_width: 1.0,
             cur_slot: 0,
+            run: Vec::new(),
+            floor: 0,
+            in_slot: BinaryHeap::new(),
             overflow: Vec::new(),
             overflow_min_slot: u64::MAX,
             wheel_len: 0,
@@ -360,7 +396,7 @@ impl<T: Keyed> CalendarQueue<T> {
     #[inline]
     fn slot_of(&self, t: Time) -> u64 {
         debug_assert!(t >= 0.0, "event times must be non-negative");
-        (t * self.inv_width) as u64
+        slot_at(t, self.inv_width)
     }
 
     /// First slot that is too far in the future to park in the wheel.
@@ -368,6 +404,51 @@ impl<T: Keyed> CalendarQueue<T> {
     fn far_horizon(&self) -> u64 {
         self.cur_slot
             .saturating_add((self.mask as u64 + 1) * FAR_YEARS)
+    }
+
+    /// Put an item whose slot is inside the far horizon on the wheel.
+    #[inline]
+    fn place(&mut self, item: T, slot: u64) {
+        let bucket = &mut self.buckets[(slot & self.mask as u64) as usize];
+        if slot == self.cur_slot {
+            match self.run[self.floor..].last() {
+                // Later in the run: inserting would shift it.
+                Some(min) if key_less(min, &item) => self.in_slot.push(MinEntry(item)),
+                // A new minimum, such as a popped event pushed straight back.
+                Some(_) => self.run.push(item),
+                // Nothing else of this slot is pending: the item starts the
+                // run.
+                None if bucket.min_slot != slot => self.run.push(item),
+                // The bag still holds this slot; the next pop takes both.
+                None => bucket.push(item, slot),
+            }
+        } else {
+            bucket.push(item, slot);
+        }
+        self.wheel_len += 1;
+    }
+
+    /// Take the current bucket's bag as the run: sorted descending, its
+    /// items in `cur_slot` are its tail and its later years the floor.
+    fn fill_run(&mut self) {
+        debug_assert!(self.run.is_empty() && self.in_slot.is_empty());
+        let (slot, inv_width) = (self.cur_slot, self.inv_width);
+        let bucket = &mut self.buckets[(slot & self.mask as u64) as usize];
+        let items = &mut bucket.items;
+        items.sort_unstable_by(|a, b| key(b).partial_cmp(&key(a)).expect("event times are finite"));
+        self.floor = items.partition_point(|x| slot_at(x.time(), inv_width) != slot);
+        std::mem::swap(&mut self.run, items);
+        bucket.min_slot = u64::MAX;
+    }
+
+    /// Empty the run, returning each item to its bucket.
+    fn lift_run(&mut self) {
+        let (mask, inv_width) = (self.mask as u64, self.inv_width);
+        for x in self.run.drain(..) {
+            let slot = slot_at(x.time(), inv_width);
+            self.buckets[(slot & mask) as usize].push(x, slot);
+        }
+        self.floor = 0;
     }
 
     /// Move the overflow head run that the wheel can now reach back onto the
@@ -382,9 +463,8 @@ impl<T: Keyed> CalendarQueue<T> {
         let rest = self.overflow.split_off(take);
         let drained = std::mem::replace(&mut self.overflow, rest);
         for item in drained {
-            let idx = (self.slot_of(item.time()) & self.mask as u64) as usize;
-            self.buckets[idx].items.push(item);
-            self.wheel_len += 1;
+            let slot = self.slot_of(item.time());
+            self.place(item, slot);
         }
         self.overflow_min_slot = self
             .overflow
@@ -392,9 +472,10 @@ impl<T: Keyed> CalendarQueue<T> {
             .map_or(u64::MAX, |x| self.slot_of(x.time()));
     }
 
-    /// Jump the position straight to the earliest pending slot (wheel tails
+    /// Jump the position straight to the earliest pending slot (bucket bags
     /// and overflow head). Only called when a whole year scanned empty.
     fn jump_to_min(&mut self) {
+        debug_assert!(self.run.is_empty() && self.in_slot.is_empty());
         self.jumps += 1;
         if self.jumps > MAX_JUMPS {
             // Persistent year-empty scans mean the width is far too small
@@ -409,12 +490,11 @@ impl<T: Keyed> CalendarQueue<T> {
             self.rebuild(items, boosted);
             return;
         }
-        let mut min_slot = self.overflow_min_slot;
-        for b in &self.buckets {
-            for item in &b.items {
-                min_slot = min_slot.min(self.slot_of(item.time()));
-            }
-        }
+        let min_slot = self
+            .buckets
+            .iter()
+            .map(|b| b.min_slot)
+            .fold(self.overflow_min_slot, u64::min);
         debug_assert_ne!(min_slot, u64::MAX, "jump_to_min on an empty queue");
         self.cur_slot = min_slot;
         if self.cur_slot >= self.overflow_min_slot {
@@ -427,8 +507,11 @@ impl<T: Keyed> CalendarQueue<T> {
         let mut all: Vec<T> = Vec::with_capacity(self.len);
         for b in &mut self.buckets {
             all.append(&mut b.items);
-            b.sorted_len = 0;
+            b.min_slot = u64::MAX;
         }
+        all.append(&mut self.run);
+        self.floor = 0;
+        all.extend(self.in_slot.drain().map(|e| e.0));
         all.append(&mut self.overflow);
         all.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
         self.len = 0;
@@ -440,14 +523,11 @@ impl<T: Keyed> CalendarQueue<T> {
     /// Re-anchor the queue around `items` (ascending by key): re-size the
     /// wheel to the population, re-estimate the width (never below
     /// `min_width`, which carries `jump_to_min`'s geometric boost), and
-    /// redistribute.
+    /// redistribute. The queue must be empty (see `drain_sorted`).
     fn rebuild(&mut self, items: Vec<T>, min_width: Time) {
         let n = items.len();
         let nbuckets = (n / OCCUPANCY).next_power_of_two().max(MIN_BUCKETS);
-        for b in &mut self.buckets {
-            b.items.clear();
-            b.sorted_len = 0;
-        }
+        debug_assert_eq!(self.len, 0, "rebuild runs on a drained queue");
         if nbuckets != self.buckets.len() {
             self.buckets.resize_with(nbuckets, Bucket::default);
         }
@@ -493,9 +573,7 @@ impl<T: Keyed> CalendarQueue<T> {
                 self.overflow.push(item);
             } else {
                 let idx = (slot & self.mask as u64) as usize;
-                // Ascending arrival order leaves the bucket sorted the wrong
-                // way round; the first pop visit sorts it.
-                self.buckets[idx].items.push(item);
+                self.buckets[idx].push(item, slot);
                 self.wheel_len += 1;
             }
         }
@@ -530,7 +608,14 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
             // into the past, but the queue is usable generically): rewind.
             // Wheel items pushed beyond one year of the new position stay
             // parked in their buckets; the slot-match rule keeps them in
-            // order.
+            // order. The run and `in_slot` belong to the old position, so
+            // their items go back to their buckets first.
+            let old = self.cur_slot;
+            let bucket = &mut self.buckets[(old & self.mask as u64) as usize];
+            for MinEntry(x) in self.in_slot.drain() {
+                bucket.push(x, old);
+            }
+            self.lift_run();
             self.cur_slot = slot;
         }
         if slot >= self.far_horizon() {
@@ -538,9 +623,7 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
             self.overflow.insert(pos, item);
             self.overflow_min_slot = self.overflow_min_slot.min(slot);
         } else {
-            let idx = (slot & self.mask as u64) as usize;
-            self.buckets[idx].items.push(item);
-            self.wheel_len += 1;
+            self.place(item, slot);
         }
         self.len += 1;
         self.maybe_resize();
@@ -562,29 +645,19 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
         // counter only resets on a pop that found its item without jumping
         // (or on a rebuild).
         let mut jumped = false;
-        loop {
+        while self.run.len() == self.floor && self.in_slot.is_empty() {
+            if !self.run.is_empty() {
+                self.lift_run();
+            }
             // Never let the position pass the overflow head.
             if self.cur_slot >= self.overflow_min_slot {
                 self.drain_overflow();
+                continue;
             }
             let idx = (self.cur_slot & self.mask as u64) as usize;
-            let bucket = &mut self.buckets[idx];
-            // Lazy sort: the first visit after any push orders the bucket
-            // descending, then the bucket minimum is the tail. Items of
-            // later years stay parked above it.
-            bucket.ensure_sorted();
-            if let Some(tail) = bucket.items.last() {
-                if (tail.time() * self.inv_width) as u64 == self.cur_slot {
-                    let item = bucket.items.pop().expect("tail exists");
-                    bucket.sorted_len -= 1;
-                    self.wheel_len -= 1;
-                    self.len -= 1;
-                    if !jumped {
-                        self.jumps = 0;
-                    }
-                    self.maybe_resize();
-                    return Some(item);
-                }
+            if self.buckets[idx].min_slot == self.cur_slot {
+                self.fill_run();
+                break;
             }
             self.cur_slot += 1;
             scanned += 1;
@@ -595,6 +668,22 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
                 scanned = 0;
             }
         }
+        let from_heap = match (self.run[self.floor..].last(), self.in_slot.peek()) {
+            (Some(min), Some(h)) => key_less(&h.0, min),
+            (min, _) => min.is_none(),
+        };
+        let item = if from_heap {
+            self.in_slot.pop().expect("non-empty").0
+        } else {
+            self.run.pop().expect("non-empty")
+        };
+        self.wheel_len -= 1;
+        self.len -= 1;
+        if !jumped {
+            self.jumps = 0;
+        }
+        self.maybe_resize();
+        Some(item)
     }
 
     fn len(&self) -> usize {
@@ -1013,6 +1102,78 @@ mod tests {
         let rest = drain(&mut q);
         assert_eq!(rest.len(), 3);
         assert!(rest.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Year aliasing, the engine's lockstep geometry: 4,096 items tied at
+    /// t = 512 leave the width at 1.0 on a 512-bucket wheel, so a delay of
+    /// 512 is exactly one year and parks each new item in the bucket being
+    /// drained. Tie order is scrambled, as the engine's creator-packed
+    /// sequence numbers are. Pops must match the heap item for item.
+    #[test]
+    fn year_aliased_holds_match_heap() {
+        const YEAR: f64 = 512.0;
+        let mut n = 0u64;
+        let mut next = |t: f64| {
+            n += 1;
+            Item {
+                t,
+                seq: n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            }
+        };
+        let mut cal = CalendarQueue::new();
+        let mut heap = BinaryHeapQueue::new();
+        for _ in 0..4096 {
+            let it = next(YEAR);
+            cal.push(it);
+            heap.push(it);
+        }
+        assert_eq!(
+            cal.buckets.len() as f64 * cal.width,
+            YEAR,
+            "the push offset must equal the wheel's year"
+        );
+        for i in 0..20_000 {
+            let a = heap.pop().unwrap();
+            let b = cal.pop().unwrap();
+            assert_eq!((a.t, a.seq), (b.t, b.seq), "hold {i} diverged");
+            let it = next(a.t + if i % 3 == 2 { 25.0 } else { YEAR });
+            cal.push(it);
+            heap.push(it);
+        }
+        assert_eq!(drain(&mut heap), drain(&mut cal));
+    }
+
+    /// Pushes into the slot being drained, above its run's minimum, wait in
+    /// `in_slot` and interleave with the run in key order; a push below the
+    /// minimum (the engine's push-back) goes straight onto the run.
+    #[test]
+    fn pushes_into_the_slot_being_drained_match_heap() {
+        let mut cal = CalendarQueue::new();
+        let mut heap = BinaryHeapQueue::new();
+        let mut seq = 0u64;
+        for _ in 0..100 {
+            let it = Item { t: 10.0, seq };
+            seq += 1;
+            cal.push(it);
+            heap.push(it);
+        }
+        let mut used_heap = false;
+        for _ in 0..300 {
+            let a = heap.pop().unwrap();
+            let b = cal.pop().unwrap();
+            assert_eq!((a.t, a.seq), (b.t, b.seq));
+            // Same slot (width 1.0), later in it; then push the popped
+            // minimum straight back and take it again.
+            let it = Item { t: a.t + 0.25, seq };
+            seq += 1;
+            cal.push(it);
+            heap.push(it);
+            used_heap |= !cal.in_slot.is_empty();
+            cal.push(b);
+            assert_eq!(cal.pop().map(|i| (i.t, i.seq)), Some((b.t, b.seq)));
+        }
+        assert!(used_heap, "the pattern must reach in_slot");
+        assert_eq!(drain(&mut heap), drain(&mut cal));
     }
 
     /// Tie-heavy width estimation: when the rebuild's width sample is
