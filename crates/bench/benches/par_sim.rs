@@ -1,9 +1,10 @@
 //! Conservative parallel simulation bench: per-thread scaling of
 //! `lopc_sim::par::run_par` against the sequential engine at two machine
-//! sizes, after asserting the runs are bit-identical (equivalence is the
-//! gate — DESIGN.md §13; speedup is recorded, not gated, because the CI
-//! box has a single core and the numbers there measure synchronization
-//! overhead, not parallelism).
+//! sizes, after asserting the runs are bit-identical in release (the
+//! pre-flight is the gate — DESIGN.md §13). P=4096 is the lockstep
+//! lattice shape (constant `W`, `So`, `St`) whose window edges land on
+//! tied events. Speedup is recorded, not gated: CI runners are shared and
+//! have few cores, so their timings are too noisy to compare.
 //!
 //! Results are persisted as the `par_sim` section of `BENCH_sim.json` at
 //! the repository root so every run extends the perf baseline that later

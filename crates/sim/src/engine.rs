@@ -22,8 +22,8 @@
 //! nodes rather than all of them. The sequential [`Engine`] is a single
 //! `Core` spanning `0..p`; the conservative parallel engine
 //! ([`crate::par`]) runs one `Core` per logical process and ferries
-//! cross-block events through its outbox. Three design rules make the two
-//! modes bit-identical (DESIGN.md §13):
+//! cross-block events through per-LP outboxes. Three design rules make
+//! the two modes bit-identical (DESIGN.md §13):
 //!
 //! * **Per-node RNG streams.** Every node draws from its own
 //!   [`SmallRng`], seeded by counter-based splitting ([`stream_seed`]) of
@@ -257,14 +257,16 @@ fn wire_time(cfg: &SimConfig, rng: &mut SmallRng) -> f64 {
     }
 }
 
-/// The event loop over one contiguous block of nodes `[lo, lo + len)`.
+/// The event loop over one contiguous block of nodes: logical process `lp`
+/// of `lps`, which owns nodes `[lp·p/lps, (lp+1)·p/lps)`.
 ///
 /// The sequential [`Engine`] wraps a single core spanning every node; the
 /// parallel engine ([`crate::par`]) runs one core per logical process.
-/// Events addressed outside the block land in [`Core::outbox`] for the
-/// driver to ferry; events arriving from other blocks enter through
-/// [`Core::receive`]. [`Core::process_until`] enforces the conservative
-/// safe-time bound.
+/// Events addressed outside the block land in the outbox of their
+/// destination LP for the parallel engine to ferry
+/// ([`Core::flush_outboxes`]); events arriving from other blocks enter
+/// through [`Core::receive`]. [`Core::process_until`] enforces the
+/// conservative safe-time bound.
 pub(crate) struct Core {
     cfg: Arc<SimConfig>,
     /// Global id of the first owned node (`nodes[i]` is node `lo + i`).
@@ -285,27 +287,31 @@ pub(crate) struct Core {
     cur_key: (Time, u64),
     /// When `Some`, measured cycles append `(t, seq, r)` here.
     trace: Option<Vec<(Time, u64, f64)>>,
-    /// Events addressed to nodes outside the owned block.
-    outbox: Vec<Ev>,
+    /// Events addressed to nodes outside the owned block, one outbox per
+    /// LP of the partition (the entry for this core's own LP stays empty).
+    outboxes: Vec<Vec<Ev>>,
+    /// Earliest event time put in an outbox since the last flush.
+    out_min: Time,
 }
 
 impl Core {
-    /// Build the core for nodes `[lo, lo + len)` of a *validated*
-    /// configuration and prime its threads with their first work quantum.
+    /// Build the core of LP `lp` of `lps` over a *validated* configuration
+    /// and prime its threads with their first work quantum.
     pub(crate) fn new(
         cfg: Arc<SimConfig>,
-        lo: NodeId,
-        len: usize,
+        lp: usize,
+        lps: usize,
         scheduler: Scheduler,
         trace: bool,
     ) -> Self {
-        debug_assert!(lo + len <= cfg.p && len > 0);
+        debug_assert!(lp < lps && lps <= cfg.p);
+        let (lo, hi) = (lp * cfg.p / lps, (lp + 1) * cfg.p / lps);
         let (warmup, horizon_end, max_cycles) = match cfg.stop {
             StopCondition::Horizon { warmup, end } => (warmup, Some(end), None),
             StopCondition::CyclesPerThread { n } => (0.0, None, Some(n)),
         };
         let seed = cfg.seed;
-        let nodes = (lo..lo + len)
+        let nodes = (lo..hi)
             .map(|k| Node::new(SmallRng::seed_from_u64(stream_seed(seed, k as u64))))
             .collect();
         let mut core = Core {
@@ -321,7 +327,8 @@ impl Core {
             makespan: 0.0,
             cur_key: (0.0, 0),
             trace: Some(Vec::new()).filter(|_| trace),
-            outbox: Vec::new(),
+            outboxes: (0..lps).map(|_| Vec::new()).collect(),
+            out_min: f64::INFINITY,
         };
         core.bootstrap();
         core
@@ -349,7 +356,7 @@ impl Core {
     /// Create an event on behalf of node `creator` (the node whose handler
     /// is running). The tie-break key is `(creator, creator's counter)`, so
     /// it does not depend on which core runs the creator. Events for nodes
-    /// outside the block go to the outbox.
+    /// outside the block go to the outbox of the LP that owns them.
     #[inline]
     fn schedule(&mut self, creator: NodeId, t: Time, node: NodeId, kind: EvKind) {
         let c = &mut self.nodes[creator - self.lo];
@@ -360,13 +367,17 @@ impl Core {
         if self.owns(node) {
             self.queue.push(ev);
         } else {
-            self.outbox.push(ev);
+            // LP i owns [i·p/n, (i+1)·p/n), so node k's LP is the largest i
+            // with i·p/n <= k, i.e. ((k + 1)·n − 1) / p.
+            let lp = ((node + 1) * self.outboxes.len() - 1) / self.cfg.p;
+            self.outboxes[lp].push(ev);
+            self.out_min = self.out_min.min(t);
         }
     }
 
-    /// Earliest pending event time, or `+∞` when the queue is empty (the
-    /// conservative engine's null-message payload is this plus the
-    /// lookahead).
+    /// Earliest pending event time, or `+∞` when the queue is empty (what
+    /// the conservative engine posts at the end of a round, together with
+    /// the earliest event it sent to another LP).
     pub(crate) fn next_time(&mut self) -> Time {
         match self.queue.pop() {
             Some(ev) => {
@@ -385,9 +396,23 @@ impl Core {
         self.queue.push(ev);
     }
 
-    /// Drain the events addressed to other cores.
-    pub(crate) fn take_outbox(&mut self) -> Vec<Ev> {
-        std::mem::take(&mut self.outbox)
+    /// Hand every non-empty outbox to `send(destination LP, events)`, which
+    /// must take the events and leave the `Vec` empty, and return the
+    /// earliest time handed over (`+∞` when nothing left since the last
+    /// flush).
+    pub(crate) fn flush_outboxes(&mut self, mut send: impl FnMut(usize, &mut Vec<Ev>)) -> Time {
+        for (lp, out) in self.outboxes.iter_mut().enumerate() {
+            if !out.is_empty() {
+                send(lp, out);
+                debug_assert!(out.is_empty(), "send must take the events");
+            }
+        }
+        std::mem::replace(&mut self.out_min, f64::INFINITY)
+    }
+
+    /// Events processed so far.
+    pub(crate) fn events(&self) -> u64 {
+        self.events
     }
 
     /// Process every pending event with `t < bound` (and, under a horizon,
@@ -871,9 +896,8 @@ impl Engine {
     /// kept selectable as the reference for such cross-checks.
     pub fn with_scheduler(cfg: SimConfig, scheduler: Scheduler) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let p = cfg.p;
         Ok(Engine {
-            core: Core::new(Arc::new(cfg), 0, p, scheduler, false),
+            core: Core::new(Arc::new(cfg), 0, 1, scheduler, false),
         })
     }
 
@@ -902,14 +926,14 @@ impl Engine {
 
     /// Events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.core.events
+        self.core.events()
     }
 
     /// Run until the stop condition is reached and produce the report.
     pub fn run_to_completion(mut self) -> SimReport {
         self.core.process_until(f64::INFINITY);
         debug_assert!(
-            self.core.outbox.is_empty(),
+            self.core.outboxes.iter().all(Vec::is_empty),
             "sequential core owns all nodes"
         );
         finalize_report(vec![self.core])

@@ -33,8 +33,9 @@
 //! under a sequential-precision stopping rule ([`run_until_precision`]),
 //! and the [`validate`] module turns replications plus a model prediction
 //! into an interval-aware pass/fail verdict. A conservative parallel engine
-//! ([`par`]) partitions the node set into logical processes synchronized by
-//! lookahead and null messages — proven **bit-identical** to the sequential
+//! ([`par`]) partitions the node set into logical processes that advance in
+//! rounds over one global safe window (the earliest pending or in-flight
+//! event plus the lookahead) — proven **bit-identical** to the sequential
 //! engine for every partition and worker count by a differential
 //! equivalence suite (`tests/par_differential.rs`, DESIGN.md §13).
 //!

@@ -5,30 +5,30 @@
 //! process** (LP); each LP is a private `Core` — its own pending-event
 //! queue (calendar or heap, chosen per LP by
 //! [`Scheduler::auto_for_lp`]), its own nodes, its own clock. LPs
-//! synchronize with a conservative windowing protocol in the
-//! Chandy–Misra–Bryant family (synchronous variant, after the adevs
-//! `ParSimulator` exemplar):
+//! synchronize in rounds over one global safe window (Nicol's YAWNS
+//! protocol):
 //!
 //! 1. **Lookahead.** Every cross-node event is a message arrival paying at
-//!    least [`lookahead`] time units of wire delay (`net_latency`, or the
-//!    infimum of the latency distribution). An LP whose earliest pending
-//!    event is at `t` therefore cannot affect another LP before `t + L`.
-//! 2. **Null messages.** Each round, every LP posts that bound on each of
-//!    its outbound channels — a promise carrying no payload, only time.
-//! 3. **Safe window.** Each LP then processes every local event strictly
-//!    below `min(min_j bound_j, M + 2L)`, where the first term is the
-//!    minimum over its inbound channel bounds (covering *direct* future
-//!    messages: one hop from an event already queued at a peer) and `M` is
-//!    the global minimum next-event time (covering *transitive* ones: a
-//!    peer that is empty now may still receive and then forward, paying at
-//!    least two wire hops). Emitted cross-LP events are ferried over the
-//!    channels and can, by construction, never arrive in an LP's past.
+//!    least [`lookahead`] time units `L` of wire delay (`net_latency`, or
+//!    the infimum of the latency distribution).
+//! 2. **Post.** At the end of a round every LP posts the earliest of its
+//!    next pending event and the events it sent to other LPs that round.
+//!    `M` is the minimum over the posted values.
+//! 3. **Window.** In the next round every LP first takes delivery of the
+//!    events sent to it, then processes its events strictly below `M + L`,
+//!    and hands its output for each other LP to that LP's channel.
 //!
-//! Rounds repeat until the global minimum next-event time passes the
-//! horizon (or the queues drain, in makespan mode). `L > 0` guarantees
-//! every round advances the global clock by at least `L`, so the protocol
-//! is deadlock-free; a zero-lookahead configuration (a latency distribution
-//! that can sample 0) transparently falls back to the sequential engine.
+//! The window is safe: an event not yet delivered was created by an event
+//! at a time `>= M` and pays at least `L` on the wire, so nothing can
+//! arrive below `M + L`. That holds only because the posted values count
+//! the events in flight; without them `M` could skip a message on its way.
+//! Each LP also processes every event below `M + L`, so `M` grows by at
+//! least `L` per round and the protocol cannot deadlock. Rounds repeat
+//! until `M` passes the horizon (or is `+∞`, in makespan mode: every queue
+//! and channel is empty). Posted values and channels are double-buffered
+//! by round parity, so one barrier per round separates a round's writes
+//! from the next round's reads. A zero-lookahead configuration (a latency
+//! distribution that can sample 0) falls back to the sequential engine.
 //!
 //! **Determinism.** Parallel runs are *bit-identical* to sequential ones —
 //! same [`SimReport`], same cycle trace — for any LP count and any worker
@@ -73,7 +73,6 @@ use crate::engine::{finalize_report, Core, Engine, Ev};
 use crate::sched::Scheduler;
 use crate::stats::SimReport;
 use lopc_dist::Distribution;
-use lopc_solver::steal::WorkQueue;
 
 /// The conservative lookahead of a configuration: the minimum time any
 /// cross-node interaction takes. Every inter-node event is a message
@@ -81,9 +80,9 @@ use lopc_solver::steal::WorkQueue;
 /// latency, or the infimum of the latency distribution
 /// ([`Distribution::min_value`]) when wire times are sampled.
 ///
-/// A zero lookahead (e.g. exponential wire times) means no LP can ever
-/// promise anything about its future output and [`run_par`] falls back to
-/// the sequential engine.
+/// A zero lookahead (e.g. exponential wire times) gives no window in which
+/// LPs could run apart, and [`run_par`] falls back to the sequential
+/// engine.
 pub fn lookahead(cfg: &SimConfig) -> f64 {
     match &cfg.latency_dist {
         None => cfg.net_latency,
@@ -99,9 +98,9 @@ pub struct ParOptions {
     /// blocks of `p / lps` nodes). `0` picks the worker count (at least 2);
     /// values above `p` are clamped to `p`. `1` runs sequentially.
     pub lps: usize,
-    /// OS worker threads driving the LPs (each claims LPs work-stealing
-    /// style every phase). `0` picks the available parallelism; clamped to
-    /// the LP count.
+    /// OS worker threads driving the LPs (each owns a fixed contiguous
+    /// block of LPs for the whole run). `0` picks the available
+    /// parallelism; clamped to the LP count.
     pub threads: usize,
     /// Pending-event scheduler for every LP queue. `None` resolves like the
     /// sequential engine — the `LOPC_TEST_SCHEDULER` override if set, else
@@ -114,22 +113,14 @@ pub struct ParOptions {
     pub trace: bool,
 }
 
-/// One directed inter-LP channel: the null-message bound plus the payload
-/// events in flight. Written by the source LP, read by the destination —
-/// never both in the same phase, so the mutex is uncontended.
-struct Channel {
-    /// Promise: no future event on this channel carries `t` below this.
-    bound: Time,
-    msgs: Vec<Ev>,
-}
-
-/// Run the leader-reset closure between two barrier waits: every worker
-/// arrives, exactly one runs `f`, every worker leaves after `f` finished.
-fn sync(barrier: &Barrier, f: impl FnOnce()) {
-    if barrier.wait().is_leader() {
-        f();
-    }
-    barrier.wait();
+/// How a parallel run synchronized. Both counts depend only on the
+/// simulation, never on thread timing.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct RoundStats {
+    /// Rounds the run took (one barrier wait each).
+    pub(crate) rounds: usize,
+    /// Sum over rounds of the busiest LP's processed-event count.
+    pub(crate) busiest_events: u64,
 }
 
 #[inline]
@@ -147,6 +138,15 @@ fn load_time(a: &AtomicU64) -> Time {
 /// the sequential engine when the partition degenerates (`lps <= 1` after
 /// clamping) or the configuration has zero lookahead.
 pub fn run_par(cfg: &SimConfig, opts: &ParOptions) -> Result<SimReport, ConfigError> {
+    Ok(run_rounds(cfg, opts)?.0)
+}
+
+/// [`run_par`], also returning its [`RoundStats`] (all zero when it fell
+/// back to the sequential engine).
+pub(crate) fn run_rounds(
+    cfg: &SimConfig,
+    opts: &ParOptions,
+) -> Result<(SimReport, RoundStats), ConfigError> {
     cfg.validate()?;
     let la = lookahead(cfg);
     let threads_req = if opts.threads == 0 {
@@ -163,132 +163,101 @@ pub fn run_par(cfg: &SimConfig, opts: &ParOptions) -> Result<SimReport, ConfigEr
     let threads = threads_req.clamp(1, n);
 
     if n <= 1 || la <= 0.0 {
-        return run_sequential(cfg, opts.scheduler, opts.trace);
+        let report = run_sequential(cfg, opts.scheduler, opts.trace)?;
+        return Ok((report, RoundStats::default()));
     }
 
     let scheduler = opts
         .scheduler
         .or_else(crate::validate::env_scheduler)
         .unwrap_or_else(|| Scheduler::auto_for_lp(cfg.pending_hint(), n));
-    let horizon_end = match cfg.stop {
-        StopCondition::Horizon { end, .. } => Some(end),
-        StopCondition::CyclesPerThread { .. } => None,
+    let done = |m: Time| match cfg.stop {
+        StopCondition::Horizon { end, .. } => m > end,
+        StopCondition::CyclesPerThread { .. } => m == f64::INFINITY,
     };
 
-    // Contiguous balanced blocks: LP i owns nodes [i·p/n, (i+1)·p/n).
-    let p = cfg.p;
-    let bounds: Vec<usize> = (0..=n).map(|i| i * p / n).collect();
-    let mut node_lp = vec![0usize; p];
-    for i in 0..n {
-        for slot in &mut node_lp[bounds[i]..bounds[i + 1]] {
-            *slot = i;
-        }
-    }
-
     let shared = Arc::new(cfg.clone());
-    let cores: Vec<Mutex<Core>> = (0..n)
-        .map(|i| {
-            Mutex::new(Core::new(
-                shared.clone(),
-                bounds[i],
-                bounds[i + 1] - bounds[i],
-                scheduler,
-                opts.trace,
-            ))
-        })
+    let mut cores: Vec<Core> = (0..n)
+        .map(|lp| Core::new(shared.clone(), lp, n, scheduler, opts.trace))
         .collect();
-
-    // channels[src · n + dst]; the diagonal is never used.
-    let channels: Vec<Mutex<Channel>> = (0..n * n)
-        .map(|_| {
-            Mutex::new(Channel {
-                bound: f64::INFINITY,
-                msgs: Vec::new(),
-            })
-        })
-        .collect();
-    let next_times: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    // Round r reads what round r − 1 posted and sent from slot (r + 1) % 2
+    // and writes its own to slot r % 2, so no slot is read and written in
+    // the same round; slot 1 starts with each LP's first event time, as if
+    // posted by round −1. Channels are indexed `src · n + dst`.
+    let posted: [Vec<AtomicU64>; 2] = [0, 1].map(|_| (0..n).map(|_| AtomicU64::new(0)).collect());
+    for (slot, core) in posted[1].iter().zip(&mut cores) {
+        slot.store(core.next_time().to_bits(), Ordering::Relaxed);
+    }
+    let channels: [Vec<Mutex<Vec<Ev>>>; 2] =
+        [0, 1].map(|_| (0..n * n).map(|_| Mutex::new(Vec::new())).collect());
     let barrier = Barrier::new(threads);
-    // One claim queue per phase kind, leader-reset while the other drains.
-    let qa = WorkQueue::new(n);
-    let qb = WorkQueue::new(n);
 
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                loop {
-                    // Phase A: deliver ferried events, then advertise this
-                    // round's null messages (next local event + lookahead).
-                    while let Some(lp) = qa.claim() {
-                        let mut core = cores[lp].lock().unwrap();
-                        for src in 0..n {
-                            if src == lp {
-                                continue;
-                            }
-                            let mut ch = channels[src * n + lp].lock().unwrap();
-                            for ev in ch.msgs.drain(..) {
-                                core.receive(ev);
-                            }
-                        }
-                        let nt = core.next_time();
-                        next_times[lp].store(nt.to_bits(), Ordering::Relaxed);
-                        for dst in 0..n {
-                            if dst == lp {
-                                continue;
-                            }
-                            channels[lp * n + dst].lock().unwrap().bound = nt + la;
-                        }
-                    }
-                    sync(&barrier, || qb.reset());
-
-                    // Global termination: every worker sees the same
-                    // minimum (all stores happened before the barrier).
-                    let m = next_times
+    // Per LP, in LP order: the events it processed in each round.
+    let loads: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let (posted, channels, barrier, done) = (&posted, &channels, &barrier, &done);
+        let mut rest = cores.as_mut_slice();
+        let mut workers = Vec::with_capacity(threads);
+        for t in 0..threads {
+            // Worker t owns LPs [t·n/threads, (t+1)·n/threads).
+            let first = t * n / threads;
+            let (mine, tail) = rest.split_at_mut((t + 1) * n / threads - first);
+            rest = tail;
+            workers.push(s.spawn(move || {
+                let mut loads = vec![Vec::new(); mine.len()];
+                for round in 0usize.. {
+                    let (cur, prev) = (round % 2, (round + 1) % 2);
+                    // Every worker reads the same posted values, so all
+                    // agree on `m` and stop in the same round.
+                    let m = posted[prev]
                         .iter()
                         .map(load_time)
                         .fold(f64::INFINITY, f64::min);
-                    let done = match horizon_end {
-                        Some(end) => m > end,
-                        None => m == f64::INFINITY,
-                    };
-                    if done {
+                    if done(m) {
                         break;
                     }
-
-                    // Phase B: process the safe window, ferry the output.
-                    while let Some(lp) = qb.claim() {
-                        let mut core = cores[lp].lock().unwrap();
-                        let mut safe = f64::INFINITY;
-                        for src in 0..n {
-                            if src == lp {
-                                continue;
+                    for ((lp, core), load) in (first..).zip(mine.iter_mut()).zip(&mut loads) {
+                        for src in (0..n).filter(|&src| src != lp) {
+                            let mut inbound = channels[prev][src * n + lp]
+                                .lock()
+                                .expect("a simulation worker panicked");
+                            for ev in inbound.drain(..) {
+                                core.receive(ev);
                             }
-                            safe = safe.min(channels[src * n + lp].lock().unwrap().bound);
                         }
-                        // The channel bounds only cover *direct* future
-                        // messages (one inter-LP hop from an event already
-                        // queued at `src`). A message can also reach this LP
-                        // transitively — src receives first, then forwards —
-                        // paying at least two wire hops beyond the global
-                        // minimum next-event time. Without this cap an LP
-                        // whose peers are all momentarily empty would see
-                        // +inf bounds and run ahead of replies to its own
-                        // requests.
-                        let safe = safe.min(m + 2.0 * la);
-                        core.process_until(safe);
-                        for ev in core.take_outbox() {
-                            let dst = node_lp[ev.node];
-                            channels[lp * n + dst].lock().unwrap().msgs.push(ev);
-                        }
+                        let before = core.events();
+                        core.process_until(m + la);
+                        load.push(core.events() - before);
+                        // The receiver drained this slot last round, so the
+                        // outbox swaps with an empty Vec: no event is copied.
+                        let sent = core.flush_outboxes(|dst, out| {
+                            let mut outbound = channels[cur][lp * n + dst]
+                                .lock()
+                                .expect("a simulation worker panicked");
+                            debug_assert!(outbound.is_empty());
+                            std::mem::swap(&mut *outbound, out);
+                        });
+                        posted[cur][lp]
+                            .store(core.next_time().min(sent).to_bits(), Ordering::Relaxed);
                     }
-                    sync(&barrier, || qa.reset());
+                    barrier.wait();
                 }
-            });
+                loads
+            }));
         }
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a simulation worker panicked"))
+            .collect()
     });
 
-    let cores: Vec<Core> = cores.into_iter().map(|m| m.into_inner().unwrap()).collect();
-    Ok(finalize_report(cores))
+    let rounds = loads[0].len();
+    let stats = RoundStats {
+        rounds,
+        busiest_events: (0..rounds)
+            .map(|r| loads.iter().map(|l| l[r]).max().unwrap_or(0))
+            .sum(),
+    };
+    Ok((finalize_report(cores), stats))
 }
 
 /// The degenerate path: one LP (or zero lookahead) is just the sequential
@@ -504,5 +473,39 @@ mod tests {
         };
         assert_eq!(run_par(&cfg, &opts).unwrap(), reference);
         assert!(reference.nodes[0].requests_served > 0);
+    }
+
+    /// The global window keeps both LPs busy on the lockstep schedule the
+    /// paper validates on (`perfbench`'s big-run shape: constant `W` = 512,
+    /// `So` = 200, `St` = 25). The busiest LP's events summed over rounds,
+    /// over the mean LP's, read 1.12–1.19 across 40 seeds; a per-LP window
+    /// (each LP running to its own inbound bound, capped at `M + 2L`) made
+    /// the LPs take turns and read 1.14–1.59, above 1.25 on most seeds.
+    #[test]
+    fn global_window_balances_lockstep_lps() {
+        let mut cfg = base(256, StopCondition::CyclesPerThread { n: 4 });
+        cfg.request_handler = ServiceTime::constant(200.0);
+        cfg.reply_handler = ServiceTime::constant(200.0);
+        for t in &mut cfg.threads {
+            t.work = Some(ServiceTime::constant(512.0));
+        }
+        let opts = ParOptions {
+            lps: 2,
+            threads: 2,
+            ..Default::default()
+        };
+        let ratios: Vec<f64> = [42, 7, 0xabcdef, 1, 2, 3]
+            .into_iter()
+            .map(|seed| {
+                cfg.seed = crate::validate::test_seed(seed);
+                let (report, stats) = run_rounds(&cfg, &opts).unwrap();
+                assert!(stats.rounds > 0, "two LPs run in rounds");
+                stats.busiest_events as f64 * 2.0 / report.events as f64
+            })
+            .collect();
+        assert!(
+            ratios.iter().all(|&r| r <= 1.25),
+            "busiest ÷ mean LP events per seed: {ratios:.3?}"
+        );
     }
 }

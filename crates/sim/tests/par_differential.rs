@@ -4,7 +4,7 @@
 //! partition (LP count), every worker count, and both pending-event
 //! schedulers.
 //!
-//! This is the proof that LP partitioning, null-message synchronization,
+//! This is the proof that LP partitioning, global-window synchronization,
 //! per-node counter-split RNG streams, and partition-independent event keys
 //! compose into an engine whose *outputs* carry no trace of *how* they were
 //! computed (DESIGN.md §13). The suite follows the PR-2 differential
@@ -25,6 +25,9 @@
 //! - the environment knobs: seeds are shifted by `LOPC_TEST_SEED_OFFSET`
 //!   (via [`lopc_sim::validate::test_seed`]), so the CI matrix proves the
 //!   equivalence is seed-independent, not tuned.
+//!
+//! A deterministic grid adds a lattice schedule (constant `W`, `So` and
+//! `St`) whose window edges all land on tied events.
 
 use lopc_dist::ServiceTime;
 use lopc_sim::validate::test_seed;
@@ -158,26 +161,39 @@ proptest! {
     }
 }
 
-/// The deterministic grid the ISSUE names: one fixed configuration, every
-/// combination of lps × threads × scheduler, all equal to one reference.
+/// The deterministic grid: fixed configurations, every combination of
+/// lps × threads × scheduler, each equal to its sequential reference.
+///
+/// Besides an exponential fork-join configuration, the grid runs a lattice:
+/// constant `W` = 500, `So` = 100 and `St` = 25 put every event time on a
+/// multiple of 25, so every window edge `M + L` lands on tied events, under
+/// both stop conditions. An LP that also took the events at the edge
+/// would run ahead of a peer's message arriving there.
 #[test]
 fn full_grid_on_fixed_config_matches() {
-    let cfg = drawn_config(10, 500.0, 131.0, 1, 2, 2, 2, 0, 0, test_seed(97));
-    for scheduler in [Scheduler::Calendar, Scheduler::BinaryHeap] {
-        let reference = sequential(&cfg, scheduler);
-        for lps in [1, 2, 4, 8] {
-            for threads in [1, 2, 4] {
-                let opts = ParOptions {
-                    lps,
-                    threads,
-                    scheduler: Some(scheduler),
-                    trace: true,
-                };
-                assert_eq!(
-                    run_par(&cfg, &opts).unwrap(),
-                    reference,
-                    "lps {lps} threads {threads} scheduler {scheduler:?}"
-                );
+    let lattice = |mode| drawn_config(10, 500.0, 100.0, 0, 1, 1, mode, 0, 0, test_seed(97));
+    let configs = [
+        drawn_config(10, 500.0, 131.0, 1, 2, 2, 2, 0, 0, test_seed(97)),
+        lattice(0),
+        lattice(2),
+    ];
+    for (c, cfg) in configs.iter().enumerate() {
+        for scheduler in [Scheduler::Calendar, Scheduler::BinaryHeap] {
+            let reference = sequential(cfg, scheduler);
+            for lps in [1, 2, 4, 8] {
+                for threads in [1, 2, 4] {
+                    let opts = ParOptions {
+                        lps,
+                        threads,
+                        scheduler: Some(scheduler),
+                        trace: true,
+                    };
+                    assert_eq!(
+                        run_par(cfg, &opts).unwrap(),
+                        reference,
+                        "config {c} lps {lps} threads {threads} scheduler {scheduler:?}"
+                    );
+                }
             }
         }
     }

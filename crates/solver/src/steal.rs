@@ -79,17 +79,6 @@ impl WorkQueue {
         Some(start..(start + size).min(self.len))
     }
 
-    /// Re-arm the claim cursor so the same queue can distribute the index
-    /// space again (the parallel simulator claims its LP set once per
-    /// synchronization phase and reuses one queue per phase kind).
-    ///
-    /// Not synchronized with in-flight claims: callers must guarantee no
-    /// thread is claiming concurrently — e.g. reset between two barrier
-    /// waits, as the simulator's round driver does.
-    pub fn reset(&self) {
-        self.next.store(0, Ordering::Relaxed);
-    }
-
     /// Total size of the index space.
     pub fn len(&self) -> usize {
         self.len
@@ -103,8 +92,9 @@ impl WorkQueue {
 
 /// Number of worker threads for a parallel loop over `items` indices:
 /// the available parallelism, never more than the item count (and at
-/// least one). Shared policy for [`par_map`](crate::par_map) and the
-/// simulator's replication runner.
+/// least one). Shared policy for [`par_map`](crate::par_map), the
+/// simulator's replication runner and the parallel simulator's default
+/// thread count.
 pub fn worker_count(items: usize) -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -171,42 +161,6 @@ mod tests {
         });
         let seen = claimed.lock().unwrap();
         assert!(seen.iter().all(|&c| c == 1), "each index exactly once");
-    }
-
-    #[test]
-    fn reset_rearms_an_exhausted_queue() {
-        let q = WorkQueue::new(3);
-        assert_eq!(
-            std::iter::from_fn(|| q.claim()).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert!(q.claim().is_none());
-        q.reset();
-        assert_eq!(
-            std::iter::from_fn(|| q.claim()).collect::<Vec<_>>(),
-            vec![0, 1, 2],
-            "a reset queue hands out the full space again"
-        );
-        // Reset mid-drain also restarts from zero.
-        q.reset();
-        assert_eq!(q.claim(), Some(0));
-        q.reset();
-        assert_eq!(q.claim(), Some(0));
-    }
-
-    #[test]
-    fn reset_works_with_block_claims() {
-        let q = WorkQueue::new(100);
-        while q.claim_block(4).is_some() {}
-        q.reset();
-        let mut seen = [false; 100];
-        while let Some(r) = q.claim_block(4) {
-            for i in r {
-                assert!(!seen[i], "index {i} claimed twice after reset");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
