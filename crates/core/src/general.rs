@@ -20,7 +20,13 @@
 
 use crate::error::ModelError;
 use crate::params::Machine;
-use lopc_solver::{solve_damped, FixedPointOptions};
+use lopc_solver::{solve_damped, FixedPointOptions, SolverError};
+
+/// Largest `P` a [`Scenario::SharedMemory`](crate::Scenario::SharedMemory)
+/// accepts: 2²⁰, the simulator's node limit. Its solve costs O(P) per
+/// fixed-point iteration, so an unbounded `P` from a request would hold a
+/// serving thread for ever.
+pub const MAX_SHARED_MEMORY_P: usize = 1 << 20;
 
 /// The general model input.
 #[derive(Clone, Debug, PartialEq)]
@@ -375,6 +381,148 @@ impl GeneralModel {
     }
 }
 
+/// The shared-memory (§5.1) instance of the general model —
+/// `GeneralModel::homogeneous_all_to_all(machine, w).with_protocol_processor()`
+/// — solved on one node's state `[rq, ry, r]` instead of the `3P` state, with
+/// no visit matrix.
+///
+/// **Why one node is exact.** Every node of that model is identical, and
+/// [`GeneralModel::apply_f`] maps a state whose nodes all share `(rq, ry, r)`
+/// to one whose nodes again all do, so the `3P` iteration never leaves the
+/// diagonal:
+///
+/// * `x = 1/max(r, ε)` is the same for every thread, so every `λq[k]` is the
+///   same fold of `P − 1` identical terms `frac · x`, `frac = 1/(P−1)` (the
+///   `v[k][k] · x = 0` term adds nothing);
+/// * every `r` row adds `P − 1` identical terms `frac · (St + rq)` to the
+///   same start `W + St + ry`;
+/// * `solve_damped`'s residual is a max-norm and its damping element-wise,
+///   so the 3-entry run takes the `3P`-entry run's steps exactly;
+/// * the prediction needs only `r`, `rq`, `ry`, `rw = W`, and the system
+///   throughput as a sum of `P` copies of `1/r`.
+///
+/// So replaying the general model's arithmetic term by term on one node gives
+/// its bits, its iteration count and its errors. Each Σ stays a loop of
+/// `P − 1` additions in the same order: `(P − 1) · term` rounds differently.
+/// The map here must change whenever [`GeneralModel::apply_f`] does; the
+/// `shared_memory_reference` test pins the two together.
+#[derive(Debug)]
+pub(crate) struct SharedMemoryModel {
+    machine: Machine,
+    w: f64,
+    /// Every off-diagonal visit fraction, `1/(P−1)`.
+    frac: f64,
+}
+
+/// The solution of a [`SharedMemoryModel`]: one node's, which is every
+/// node's.
+pub(crate) struct SharedMemorySolution {
+    /// Cycle response time.
+    pub r: f64,
+    /// System throughput `Σ_c X_c`.
+    pub x: f64,
+    /// Request-handler response.
+    pub rq: f64,
+    /// Reply-handler response.
+    pub ry: f64,
+    /// Fixed-point iterations used.
+    pub iterations: usize,
+}
+
+impl SharedMemoryModel {
+    /// The general model's entry checks — the machine first, then `W` —
+    /// plus the [`MAX_SHARED_MEMORY_P`] cap.
+    pub(crate) fn new(machine: Machine, w: f64) -> Result<Self, ModelError> {
+        machine.validate()?;
+        if machine.p > MAX_SHARED_MEMORY_P {
+            return Err(ModelError::InvalidParameter("p must be <= 2^20"));
+        }
+        if !w.is_finite() || w < 0.0 {
+            return Err(ModelError::InvalidParameter("w must be finite and >= 0"));
+        }
+        Ok(SharedMemoryModel {
+            machine,
+            w,
+            frac: 1.0 / (machine.p - 1) as f64,
+        })
+    }
+
+    /// [`GeneralModel::initial_state`] on one node: `[rq, ry, r]`.
+    fn initial_state(&self) -> Result<Vec<f64>, ModelError> {
+        let so = self.machine.s_o;
+        let st = self.machine.s_l;
+        let hops: f64 = std::iter::repeat_n(self.frac, self.machine.p - 1).sum();
+        let init_r = self.w + hops * (st + so) + st + so;
+        if init_r <= 0.0 {
+            return Err(ModelError::Degenerate("zero-cost cycle"));
+        }
+        Ok(vec![so.max(1e-12), so.max(1e-12), init_r])
+    }
+
+    /// [`GeneralModel::apply_f`] on one node.
+    fn apply_f(&self, state: &[f64], out: &mut [f64]) {
+        let so = self.machine.s_o;
+        let st = self.machine.s_l;
+        let beta = self.machine.beta();
+        let eps = 1e-9;
+        let (rq, ry, r) = (state[0], state[1], state[2]);
+
+        let x = 1.0 / r.max(eps);
+        // λq and the `r` row: two folds of P − 1 identical terms.
+        let (dq, dr) = (self.frac * x, self.frac * (st + rq));
+        let mut lq = 0.0;
+        let mut total = self.w + st + ry;
+        for _ in 1..self.machine.p {
+            lq += dq;
+            total += dr;
+        }
+        let ly = x;
+        let uqk = so * lq;
+        let uyk = so * ly;
+        let qqk = rq * lq;
+        let qyk = ry * ly;
+        out[0] = so * (1.0 + qqk + qyk + beta * (uqk + uyk));
+        out[1] = so * (1.0 + qqk + beta * uqk);
+        out[2] = total;
+    }
+
+    /// Solve under the general model's damping schedule.
+    pub(crate) fn solve(&self) -> Result<SharedMemorySolution, ModelError> {
+        self.solve_with(&GeneralModel::fixed_point_options())
+    }
+
+    /// Solve under `opts`; an exhausted run reports the general model's
+    /// `3P`-entry iterate `[rq×P | ry×P | r×P]`.
+    fn solve_with(&self, opts: &FixedPointOptions) -> Result<SharedMemorySolution, ModelError> {
+        let p = self.machine.p;
+        let x0 = self.initial_state()?;
+        match solve_damped(x0, |state, out| self.apply_f(state, out), opts) {
+            Ok(conv) => {
+                let (rq, ry, r) = (conv.x[0], conv.x[1], conv.x[2]);
+                Ok(SharedMemorySolution {
+                    r,
+                    x: std::iter::repeat_n(1.0 / r, p).sum(),
+                    rq,
+                    ry,
+                    iterations: conv.iterations,
+                })
+            }
+            Err(SolverError::Exhausted {
+                x,
+                iterations,
+                residual,
+                contracting,
+            }) => Err(ModelError::Solver(SolverError::Exhausted {
+                x: x.iter().flat_map(|&v| std::iter::repeat_n(v, p)).collect(),
+                iterations,
+                residual,
+                contracting,
+            })),
+            Err(e) => Err(e.into()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,6 +672,38 @@ mod tests {
             row.iter_mut().for_each(|x| *x = 0.0);
         }
         assert!(bad.solve().is_err());
+    }
+
+    /// A run cut off by its budget reports what the general model's run
+    /// reports, its `3P`-entry last iterate included.
+    #[test]
+    fn shared_memory_exhaustion_reports_the_general_iterate() {
+        for (p, c2, w) in [(2, 0.0, 0.0), (16, 1.0, 800.0), (64, 2.5, 5000.0)] {
+            let m = Machine::new(p, 25.0, 200.0).with_c2(c2);
+            let general = GeneralModel::homogeneous_all_to_all(m, w).with_protocol_processor();
+            for max_iter in [1, 5, 17] {
+                let opts = FixedPointOptions {
+                    max_iter,
+                    ..GeneralModel::fixed_point_options()
+                };
+                let want = solve_damped(
+                    general.initial_state().unwrap(),
+                    |state, out| general.apply_f(state, out),
+                    &opts,
+                )
+                .unwrap_err();
+                assert!(matches!(want, SolverError::Exhausted { .. }));
+                let got = SharedMemoryModel::new(m, w)
+                    .unwrap()
+                    .solve_with(&opts)
+                    .err();
+                assert_eq!(
+                    got,
+                    Some(ModelError::Solver(want)),
+                    "p={p} max_iter={max_iter}"
+                );
+            }
+        }
     }
 
     /// Idle threads report NaN response and zero throughput.

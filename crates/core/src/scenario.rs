@@ -30,7 +30,7 @@ use crate::all_to_all::AllToAll;
 use crate::client_server::ClientServer;
 use crate::error::ModelError;
 use crate::fork_join::ForkJoin;
-use crate::general::GeneralModel;
+use crate::general::{GeneralModel, SharedMemoryModel};
 use crate::params::Machine;
 
 /// One prediction request: which model variant, with which parameters.
@@ -71,6 +71,13 @@ pub enum Scenario {
     General(GeneralModel),
     /// Shared-memory variant (§5.1): homogeneous all-to-all on a machine
     /// with per-node protocol processors (`Rw = W`).
+    ///
+    /// It is the general model's
+    /// `homogeneous_all_to_all(machine, w).with_protocol_processor()`,
+    /// answered bit for bit, but solved on one node's state: every node is
+    /// identical, so each fixed-point iteration costs O(P), not O(P²).
+    /// `P` above [`MAX_SHARED_MEMORY_P`](crate::general::MAX_SHARED_MEMORY_P)
+    /// (2²⁰) is an invalid parameter.
     SharedMemory {
         /// Architectural parameters.
         machine: Machine,
@@ -108,11 +115,7 @@ impl Scenario {
             }
             Scenario::ForkJoin { machine, w, k } => ForkJoin::new(*machine, *w, *k).validate(),
             Scenario::General(model) => model.validate(),
-            Scenario::SharedMemory { machine, w } => {
-                GeneralModel::homogeneous_all_to_all(*machine, *w)
-                    .with_protocol_processor()
-                    .validate()
-            }
+            Scenario::SharedMemory { machine, w } => SharedMemoryModel::new(*machine, *w).map(drop),
         }
     }
 }
@@ -479,17 +482,15 @@ pub fn solve(scenario: &Scenario) -> Result<Prediction, ModelError> {
             })
         }
         Scenario::SharedMemory { machine, w } => {
-            let sol = GeneralModel::homogeneous_all_to_all(*machine, *w)
-                .with_protocol_processor()
-                .solve()?;
-            // Homogeneous: every node is identical, so node 0 is the system.
+            let sol = SharedMemoryModel::new(*machine, *w)?.solve()?;
             Ok(Prediction {
-                r: sol.r[0],
-                x: sol.system_throughput(),
-                rw: sol.rw[0],
-                rq: sol.rq[0],
-                ry: sol.ry[0],
-                contention: sol.r[0] - machine.contention_free_response(*w),
+                r: sol.r,
+                x: sol.x,
+                // The protocol processor never interrupts the computation.
+                rw: *w,
+                rq: sol.rq,
+                ry: sol.ry,
+                contention: sol.r - machine.contention_free_response(*w),
                 ps: None,
                 iterations: sol.iterations,
             })
@@ -604,6 +605,50 @@ mod tests {
         })
         .unwrap();
         assert!(p.r < mp.r);
+    }
+
+    /// `SharedMemory` `P` outside `2..=2²⁰` is an invalid parameter at every
+    /// entry point: no debug-build overflow, no endless O(P) solve.
+    #[test]
+    fn shared_memory_p_out_of_range_is_invalid() {
+        use crate::general::MAX_SHARED_MEMORY_P;
+        for (p, msg) in [
+            (0, "p must be >= 2"),
+            (1, "p must be >= 2"),
+            (MAX_SHARED_MEMORY_P + 1, "p must be <= 2^20"),
+            (1_000_000_000_000_000, "p must be <= 2^20"),
+        ] {
+            let s = Scenario::SharedMemory {
+                machine: Machine::new(p, 1.0, 1.0),
+                w: 1.0,
+            };
+            let want = Err(ModelError::InvalidParameter(msg));
+            assert_eq!(s.validate(), want, "validate, p={p}");
+            assert_eq!(solve(&s).map(drop), want, "solve, p={p}");
+            let batch = solve_batch(std::slice::from_ref(&s));
+            assert_eq!(batch[0].clone().map(drop), want, "solve_batch, p={p}");
+        }
+        let at_cap = Scenario::SharedMemory {
+            machine: Machine::new(MAX_SHARED_MEMORY_P, 1.0, 1.0),
+            w: 1.0,
+        };
+        assert_eq!(at_cap.validate(), Ok(()));
+    }
+
+    /// A machine whose P×P visit matrix would take 80 GB solves on one
+    /// node's state.
+    #[test]
+    fn shared_memory_solves_a_large_machine() {
+        let m = Machine::new(100_000, 25.0, 200.0).with_c2(0.0);
+        let s = Scenario::SharedMemory {
+            machine: m,
+            w: 1000.0,
+        };
+        assert_eq!(s.validate(), Ok(()));
+        let p = solve(&s).unwrap();
+        assert_eq!(p.rw, 1000.0);
+        assert!(p.r > m.contention_free_response(1000.0));
+        assert!((p.x * p.r / 100_000.0 - 1.0).abs() < 1e-9, "X = P/R");
     }
 
     #[test]

@@ -21,14 +21,18 @@
 //!   bracketing the eq. 6.8 continuous optimum — both ride the same batch
 //!   as ordinary lanes and the winner is picked afterwards by the exact
 //!   comparison the scalar `optimal_servers` performs.
-//! * `General` and `SharedMemory` lanes iterate under [`solve_damped_many`],
-//!   which keeps every lane's state in one flat buffer and retires lanes
-//!   independently at their own convergence iteration.
+//! * `General` lanes iterate under [`solve_damped_many`], which keeps every
+//!   lane's state in one flat buffer and retires lanes independently at
+//!   their own convergence iteration.
 //! * Lanes that never reach an iterative kernel in the scalar path
 //!   (validation failures, degenerate models, `So = 0` closed forms) are
 //!   answered by the scalar dispatch directly — those paths are O(1), so
 //!   batching them buys nothing and reusing `solve` keeps the equivalence
 //!   trivially exact.
+//! * `SharedMemory` lanes are answered by the scalar dispatch too. Their
+//!   solve iterates one node's three unknowns, and each iteration is two
+//!   serial sums of `P − 1` terms; as 3-entry [`solve_damped_many`] lanes
+//!   they measured slower than scalar solves (DESIGN.md §14).
 //!
 //! Lane failures (no bracket, budget exhaustion, NaN breakdown) retire only
 //! their own lane; every other lane completes normally. An exhausted damped
@@ -63,7 +67,8 @@ use lopc_solver::{bracket_bisect_many, solve_damped_many, BracketBisectSpec, Sol
 
 /// Where a scenario's answer comes from after the kernels run.
 enum Pending {
-    /// Resolved in the pre-pass (closed form or entry-check error).
+    /// Resolved in the pre-pass (closed form, entry-check error, or a
+    /// `SharedMemory` lane).
     Direct,
     /// All-to-all root lane.
     A2a(usize),
@@ -79,7 +84,7 @@ enum Pending {
         lo_lane: usize,
         hi_lane: usize,
     },
-    /// General / shared-memory damped fixed-point lane.
+    /// General-model damped fixed-point lane.
     Damped(usize),
 }
 
@@ -189,7 +194,7 @@ pub fn solve_batch(scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>
     let mut a2a = RootLanes::default();
     let mut fj = RootLanes::default();
     let mut cs = RootLanes::default();
-    let mut damped_models: Vec<GeneralModel> = Vec::new();
+    let mut damped_models: Vec<&GeneralModel> = Vec::new();
     let mut damped_x0s: Vec<Vec<f64>> = Vec::new();
 
     // Pre-pass: replay each scenario's scalar entry checks; route lanes that
@@ -287,26 +292,14 @@ pub fn solve_batch(scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>
                 }
                 Ok(x0) => {
                     let lane = damped_models.len();
-                    damped_models.push(model.clone());
+                    damped_models.push(model);
                     damped_x0s.push(x0);
                     Pending::Damped(lane)
                 }
             },
-            Scenario::SharedMemory { machine, w } => {
-                let gm =
-                    GeneralModel::homogeneous_all_to_all(*machine, *w).with_protocol_processor();
-                match gm.initial_state() {
-                    Err(_) => {
-                        out[i] = Some(solve(s));
-                        Pending::Direct
-                    }
-                    Ok(x0) => {
-                        let lane = damped_models.len();
-                        damped_models.push(gm);
-                        damped_x0s.push(x0);
-                        Pending::Damped(lane)
-                    }
-                }
+            Scenario::SharedMemory { .. } => {
+                out[i] = Some(solve(s));
+                Pending::Direct
             }
         };
         pending.push(p);
@@ -497,33 +490,19 @@ pub fn solve_batch(scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>
                 })());
             }
             Pending::Damped(lane) => {
-                let model = &damped_models[*lane];
                 out[i] = Some(
                     match damped_results[*lane].take().expect("lane used once") {
                         Ok(conv) => {
-                            let sol = model.decompose(&conv.x, conv.iterations);
-                            Ok(match &scenarios[i] {
-                                Scenario::General(_) => Prediction {
-                                    r: sol.mean_r(),
-                                    x: sol.system_throughput(),
-                                    rw: f64::NAN,
-                                    rq: f64::NAN,
-                                    ry: f64::NAN,
-                                    contention: f64::NAN,
-                                    ps: None,
-                                    iterations: sol.iterations,
-                                },
-                                Scenario::SharedMemory { machine, w } => Prediction {
-                                    r: sol.r[0],
-                                    x: sol.system_throughput(),
-                                    rw: sol.rw[0],
-                                    rq: sol.rq[0],
-                                    ry: sol.ry[0],
-                                    contention: sol.r[0] - machine.contention_free_response(*w),
-                                    ps: None,
-                                    iterations: sol.iterations,
-                                },
-                                _ => unreachable!("lane routing is per-variant"),
+                            let sol = damped_models[*lane].decompose(&conv.x, conv.iterations);
+                            Ok(Prediction {
+                                r: sol.mean_r(),
+                                x: sol.system_throughput(),
+                                rw: f64::NAN,
+                                rq: f64::NAN,
+                                ry: f64::NAN,
+                                contention: f64::NAN,
+                                ps: None,
+                                iterations: sol.iterations,
                             })
                         }
                         Err(e) => Err(ModelError::from(e)),

@@ -68,8 +68,9 @@ fn shuffle(v: &mut [Scenario], rng: &mut SmallRng) {
 }
 
 /// One random scenario. `variant` selects among the five kinds; `cheap_amva`
-/// caps the AMVA machine size so 1000-lane batches stay fast in debug
-/// builds (the damped fixed point is O(p²) per iteration).
+/// caps the `General` machine size so 1000-lane batches stay fast in debug
+/// builds (its damped fixed point is O(p²) per iteration; `SharedMemory`'s
+/// one-node solve is O(p), so it draws every `p`).
 fn random_scenario(rng: &mut SmallRng, variant: u32, cheap_amva: bool) -> Scenario {
     let p = match rng.random_range(0u32..3) {
         0 => 4,
@@ -108,14 +109,7 @@ fn random_scenario(rng: &mut SmallRng, variant: u32, cheap_amva: bool) -> Scenar
                 Scenario::General(GeneralModel::client_server(m, w, servers))
             }
         }
-        _ => {
-            let m = if cheap_amva {
-                Machine::new(4, s_l, s_o).with_c2(c2)
-            } else {
-                machine
-            };
-            Scenario::SharedMemory { machine: m, w }
-        }
+        _ => Scenario::SharedMemory { machine, w },
     }
 }
 

@@ -350,6 +350,47 @@ fn http_errors_are_clean_json_not_hangs() {
     server.shutdown();
 }
 
+/// A `SharedMemory` `P` out of range is a 422 that names the bound, single
+/// or batch lane, and the node answers the next request on the same
+/// connection.
+#[test]
+fn shared_memory_p_out_of_range_is_a_422() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let lane = |p: &str| {
+        format!(r#"{{"kind":"shared_memory","machine":{{"p":{p},"st":1,"so":1,"c2":1}},"w":1}}"#)
+    };
+    for (p, bound) in [
+        ("1000000000000000", "p must be <= 2^20"),
+        ("1048577", "p must be <= 2^20"),
+        ("0", "p must be >= 2"),
+        ("1", "p must be >= 2"),
+    ] {
+        let (status, body) = client
+            .request("POST", "/v1/predict", lane(p).as_bytes())
+            .unwrap();
+        assert_eq!(status, 422, "p = {p}");
+        assert!(String::from_utf8_lossy(&body).contains(bound), "p = {p}");
+        let batch = format!(r#"{{"scenarios":[{},{}]}}"#, lane("16"), lane(p));
+        let (status, body) = client
+            .request("POST", "/v1/predict/batch", batch.as_bytes())
+            .unwrap();
+        assert_eq!(status, 422, "batch, p = {p}");
+        assert!(
+            String::from_utf8_lossy(&body).contains("at index 1"),
+            "p = {p}"
+        );
+    }
+    let s = Scenario::SharedMemory {
+        machine: machine(),
+        w: 800.0,
+    };
+    let p = client.predict(&s).expect("the node still answers");
+    let direct = lopc_core::scenario::solve(&s).unwrap();
+    assert!(lopc_serve::predictions_identical(&p, &direct));
+    server.shutdown();
+}
+
 /// RFC 9112 §9.3 over a socket: an HTTP/1.0 request without the
 /// `keep-alive` option, or any request whose `Connection` options include
 /// `close`, is answered with `connection: close` and then EOF — not held

@@ -54,11 +54,11 @@ fn general(p: usize, w: f64) -> Scenario {
     Scenario::General(GeneralModel::homogeneous_all_to_all(machine, w))
 }
 
-/// A `SharedMemory` lane over 64 nodes: a per-node general-model solve in
-/// 76 bytes of JSON, distinct per `w`.
+/// A `SharedMemory` lane over 4096 nodes: a one-node solve whose
+/// iterations each cost O(P), in 78 bytes of JSON, distinct per `w`.
 fn shared_memory(w: f64) -> Scenario {
     Scenario::SharedMemory {
-        machine: Machine::new(64, 25.0, 200.0).with_c2(0.0),
+        machine: Machine::new(4096, 25.0, 200.0).with_c2(0.0),
         w,
     }
 }
