@@ -39,21 +39,34 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::codec::{prediction_from_json, scenario_to_json, MAX_REL_ERR_FIELD};
+use crate::codec::{prediction_from_str, predictions_from_str, write_scenario, MAX_REL_ERR_FIELD};
 use crate::http::{self, HttpError, ResponseParser};
-use crate::json::{parse, Json};
+use crate::json::{parse, write_num, Json};
 use lopc_core::{Prediction, Scenario};
 
-/// Append `max_rel_err` to a request object when it is non-zero (zero is
-/// the wire default, and omitting it keeps exact-mode requests identical to
-/// pre-interpolation clients).
-fn with_tolerance(mut kv: Json, max_rel_err: f64) -> Json {
+/// Append `max_rel_err` as the last member of the request object in `body`
+/// when it is non-zero (zero is the wire default, and omitting it keeps
+/// exact-mode requests identical to pre-interpolation clients).
+fn with_tolerance(mut body: String, max_rel_err: f64) -> String {
     if max_rel_err != 0.0 {
-        if let Json::Object(fields) = &mut kv {
-            fields.push((MAX_REL_ERR_FIELD.into(), Json::Num(max_rel_err)));
-        }
+        body.pop(); // the object's closing brace
+        body.push_str(",\"");
+        body.push_str(MAX_REL_ERR_FIELD);
+        body.push_str("\":");
+        write_num(&mut body, max_rel_err);
+        body.push('}');
     }
-    kv
+    body
+}
+
+/// A response's body as text: non-2xx becomes [`ClientError::Status`].
+fn success_text(status: u16, body: Vec<u8>) -> Result<String, ClientError> {
+    let text = String::from_utf8(body)
+        .map_err(|_| ClientError::Protocol("response body is not UTF-8".into()))?;
+    if !(200..300).contains(&status) {
+        return Err(ClientError::Status(status, text));
+    }
+    Ok(text)
 }
 
 /// Client-side failure: transport, protocol, or an error status.
@@ -237,14 +250,16 @@ pub(crate) enum AttemptError {
 
 /// The wire body of a batch request over borrowed lanes.
 pub(crate) fn batch_request_body(scenarios: &[&Scenario], max_rel_err: f64) -> String {
-    with_tolerance(
-        Json::Object(vec![(
-            "scenarios".into(),
-            Json::Array(scenarios.iter().map(|s| scenario_to_json(s)).collect()),
-        )]),
-        max_rel_err,
-    )
-    .to_compact()
+    let mut body = String::with_capacity(128 * scenarios.len() + 48);
+    body.push_str("{\"scenarios\":[");
+    for (i, s) in scenarios.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        write_scenario(&mut body, s);
+    }
+    body.push_str("]}");
+    with_tolerance(body, max_rel_err)
 }
 
 /// Decode a batch response: non-2xx becomes [`ClientError::Status`], a
@@ -253,20 +268,8 @@ pub(crate) fn batch_predictions_from_response(
     status: u16,
     body: Vec<u8>,
 ) -> Result<Vec<Prediction>, ClientError> {
-    let text = String::from_utf8(body)
-        .map_err(|_| ClientError::Protocol("response body is not UTF-8".into()))?;
-    if !(200..300).contains(&status) {
-        return Err(ClientError::Status(status, text));
-    }
-    let doc = parse(&text).map_err(ClientError::Protocol)?;
-    let items = doc
-        .get("predictions")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ClientError::Protocol("missing \"predictions\" array".into()))?;
-    items
-        .iter()
-        .map(|v| prediction_from_json(v).map_err(|e| ClientError::Protocol(e.to_string())))
-        .collect()
+    let text = success_text(status, body)?;
+    predictions_from_str(&text).map_err(|e| ClientError::Protocol(e.to_string()))
 }
 
 impl Client {
@@ -414,12 +417,7 @@ impl Client {
         body: &[u8],
     ) -> Result<Json, ClientError> {
         let (status, body) = self.request(method, path, body)?;
-        let text = String::from_utf8(body)
-            .map_err(|_| ClientError::Protocol("response body is not UTF-8".into()))?;
-        if !(200..300).contains(&status) {
-            return Err(ClientError::Status(status, text));
-        }
-        parse(&text).map_err(ClientError::Protocol)
+        parse(&success_text(status, body)?).map_err(ClientError::Protocol)
     }
 
     /// `POST /v1/predict` for one scenario (exact mode).
@@ -434,9 +432,12 @@ impl Client {
         scenario: &Scenario,
         max_rel_err: f64,
     ) -> Result<Prediction, ClientError> {
-        let body = with_tolerance(scenario_to_json(scenario), max_rel_err).to_compact();
-        let doc = self.request_json("POST", "/v1/predict", body.as_bytes())?;
-        prediction_from_json(&doc).map_err(|e| ClientError::Protocol(e.to_string()))
+        let mut body = String::with_capacity(128);
+        write_scenario(&mut body, scenario);
+        let body = with_tolerance(body, max_rel_err);
+        let (status, body) = self.request("POST", "/v1/predict", body.as_bytes())?;
+        prediction_from_str(&success_text(status, body)?)
+            .map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
     /// `POST /v1/predict/batch` for a scenario list (exact mode).

@@ -7,11 +7,13 @@
 //! dashboard) consumes the model online. This crate turns the library into
 //! that service without any external dependency:
 //!
-//! * [`json`] — the workspace's shared hand-rolled JSON (value type,
-//!   emitter, parser); `lopc_bench::baseline` re-uses it for
-//!   `BENCH_sim.json`;
+//! * [`json`] — the workspace's shared hand-rolled JSON (one tokenizer,
+//!   one number emitter, and the value tree built on them);
+//!   `lopc_bench::baseline` re-uses it for `BENCH_sim.json`;
 //! * [`codec`] — the wire schema for [`Scenario`](lopc_core::Scenario) and
-//!   [`Prediction`](lopc_core::Prediction);
+//!   [`Prediction`](lopc_core::Prediction): the predict path decodes and
+//!   encodes straight between bytes and values, and the `Json` tree
+//!   functions stay as the public API and the tests' oracle;
 //! * [`cache`] — the sharded LRU solution cache over quantized scenario
 //!   keys, so repeated and near-identical sweep queries skip the AMVA
 //!   fixed-point solve;

@@ -39,10 +39,10 @@ use std::sync::OnceLock;
 
 use crate::cache::SolutionCache;
 use crate::cluster::{ClusterState, VNODES};
-use crate::codec::{max_rel_err_from_json, prediction_to_json, scenario_from_json};
+use crate::codec::{predict_request, write_prediction, BodyError};
 use crate::http::{write_response, Request};
 use crate::interp::InterpCache;
-use crate::json::{parse, Json};
+use crate::json::Json;
 use crate::metrics::{CacheCounters, ClusterCounters, Endpoint, Metrics};
 use crate::reactor::{Reactor, Shared};
 
@@ -112,10 +112,10 @@ pub struct Reply {
 }
 
 impl Reply {
-    fn ok(v: &Json) -> Reply {
+    fn ok(body: String) -> Reply {
         Reply {
             status: 200,
-            body: v.to_compact(),
+            body,
             content_type: "application/json",
         }
     }
@@ -251,16 +251,16 @@ impl Service {
                     )
                 } else {
                     Reply::ok(
-                        &self
-                            .metrics
-                            .to_json(&self.cache_counters(), &self.cluster_counters()),
+                        self.metrics
+                            .to_json(&self.cache_counters(), &self.cluster_counters())
+                            .to_compact(),
                     )
                 };
                 (Endpoint::Metrics, reply, 0)
             }
             ("/v1/cluster", "GET") => {
                 let reply = match self.cluster.get() {
-                    Some(c) => Reply::ok(&c.topology_json()),
+                    Some(c) => Reply::ok(c.topology_json().to_compact()),
                     None => Reply::error(404, "clustering is not enabled"),
                 };
                 (Endpoint::Other, reply, 0)
@@ -287,10 +287,11 @@ impl Service {
 
     /// `POST /v1/predict` (`batch = false`) and `POST /v1/predict/batch`
     /// (`batch = true`) share one path: a single request is a one-lane
-    /// batch whose scenario is the whole body. Lanes are decoded and
-    /// model-validated up front — malformed is 400, well-formed but
+    /// batch whose scenario is the whole body. The body is decoded straight
+    /// into model-validated lanes — malformed is 400, well-formed but
     /// unsolvable 422, before anything touches the cache — then answered
-    /// by one [`InterpCache::predict_batch`] call. The first failing lane
+    /// by one [`InterpCache::predict_batch`] call, and the predictions are
+    /// written straight into the response body. The first failing lane
     /// (smallest index) reports the error; batch errors name that index.
     fn predict(&self, body: &[u8], batch: bool) -> (Reply, u64) {
         let at = |i: usize| {
@@ -304,42 +305,24 @@ impl Service {
             Ok(t) => t,
             Err(_) => return (Reply::error(400, "body is not UTF-8"), 0),
         };
-        let doc = match parse(text) {
-            Ok(d) => d,
-            Err(e) => return (Reply::error(400, format!("invalid JSON: {e}")), 0),
-        };
-        let max_rel_err = match max_rel_err_from_json(&doc) {
-            Ok(tol) => tol,
-            Err(e) => return (Reply::error(400, e.to_string()), 0),
-        };
-        let items = if batch {
-            match doc.get("scenarios").and_then(Json::as_array) {
-                Some(items) => items,
-                None => return (Reply::error(400, "body must be {\"scenarios\": [...]}"), 0),
+        let (max_rel_err, scenarios) = match predict_request(text, batch) {
+            Ok(request) => request,
+            Err(e) => {
+                let (status, msg) = match e {
+                    BodyError::Json(e) => (400, format!("invalid JSON: {e}")),
+                    BodyError::Tolerance(e) => (400, e.to_string()),
+                    BodyError::NotBatch => (400, "body must be {\"scenarios\": [...]}".into()),
+                    BodyError::Decode(i, e) => (400, format!("invalid scenario{}: {e}", at(i))),
+                    BodyError::Invalid(i, e) => (422, format!("invalid parameters{}: {e}", at(i))),
+                };
+                return (Reply::error(status, msg), 0);
             }
-        } else {
-            std::slice::from_ref(&doc)
         };
-        let mut scenarios = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let s = match scenario_from_json(item) {
-                Ok(s) => s,
-                Err(e) => {
-                    return (
-                        Reply::error(400, format!("invalid scenario{}: {e}", at(i))),
-                        0,
-                    )
-                }
-            };
-            if let Err(e) = s.validate() {
-                return (
-                    Reply::error(422, format!("invalid parameters{}: {e}", at(i))),
-                    0,
-                );
-            }
-            scenarios.push(s);
+        // A prediction renders in about 180 bytes.
+        let mut out = String::with_capacity(192 * scenarios.len() + 32);
+        if batch {
+            out.push_str("{\"predictions\":[");
         }
-        let mut predictions = Vec::with_capacity(scenarios.len());
         for (i, result) in self
             .interp
             .predict_batch(&scenarios, max_rel_err)
@@ -347,7 +330,12 @@ impl Service {
             .enumerate()
         {
             match result {
-                Ok(p) => predictions.push(prediction_to_json(&p)),
+                Ok(p) => {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_prediction(&mut out, &p);
+                }
                 Err(e) => {
                     return (
                         Reply::error(422, format!("unsolvable scenario{}: {e}", at(i))),
@@ -356,13 +344,10 @@ impl Service {
                 }
             }
         }
-        let n = predictions.len() as u64;
-        let reply = if batch {
-            Json::Object(vec![("predictions".into(), Json::Array(predictions))])
-        } else {
-            predictions.pop().expect("one lane")
-        };
-        (Reply::ok(&reply), n)
+        if batch {
+            out.push_str("]}");
+        }
+        (Reply::ok(out), scenarios.len() as u64)
     }
 }
 
@@ -485,6 +470,7 @@ pub fn start_on(listener: TcpListener, config: ServerConfig) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
     use lopc_core::{Machine, Scenario};
 
     fn service() -> Service {
@@ -545,6 +531,14 @@ mod tests {
         assert_eq!(svc.handle("POST", "/v1/predict", b"not json").status, 400);
         assert_eq!(svc.handle("POST", "/v1/predict", b"\xff\xfe").status, 400);
         assert_eq!(svc.handle("POST", "/v1/predict", b"{}").status, 400);
+        // RFC 8259 numbers: no leading zero.
+        let leading_zero =
+            r#"{"kind":"all_to_all","machine":{"p":32,"st":25,"so":200,"c2":0},"w":01}"#;
+        assert_eq!(
+            svc.handle("POST", "/v1/predict", leading_zero.as_bytes())
+                .status,
+            400
+        );
         assert_eq!(
             svc.handle("POST", "/v1/predict/batch", b"{\"nope\":1}")
                 .status,

@@ -30,6 +30,9 @@ use lopc_serve::http::{
 use lopc_serve::json::{parse, Json};
 use lopc_serve::{scenario_from_json, scenario_to_json};
 
+mod support;
+use support::corrupt;
+
 /// A random JSON value: depth-bounded, with finite numbers drawn across
 /// magnitudes (including exact integers, the emitter's special case).
 fn random_json(rng: &mut SmallRng, depth: usize) -> Json {
@@ -169,28 +172,6 @@ fn assert_no_panic<T>(input: &[u8], what: &str, f: impl Fn(&[u8]) -> T + std::pa
         "{what} panicked on {:?}",
         String::from_utf8_lossy(input)
     );
-}
-
-fn corrupt(base: &[u8], rng: &mut SmallRng) -> Vec<u8> {
-    let mut bytes = base.to_vec();
-    match rng.random_range(0..3usize) {
-        0 if !bytes.is_empty() => {
-            // Flip one byte to an arbitrary value.
-            let i = rng.random_range(0..bytes.len());
-            bytes[i] = rng.random_range(0..256usize) as u8;
-        }
-        1 => {
-            // Truncate.
-            let keep = rng.random_range(0..bytes.len().max(1));
-            bytes.truncate(keep);
-        }
-        _ => {
-            // Insert a random byte.
-            let i = rng.random_range(0..bytes.len() + 1);
-            bytes.insert(i, rng.random_range(0..256usize) as u8);
-        }
-    }
-    bytes
 }
 
 #[test]

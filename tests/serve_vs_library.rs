@@ -35,6 +35,16 @@ fn mixed_scenarios() -> Vec<Scenario> {
         w: 700.0,
         ps: None,
     });
+    // `rw` echoes `w`, so a negative zero must keep its sign on the wire.
+    scenarios.push(Scenario::ClientServer {
+        machine: m16,
+        w: -0.0,
+        ps: Some(3),
+    });
+    scenarios.push(Scenario::SharedMemory {
+        machine: m16,
+        w: -0.0,
+    });
     for &k in &[1u32, 2, 4, 7] {
         scenarios.push(Scenario::ForkJoin {
             machine: m32,
