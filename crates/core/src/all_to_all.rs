@@ -193,10 +193,8 @@ impl AllToAll {
     }
 
     /// Recompute the Figure 4-4 decomposition at a solved fixed point of
-    /// `F[R] − R`. Shared by [`AllToAll::solve`] and the batched
-    /// `scenario::solve_batch` path, so both produce the same numbers by
-    /// construction.
-    pub(crate) fn decompose_at(&self, root: Root) -> AllToAllSolution {
+    /// `F[R] − R`.
+    fn decompose_at(&self, root: Root) -> AllToAllSolution {
         let so = self.machine.s_o;
         let r = root.x;
         let a = so / r;

@@ -36,7 +36,7 @@
 
 use crate::error::ModelError;
 use crate::params::Machine;
-use lopc_solver::{bisect, bracket_upward, Root};
+use lopc_solver::{bisect, bracket_upward};
 
 /// The work-pile client-server model (§6).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -155,29 +155,10 @@ impl ClientServer {
         let g = |r: f64| self.w + 2.0 * st + rq_of(r) + so - r;
 
         let hi = bracket_upward(g, lower - 1e-12, lower.max(so), 200)?;
-        let root = bisect(g, lower - 1e-12, hi, 1e-10 * lower.max(1.0), 200)?;
-        Ok(self.point_at(ps, root))
-    }
-
-    /// Recompose the split's solution at a solved fixed point of eq. 6.7.
-    /// Shared by [`ClientServer::throughput`] and the batched
-    /// `scenario::solve_batch` path.
-    pub(crate) fn point_at(&self, ps: usize, root: Root) -> CsPoint {
-        let pc = self.machine.p - ps;
-        let so = self.machine.s_o;
-        let beta = self.machine.beta();
-        let r = root.x;
-        let rq = {
-            let lambda = pc as f64 / (ps as f64 * r);
-            let denom = 1.0 - lambda * so;
-            if denom <= 0.0 {
-                f64::INFINITY
-            } else {
-                so * (1.0 + beta * lambda * so) / denom
-            }
-        };
+        let r = bisect(g, lower - 1e-12, hi, 1e-10 * lower.max(1.0), 200)?.x;
+        let rq = rq_of(r);
         let lambda = pc as f64 / (ps as f64 * r);
-        CsPoint {
+        Ok(CsPoint {
             ps,
             pc,
             x: pc as f64 / r,
@@ -185,7 +166,7 @@ impl ClientServer {
             rq,
             qs: lambda * rq,
             us: lambda * so,
-        }
+        })
     }
 
     /// Model throughput at every split `ps = 1..=P−1` (Figure 6-2's curve).

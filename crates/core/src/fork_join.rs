@@ -159,9 +159,8 @@ impl ForkJoin {
         Ok(self.decompose_at(root))
     }
 
-    /// Recompose the solution at a solved fixed point of `F[R] − R`. Shared
-    /// by [`ForkJoin::solve`] and the batched `scenario::solve_batch` path.
-    pub(crate) fn decompose_at(&self, root: Root) -> ForkJoinSolution {
+    /// Recompose the solution at a solved fixed point of `F[R] − R`.
+    fn decompose_at(&self, root: Root) -> ForkJoinSolution {
         let so = self.machine.s_o;
         let k = self.k as f64;
         let r = root.x;

@@ -215,9 +215,9 @@ impl GeneralModel {
         Ok(self.decompose(&conv.x, conv.iterations))
     }
 
-    /// The damping schedule of the Appendix A iteration; one source of truth
-    /// for the scalar and batched solve paths.
-    pub(crate) fn fixed_point_options() -> FixedPointOptions {
+    /// The damping schedule of the Appendix A iteration, shared by
+    /// [`GeneralModel::solve`] and the one-node `SharedMemory` solve.
+    fn fixed_point_options() -> FixedPointOptions {
         FixedPointOptions {
             damping: 0.5,
             tol: 1e-11,
@@ -230,7 +230,7 @@ impl GeneralModel {
     ///
     /// State layout: `[rq[0..p] | ry[0..p] | r[0..p]]`; idle threads keep a
     /// pinned r of 1.0 that nothing reads.
-    pub(crate) fn initial_state(&self) -> Result<Vec<f64>, ModelError> {
+    fn initial_state(&self) -> Result<Vec<f64>, ModelError> {
         self.validate()?;
         let p = self.machine.p;
         let so = self.machine.s_o;
@@ -256,11 +256,9 @@ impl GeneralModel {
     }
 
     /// One application of the Appendix A map `F` at `state`, written into
-    /// `out`. This is the function handed to the fixed-point driver — scalar
-    /// and batched paths share it, so their per-iteration arithmetic is
-    /// identical by construction.
+    /// `out`: the function handed to the fixed-point driver.
     #[allow(clippy::needless_range_loop)] // indexing several parallel arrays
-    pub(crate) fn apply_f(&self, state: &[f64], out: &mut [f64]) {
+    fn apply_f(&self, state: &[f64], out: &mut [f64]) {
         let p = self.machine.p;
         let so = self.machine.s_o;
         let st = self.machine.s_l;
@@ -323,7 +321,7 @@ impl GeneralModel {
     /// Unpack a converged state vector and recompute the derived quantities
     /// at the fixed point.
     #[allow(clippy::needless_range_loop)] // indexing several parallel arrays
-    pub(crate) fn decompose(&self, state: &[f64], iterations: usize) -> GeneralSolution {
+    fn decompose(&self, state: &[f64], iterations: usize) -> GeneralSolution {
         let p = self.machine.p;
         let so = self.machine.s_o;
         let eps = 1e-9;

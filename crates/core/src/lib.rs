@@ -66,7 +66,6 @@ pub mod general;
 pub mod logp;
 pub mod params;
 pub mod scenario;
-mod scenario_batch;
 
 pub use all_to_all::{AllToAll, AllToAllSolution};
 pub use client_server::{ClientServer, CsPoint};

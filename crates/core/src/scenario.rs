@@ -24,8 +24,6 @@
 //! assert!(pred.r > machine.contention_free_response(1000.0));
 //! ```
 
-pub use crate::scenario_batch::{is_retryable, solve_batch};
-
 use crate::all_to_all::AllToAll;
 use crate::client_server::ClientServer;
 use crate::error::ModelError;
@@ -496,6 +494,12 @@ pub fn solve(scenario: &Scenario) -> Result<Prediction, ModelError> {
             })
         }
     }
+}
+
+/// Solve many scenarios: one result per input, in input order, each the
+/// [`solve`] of its scenario.
+pub fn solve_batch(scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>> {
+    scenarios.iter().map(solve).collect()
 }
 
 #[cfg(test)]

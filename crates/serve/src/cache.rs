@@ -292,10 +292,8 @@ impl SolutionCache {
     }
 
     /// The cache's one solve entry (a single request is a one-lane batch):
-    /// look every lane up, dedupe the misses by quantized key, solve the
-    /// unique representatives through the SoA batch kernel
-    /// ([`lopc_core::scenario::solve_batch`], bit-identical to the scalar
-    /// [`lopc_core::scenario::solve`], which answers a lone miss), insert
+    /// look every lane up, dedupe the misses by quantized key, solve each
+    /// unique representative with [`lopc_core::scenario::solve`], insert
     /// the successes, and fan results back out to duplicate lanes.
     ///
     /// Counter semantics mirror a lane-at-a-time sequence exactly: resident
@@ -337,18 +335,9 @@ impl SolutionCache {
             }
         }
 
-        // One batched solve over the unique misses (outside every lock). A
-        // lone miss takes the scalar solve: the same bits, without the SoA
-        // kernel's per-call setup, which costs several closed-form solves.
-        let solved = match reps[..] {
-            [] => Vec::new(),
-            [one] => vec![lopc_core::scenario::solve(&scenarios[one])],
-            _ => {
-                let lanes: Vec<Scenario> = reps.iter().map(|&i| scenarios[i].clone()).collect();
-                lopc_core::scenario::solve_batch(&lanes)
-            }
-        };
-        for (&lane, result) in reps.iter().zip(solved) {
+        // Solve each unique miss, outside every lock.
+        for &lane in &reps {
+            let result = lopc_core::scenario::solve(&scenarios[lane]);
             if let Ok(p) = &result {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.shard_for(&keys[lane])

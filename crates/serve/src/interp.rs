@@ -21,12 +21,12 @@
 //!    ones (sixteen).
 //! 2. On first touch the cell is **built**: every corner, the cell
 //!    **centre**, and (for cells spanning ≥ 2 axes) every **face
-//!    midpoint** are solved exactly in *one batch* through the shared
-//!    [`SolutionCache::solve_batch`] — the SoA fixed-point kernel iterates
-//!    all lanes together, and adjacent cells still reuse corners through
-//!    the cache. Each probe is compared against its own interpolation; the
-//!    worst observed residual, inflated by [`SAFETY_FACTOR`] and floored
-//!    at [`CERT_FLOOR`], becomes the cell's certified relative error. The
+//!    midpoint** are solved exactly through one call of the shared
+//!    [`SolutionCache::solve_batch`], which dedupes them against the exact
+//!    cache, so adjacent cells reuse corners. Each probe is compared
+//!    against its own interpolation; the worst observed residual, inflated
+//!    by [`SAFETY_FACTOR`] and floored at [`CERT_FLOOR`], becomes the
+//!    cell's certified relative error. The
 //!    safety factor is calibrated offline by the `interp_err` bench
 //!    (`BENCH_sim.json`, `interp_err` section), which sweeps all four
 //!    closed-form variants and verifies the certificate dominates the true
@@ -453,7 +453,7 @@ impl InterpCache {
     /// same policy — exact mode, resident-exact shortcut, certified
     /// interpolation, exact fallback — and every lane that ends up needing
     /// an exact solve goes through one key-deduped
-    /// [`SolutionCache::solve_batch`] call (the SoA kernel).
+    /// [`SolutionCache::solve_batch`] call.
     pub fn predict_batch(
         &self,
         scenarios: &[Scenario],
@@ -569,10 +569,9 @@ impl InterpCache {
     }
 
     /// Build a cell on its first touch: solve its corners and probes and
-    /// derive the certificate — all exact solves issued as **one batch**
-    /// through [`SolutionCache::solve_batch`], so the whole build runs
-    /// through the SoA fixed-point kernel instead of `2^d + 1 + 2d`
-    /// sequential solves.
+    /// derive the certificate. All `2^d + 1 + 2d` exact solves go through
+    /// one [`SolutionCache::solve_batch`] call, so a corner already
+    /// resident in the exact cache is not solved again.
     ///
     /// The probe set is the centre plus, for cells spanning two or more
     /// axes, every face midpoint: in 1-D the leading-order interpolation

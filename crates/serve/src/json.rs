@@ -403,19 +403,19 @@ impl<'a> Tokens<'a> {
         Ok(())
     }
 
-    /// A string, at its opening quote. Borrowed from the document unless
-    /// it holds an escape.
+    /// A string, at its opening quote, by RFC 8259 §7. Borrowed from the
+    /// document unless it holds an escape.
     fn string(&mut self) -> Result<Cow<'a, str>, String> {
         let b = self.text.as_bytes();
         let start = self.pos + 1;
         let stop = |from: usize| {
             b[from..]
                 .iter()
-                .position(|&c| c == b'"' || c == b'\\')
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
                 .map_or(b.len(), |i| from + i)
         };
-        // Quotes and backslashes are ASCII, so every cut below falls on a
-        // character boundary of the (valid UTF-8) document.
+        // Quotes, backslashes and control bytes are ASCII, so every cut
+        // below falls on a character boundary of the (valid UTF-8) document.
         let mut pos = stop(start);
         if b.get(pos) == Some(&b'"') {
             self.pos = pos + 1;
@@ -438,24 +438,35 @@ impl<'a> Tokens<'a> {
                         Some(b't') => s.push('\t'),
                         Some(b'r') => s.push('\r'),
                         Some(b'/') => s.push('/'),
+                        Some(b'b') => s.push('\u{8}'),
+                        Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = b
-                                .get(pos + 1..pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                            // BMP scalars only — the emitter never writes
-                            // surrogate pairs.
+                            let mut code = hex4(b, pos + 1)?;
+                            pos += 4;
+                            // A code point past the BMP is a high surrogate
+                            // escape followed by a low one.
+                            if (0xd800..0xdc00).contains(&code) {
+                                let low = match b.get(pos + 1..pos + 3) {
+                                    Some(b"\\u") => hex4(b, pos + 3)?,
+                                    _ => 0,
+                                };
+                                if !(0xdc00..0xe000).contains(&low) {
+                                    return Err(format!("unpaired surrogate \\u{code:04x}"));
+                                }
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                pos += 6;
+                            }
                             s.push(
                                 char::from_u32(code)
-                                    .ok_or(format!("invalid \\u code point {code:#x}"))?,
+                                    .ok_or_else(|| format!("unpaired surrogate \\u{code:04x}"))?,
                             );
-                            pos += 4;
                         }
                         other => return Err(format!("unsupported escape {other:?}")),
                     }
                     pos += 1;
+                }
+                Some(&c) if c < 0x20 => {
+                    return Err(format!("unescaped control byte {c:#04x} in string"));
                 }
                 Some(_) => {
                     let end = stop(pos);
@@ -514,6 +525,15 @@ impl<'a> Tokens<'a> {
     }
 }
 
+/// The four ASCII hex digits of a `\u` escape, starting at byte `at`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |code, &d| {
+        let digit = char::from(d).to_digit(16);
+        Ok(code * 16 + digit.ok_or_else(|| format!("bad \\u escape at byte {at}"))?)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,6 +566,43 @@ mod tests {
         for lax in ["1.", ".5", "+1", "01", "1.e5"] {
             assert!(parse(lax).is_err(), "{lax}");
             assert!(parse(&format!("[{lax}]")).is_err(), "[{lax}]");
+        }
+    }
+
+    /// RFC 8259 §7: the two-character escapes include `\b` and `\f`, a code
+    /// point past the BMP is a surrogate pair, `\u` takes exactly four hex
+    /// digits, and control characters must be escaped.
+    #[test]
+    fn strings_follow_rfc_8259() {
+        for (doc, want) in [
+            (r#""a\bb\fc""#, "a\u{8}b\u{c}c"),
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""x\uD83D\uDE00y""#, "x😀y"),
+            (r#""\u00e9\u0041""#, "éA"),
+            ("\"\u{7f}é\"", "\u{7f}é"),
+        ] {
+            assert_eq!(parse(doc), Ok(Json::Str(want.into())), "{doc}");
+        }
+        for doc in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u00é""#,
+            r#""\u12""#,
+            "\"a\tb\"",
+            "\"a\u{0}b\"",
+            "\"\\n\tb\"",
+            "\"\\n\u{1f}\"",
+        ] {
+            assert!(parse(doc).is_err(), "{doc:?} must be rejected");
+            // A string is one code path wherever it sits.
+            assert!(parse(&format!("{{{doc}:1}}")).is_err(), "key {doc:?}");
         }
     }
 

@@ -405,6 +405,37 @@ fn escaped_keys_and_values_decode() {
     assert_eq!(both(text, false), Ok((0.0, vec![a2a(1.0)])));
 }
 
+/// Strings follow RFC 8259 §7 wherever they sit: `\b`, `\f` and surrogate
+/// pairs decode; lone or reversed surrogates, `\u` without four hex digits
+/// and raw control bytes are syntax errors.
+#[test]
+fn strings_follow_rfc_8259() {
+    let lane = |extra: &str| format!(r#"{{"kind":"all_to_all",{MACHINE},"w":1,{extra}}}"#);
+    for (body, status) in [
+        // A key spelled with `\b` is a key no scenario has: ignored.
+        (lane(r#""\bw":2"#), 200),
+        (lane(r#""note":"\f\ud83d\ude00""#), 200),
+        // A raw tab inside an ignored string field.
+        (lane("\"note\":\"a\tb\""), 400),
+        (lane("\"note\":\"\\n\u{0}\""), 400),
+        (lane(r#""note":"\ud83d""#), 400),
+        (lane(r#""note":"\ude00\ud83d""#), 400),
+        (lane(r#""note":"\u+041""#), 400),
+    ] {
+        let decoded = both(&body, false);
+        if status == 200 {
+            assert_eq!(decoded, Ok((0.0, vec![a2a(1.0)])), "{body}");
+        } else {
+            assert!(
+                matches!(decoded, Err(Refusal::Json(_))),
+                "{body}: {decoded:?}"
+            );
+        }
+        let reply = Service::new(4, 64).handle("POST", "/v1/predict", body.as_bytes());
+        assert_eq!(reply.status, status, "{body}: {}", reply.body);
+    }
+}
+
 #[test]
 fn whitespace_may_sit_anywhere() {
     let text = " \n{ \"kind\" :\t\"all_to_all\" ,\r\n \"machine\" : { \"p\" : 32 , \"st\" : 25 , \"so\" : 200 , \"c2\" : 0 } , \"w\" : 1 } \n";
@@ -536,7 +567,7 @@ fn corrupted_bodies_get_the_tree_status() {
         ),
     ];
     let mut statuses = std::collections::BTreeMap::new();
-    for round in 0..1500 {
+    for round in 0..3000 {
         let batch = round % 2 == 1;
         let base = match round % 5 {
             0 | 1 => fixed[usize::from(batch)].clone(),

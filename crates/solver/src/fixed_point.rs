@@ -108,9 +108,7 @@ where
     // Budget exhausted: hand back the last iterate rather than discarding
     // the work, and tell the caller whether the residual was still falling
     // (a slow contraction a retry with a larger budget would finish) or not
-    // (oscillation/divergence — retrying is pointless). Batched solvers use
-    // this to retry exhausted lanes individually instead of failing a whole
-    // batch.
+    // (oscillation/divergence — retrying is pointless).
     Err(SolverError::Exhausted {
         x,
         iterations: opts.max_iter,

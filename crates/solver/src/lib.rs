@@ -15,16 +15,12 @@
 //!   scalar.
 //! * [`argmax_usize`] — integer grid argmax used for the optimal-server
 //!   search in §6.
-//! * [`batch`] — structure-of-arrays drivers that solve many independent
-//!   instances of the above at once (sweeps, interpolation-cell builds,
-//!   batch requests), bit-identical per lane to the scalar routines.
 //! * [`par_map`] — embarrassingly-parallel parameter sweeps (std scoped
 //!   threads) used by the benchmark harness to regenerate figures quickly;
 //! * [`steal::WorkQueue`] — the work-stealing index distribution underneath
 //!   `par_map` (and the simulator's replication runner), which keeps skewed
 //!   sweeps balanced across cores.
 
-pub mod batch;
 pub mod bisection;
 pub mod error;
 pub mod fixed_point;
@@ -33,7 +29,6 @@ pub mod secant;
 pub mod steal;
 pub mod sweep;
 
-pub use batch::{bracket_bisect_many, solve_damped_many, BracketBisectSpec};
 pub use bisection::{bisect, bracket_upward, Root};
 pub use error::SolverError;
 pub use fixed_point::{solve_damped, Convergence, FixedPointOptions};
