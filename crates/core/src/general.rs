@@ -207,9 +207,10 @@ impl GeneralModel {
     /// Solve the Appendix A system.
     pub fn solve(&self) -> Result<GeneralSolution, ModelError> {
         let x0 = self.initial_state()?;
+        let mut scratch = Scratch::new(self.machine.p);
         let conv = solve_damped(
             x0,
-            |state, out| self.apply_f(state, out),
+            |state, out| self.apply_f(state, out, &mut scratch),
             &Self::fixed_point_options(),
         )?;
         Ok(self.decompose(&conv.x, conv.iterations))
@@ -256,9 +257,11 @@ impl GeneralModel {
     }
 
     /// One application of the Appendix A map `F` at `state`, written into
-    /// `out`: the function handed to the fixed-point driver.
+    /// `out`: the function handed to `solve_damped`. `scratch`
+    /// holds the per-node throughputs and request rates across calls, so
+    /// an iteration allocates nothing.
     #[allow(clippy::needless_range_loop)] // indexing several parallel arrays
-    fn apply_f(&self, state: &[f64], out: &mut [f64]) {
+    fn apply_f(&self, state: &[f64], out: &mut [f64], scratch: &mut Scratch) {
         let p = self.machine.p;
         let so = self.machine.s_o;
         let st = self.machine.s_l;
@@ -266,16 +269,17 @@ impl GeneralModel {
         let eps = 1e-9;
         let (rq, rest) = state.split_at(p);
         let (ry, r) = rest.split_at(p);
+        let Scratch { x, lambda_q } = scratch;
 
         // Throughputs.
-        let mut x = vec![0.0; p];
+        x.fill(0.0);
         for c in 0..p {
             if self.w[c].is_some() {
                 x[c] = 1.0 / r[c].max(eps);
             }
         }
         // Arrival rates of requests (lambda_q) and replies (lambda_y).
-        let mut lambda_q = vec![0.0; p];
+        lambda_q.fill(0.0);
         for c in 0..p {
             if x[c] > 0.0 {
                 for k in 0..p {
@@ -375,6 +379,23 @@ impl GeneralModel {
             qq,
             qy,
             iterations,
+        }
+    }
+}
+
+/// Per-node buffers [`GeneralModel::apply_f`] reuses across iterations.
+struct Scratch {
+    /// Throughput `X_c` of each thread.
+    x: Vec<f64>,
+    /// Request arrival rate `λq_k` at each node.
+    lambda_q: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(p: usize) -> Self {
+        Scratch {
+            x: vec![0.0; p],
+            lambda_q: vec![0.0; p],
         }
     }
 }
@@ -684,9 +705,10 @@ mod tests {
                     max_iter,
                     ..GeneralModel::fixed_point_options()
                 };
+                let mut scratch = Scratch::new(p);
                 let want = solve_damped(
                     general.initial_state().unwrap(),
-                    |state, out| general.apply_f(state, out),
+                    |state, out| general.apply_f(state, out, &mut scratch),
                     &opts,
                 )
                 .unwrap_err();

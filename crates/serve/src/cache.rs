@@ -15,18 +15,27 @@
 //!   differing from its own exact solve by at most the model's sensitivity
 //!   across one quantization step (~1e-6 relative). Exact repeats are
 //!   returned bit-identically.
+//! * **One key, one hash** — a [`CacheKey`] is built once per lane and
+//!   carries its own 64-bit hash (`table` module). A closed-form key
+//!   lives inline (no allocation); only a `General` key, with its `P + P²`
+//!   parameter words, is boxed. The lane's key goes from the probe straight
+//!   into the miss solve's insert.
 //! * **Sharding** — the key hash picks one of `shards` independently locked
-//!   LRU maps, so concurrent workers rarely contend on the same mutex.
+//!   shards, so concurrent workers rarely contend on the same mutex.
 //! * **LRU** — each shard is a hand-rolled intrusive doubly-linked list
-//!   over a slab (`Vec`) of entries with a `HashMap` index: O(1) hit,
-//!   insert, and eviction; no allocation churn after warm-up.
+//!   over a slab (`Vec`) of entries, which holds each key exactly once,
+//!   with a `SlotIndex` from hash to slab slot: O(1) hit, insert, and
+//!   eviction; no allocation churn after warm-up. Keys that share a hash
+//!   are told apart by full comparison; a window of them that fills costs
+//!   an eviction (see the `table` module).
 //!
 //! Hit/miss counters are process-global atomics surfaced by `/metrics`.
 
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::table::{SlotIndex, Vacancy, WordHash};
 use lopc_core::{ModelError, Prediction, Scenario};
 
 /// Significant decimal digits kept by the cache-key quantizer.
@@ -35,10 +44,18 @@ pub const SIG_DIGITS: i32 = 6;
 /// Round to [`SIG_DIGITS`] significant digits (0, NaN and infinities pass
 /// through; the key uses the result's bit pattern).
 pub fn quantize(x: f64) -> f64 {
-    if x == 0.0 || !x.is_finite() {
+    // Integers below 10^SIG_DIGITS already have at most SIG_DIGITS digits
+    // and come back unchanged from the rounding below (bit for bit:
+    // `integers_below_a_million_quantize_to_themselves`); machine
+    // parameters are usually such integers.
+    let abs = x.abs();
+    if abs < 1e6 && (abs as u64) as f64 == abs {
         return x;
     }
-    let mag = x.abs().log10().floor() as i32;
+    if !x.is_finite() {
+        return x;
+    }
+    let mag = abs.log10().floor() as i32;
     let scale = 10f64.powi(SIG_DIGITS - 1 - mag);
     // At extreme magnitudes (|x| below ~1e-304) the scale itself overflows;
     // key such values unquantized rather than collapsing them into one
@@ -49,11 +66,42 @@ pub fn quantize(x: f64) -> f64 {
     (x * scale).round() / scale
 }
 
+/// Words in the longest closed-form key: variant tag, the four machine
+/// words, `W`, and `ps` or `k`.
+const INLINE_WORDS: usize = 7;
+
 /// The quantized cache key: variant tag followed by every parameter's
-/// quantized bit pattern. Two scenarios share a key iff they quantize to
-/// the same parameters.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct CacheKey(Box<[u64]>);
+/// quantized bit pattern, plus the hash of those words
+/// ([`CacheKey::hash64`]), computed once when the key is built. Two
+/// scenarios share a key iff they quantize to the same parameters.
+/// Equality compares the words; [`Hash`] feeds only the stored hash.
+#[derive(Clone, Debug)]
+pub struct CacheKey {
+    hash: u64,
+    words: KeyWords,
+}
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum KeyWords {
+    /// A closed-form key, zero-padded: the variant tag fixes its length.
+    Inline([u64; INLINE_WORDS]),
+    /// A `General` key.
+    Boxed(Box<[u64]>),
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.words == other.words
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 /// Feed every word of a scenario's quantized key — variant tag, machine
 /// parameters, then the variant's own parameters — to `emit`, in the
@@ -114,43 +162,53 @@ fn key_words(scenario: &Scenario, mut emit: impl FnMut(u64)) {
     }
 }
 
-/// One FNV-1a step over a key word.
-fn fnv_word(h: u64, w: u64) -> u64 {
-    let mut h = h;
-    for b in w.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
 impl CacheKey {
-    /// Derive the key for one scenario.
+    /// Derive the key for one scenario, hashing its words as they are
+    /// produced.
     pub fn of(scenario: &Scenario) -> Self {
-        let mut words: Vec<u64> = Vec::with_capacity(8);
-        key_words(scenario, |w| words.push(w));
-        CacheKey(words.into_boxed_slice())
+        let mut hash = WordHash::new();
+        let words = if let Scenario::General(model) = scenario {
+            let p = model.machine.p;
+            let mut words = Vec::with_capacity(6 + p + p * p);
+            key_words(scenario, |w| {
+                hash.add(w);
+                words.push(w);
+            });
+            KeyWords::Boxed(words.into_boxed_slice())
+        } else {
+            let mut words = [0; INLINE_WORDS];
+            let mut n = 0;
+            key_words(scenario, |w| {
+                hash.add(w);
+                words[n] = w;
+                n += 1;
+            });
+            KeyWords::Inline(words)
+        };
+        CacheKey {
+            hash: hash.finish(),
+            words,
+        }
     }
 
-    /// FNV-1a over the key words. Shard selection uses it locally; the
-    /// cluster tier uses the same value as the **routing hash** — every
-    /// node and every client must agree on where a quantized key lives on
-    /// the consistent-hash ring, so this function is part of the cluster
-    /// wire contract (DESIGN.md §15).
+    /// The key's 64-bit hash (`table::WordHash` over the key
+    /// words). It picks the local shard and slot; the cluster tier uses
+    /// the same value as the **routing hash** — every node and every
+    /// client must agree on where a quantized key lives on the
+    /// consistent-hash ring, so this function is part of the cluster
+    /// contract, and routers and nodes must run the same build
+    /// (DESIGN.md §15).
     pub fn hash64(&self) -> u64 {
-        self.0.iter().fold(FNV_OFFSET, |h, &w| fnv_word(h, w))
+        self.hash
     }
 
-    /// `CacheKey::of(scenario).hash64()` without materialising the key:
-    /// the routing client hashes every lane of every batch, and the
-    /// per-lane allocation is the only part of that cost that isn't
-    /// inherent.
+    /// `CacheKey::of(scenario).hash64()` without materialising the key: the
+    /// routing client hashes every lane of every batch, and a `General`
+    /// key would otherwise be allocated only to be hashed.
     pub fn hash_of(scenario: &Scenario) -> u64 {
-        let mut h = FNV_OFFSET;
-        key_words(scenario, |w| h = fnv_word(h, w));
-        h
+        let mut hash = WordHash::new();
+        key_words(scenario, |w| hash.add(w));
+        hash.finish()
     }
 }
 
@@ -166,7 +224,7 @@ struct Entry {
 
 /// One shard: slab-backed intrusive LRU list plus its index.
 struct Shard {
-    map: HashMap<CacheKey, usize>,
+    index: SlotIndex,
     slab: Vec<Entry>,
     /// Most recently used.
     head: usize,
@@ -178,7 +236,7 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize) -> Self {
         Shard {
-            map: HashMap::with_capacity(capacity),
+            index: SlotIndex::new(capacity),
             slab: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
@@ -210,39 +268,60 @@ impl Shard {
         self.head = i;
     }
 
+    /// The slab slot holding `key`.
+    fn find(&self, key: &CacheKey) -> Option<usize> {
+        self.index.find(key.hash, |i| self.slab[i].key == *key)
+    }
+
     fn get(&mut self, key: &CacheKey) -> Option<Prediction> {
-        let i = *self.map.get(key)?;
+        let i = self.find(key)?;
         self.unlink(i);
         self.link_front(i);
         Some(self.slab[i].value)
     }
 
     fn insert(&mut self, key: CacheKey, value: Prediction) {
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(i) = self.find(&key) {
             // Raced with another worker solving the same key: refresh.
             self.slab[i].value = value;
             self.unlink(i);
             self.link_front(i);
             return;
         }
-        let i = if self.slab.len() < self.capacity {
-            self.slab.push(Entry {
-                key: key.clone(),
-                value,
-                prev: NIL,
-                next: NIL,
-            });
-            self.slab.len() - 1
-        } else {
-            // Evict the LRU entry and reuse its slot.
-            let i = self.tail;
-            self.unlink(i);
-            self.map.remove(&self.slab[i].key);
-            self.slab[i].key = key.clone();
-            self.slab[i].value = value;
-            i
+        let hash = key.hash;
+        let (pos, i) = match self.index.vacancy(hash) {
+            Vacancy::Free(pos) if self.slab.len() < self.capacity => {
+                self.slab.push(Entry {
+                    key,
+                    value,
+                    prev: NIL,
+                    next: NIL,
+                });
+                (pos, self.slab.len() - 1)
+            }
+            Vacancy::Free(_) => {
+                // Evict the LRU entry and reuse its slot. Its removal may
+                // free an earlier entry of this key's window, so ask again.
+                let i = self.tail;
+                self.unlink(i);
+                self.index.remove(self.slab[i].key.hash, i);
+                let Vacancy::Free(pos) = self.index.vacancy(hash) else {
+                    unreachable!("a removal frees entries, never takes one")
+                };
+                self.slab[i].key = key;
+                self.slab[i].value = value;
+                (pos, i)
+            }
+            Vacancy::Full { pos, slot } => {
+                // Every entry of the window is taken (only by keys crafted
+                // to collide): evict the first and reuse its slot.
+                self.unlink(slot);
+                self.slab[slot].key = key;
+                self.slab[slot].value = value;
+                (pos, slot)
+            }
         };
-        self.map.insert(key, i);
+        self.index.put(pos, hash, i);
         self.link_front(i);
     }
 }
@@ -269,101 +348,65 @@ impl SolutionCache {
     }
 
     fn shard_for(&self, key: &CacheKey) -> &Mutex<Shard> {
-        &self.shards[(key.hash64() % self.shards.len() as u64) as usize]
+        &self.shards[(key.hash % self.shards.len() as u64) as usize]
     }
 
     /// Probe the cache for the scenario's quantized key *without* solving
     /// on a miss. A hit counts toward the hit counter (it served an
     /// answer); a miss counts nothing — no solve was performed.
-    ///
-    /// The interpolation layer uses this as its first step: when the exact
-    /// answer is already resident there is never a reason to interpolate.
     pub fn lookup(&self, scenario: &Scenario) -> Option<Prediction> {
-        let key = CacheKey::of(scenario);
+        self.probe(&CacheKey::of(scenario))
+    }
+
+    /// [`SolutionCache::lookup`] for a key already built. The
+    /// interpolation layer probes with each lane's key first: when the
+    /// exact answer is already resident there is never a reason to
+    /// interpolate.
+    pub(crate) fn probe(&self, key: &CacheKey) -> Option<Prediction> {
         let hit = self
-            .shard_for(&key)
+            .shard_for(key)
             .lock()
             .expect("cache shard poisoned")
-            .get(&key);
+            .get(key);
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    /// The cache's one solve entry (a single request is a one-lane batch):
-    /// look every lane up, dedupe the misses by quantized key, solve each
-    /// unique representative with [`lopc_core::scenario::solve`], insert
-    /// the successes, and fan results back out to duplicate lanes.
-    ///
-    /// Counter semantics mirror a lane-at-a-time sequence exactly: resident
-    /// keys are hits, each unique solved key is one miss, and a duplicate
-    /// lane of a solved key is a hit (lane by lane it would have found the
-    /// answer the first lane inserted). The solve runs *outside* every
-    /// shard lock, so concurrent misses do not serialize on the fixed-point
+    /// Answer one lane whose key is `key`: a resident answer is a hit;
+    /// otherwise [`lopc_core::scenario::solve`] runs *outside* every shard
+    /// lock (concurrent misses do not serialize on the fixed-point
     /// iteration; a lost race costs one redundant solve, never a wrong
-    /// answer. Errors are propagated per lane, never cached, and count
-    /// neither way.
-    pub fn solve_batch(&self, scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>> {
-        let n = scenarios.len();
-        let keys: Vec<CacheKey> = scenarios.iter().map(CacheKey::of).collect();
-        let mut out: Vec<Option<Result<Prediction, ModelError>>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-
-        // Partition lanes: resident -> answered now; first lane of each
-        // missing key -> representative; later duplicates -> fan-out.
-        let mut rep_of: HashMap<&CacheKey, usize> = HashMap::new();
-        let mut reps: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if rep_of.contains_key(&keys[i]) {
-                continue;
-            }
-            let hit = self
-                .shard_for(&keys[i])
+    /// answer), and a success is inserted under `key` and counted as one
+    /// miss. Errors are returned, never cached, and count neither way.
+    pub(crate) fn solve_keyed(
+        &self,
+        scenario: &Scenario,
+        key: CacheKey,
+    ) -> Result<Prediction, ModelError> {
+        if let Some(p) = self.probe(&key) {
+            return Ok(p);
+        }
+        let result = lopc_core::scenario::solve(scenario);
+        if let Ok(p) = &result {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.shard_for(&key)
                 .lock()
                 .expect("cache shard poisoned")
-                .get(&keys[i]);
-            match hit {
-                Some(p) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(Ok(p));
-                }
-                None => {
-                    rep_of.insert(&keys[i], i);
-                    reps.push(i);
-                }
-            }
+                .insert(key, *p);
         }
+        result
+    }
 
-        // Solve each unique miss, outside every lock.
-        for &lane in &reps {
-            let result = lopc_core::scenario::solve(&scenarios[lane]);
-            if let Ok(p) = &result {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.shard_for(&keys[lane])
-                    .lock()
-                    .expect("cache shard poisoned")
-                    .insert(keys[lane].clone(), *p);
-            }
-            out[lane] = Some(result);
-        }
-
-        // Fan representative answers out to their duplicate lanes.
-        for i in 0..n {
-            if out[i].is_some() {
-                continue;
-            }
-            let r = out[rep_of[&keys[i]]]
-                .as_ref()
-                .expect("representative lane resolved")
-                .clone();
-            if r.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every lane resolved"))
+    /// The cache's one solve entry (a single request is a one-lane batch):
+    /// each lane in order through `SolutionCache::solve_keyed`. A lane
+    /// whose key an earlier lane solved is a hit, so a batch's counters
+    /// and answers are those of its lanes sent one at a time.
+    pub fn solve_batch(&self, scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>> {
+        scenarios
+            .iter()
+            .map(|s| self.solve_keyed(s, CacheKey::of(s)))
             .collect()
     }
 
@@ -391,7 +434,7 @@ impl SolutionCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
+            .map(|s| s.lock().expect("cache shard poisoned").slab.len())
             .sum()
     }
 
@@ -443,6 +486,114 @@ mod tests {
             quantize(9e-310).to_bits(),
             "distinct subnormal-range values must keep distinct keys"
         );
+    }
+
+    /// The quantizer as it reads without its integer shortcut.
+    fn quantize_by_rounding(x: f64) -> f64 {
+        if x == 0.0 || !x.is_finite() {
+            return x;
+        }
+        let mag = x.abs().log10().floor() as i32;
+        let scale = 10f64.powi(SIG_DIGITS - 1 - mag);
+        if !scale.is_finite() || scale == 0.0 {
+            return x;
+        }
+        (x * scale).round() / scale
+    }
+
+    #[test]
+    fn integers_below_a_million_quantize_to_themselves() {
+        for i in 0..1_000_000u32 {
+            for x in [f64::from(i), -f64::from(i)] {
+                assert_eq!(quantize_by_rounding(x).to_bits(), x.to_bits(), "{x}");
+                assert_eq!(quantize(x).to_bits(), x.to_bits(), "{x}");
+            }
+        }
+        for x in [1e6, 1234567.0, 999_999.5, 0.5, -0.0, 1e-310, 123.456789] {
+            assert_eq!(
+                quantize(x).to_bits(),
+                quantize_by_rounding(x).to_bits(),
+                "{x}"
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_keys_live_inline() {
+        let general =
+            Scenario::General(lopc_core::GeneralModel::client_server(machine(), 700.0, 3));
+        assert!(matches!(CacheKey::of(&general).words, KeyWords::Boxed(_)));
+        for s in [
+            a2a(1000.0),
+            Scenario::ClientServer {
+                machine: machine(),
+                w: 700.0,
+                ps: Some(3),
+            },
+            Scenario::ForkJoin {
+                machine: machine(),
+                w: 2000.0,
+                k: 4,
+            },
+            Scenario::SharedMemory {
+                machine: machine(),
+                w: 500.0,
+            },
+        ] {
+            assert!(
+                matches!(CacheKey::of(&s).words, KeyWords::Inline(_)),
+                "{s:?}"
+            );
+        }
+    }
+
+    /// Keys forced onto one hash: every lookup answers with its own key's
+    /// value, the shard never holds more than one window of them, the index
+    /// never indexes more than the slab, and each lane counts once.
+    #[test]
+    fn colliding_keys_never_answer_for_each_other() {
+        let ws: Vec<f64> = (0..20).map(|i| 300.0 + 41.0 * i as f64).collect();
+        let want: Vec<u64> = ws
+            .iter()
+            .map(|&w| lopc_core::scenario::solve(&a2a(w)).unwrap().r.to_bits())
+            .collect();
+        let _forced = crate::table::forced::Hash::to(0x0123_4567_89ab_cdef);
+        let cache = SolutionCache::new(2, 64);
+        let mut lanes = 0;
+        for round in 0..3 {
+            for (&w, &bits) in ws.iter().zip(&want) {
+                let got = solve_one(&cache, &a2a(w)).unwrap();
+                assert_eq!(got.r.to_bits(), bits, "W={w}, round {round}");
+                lanes += 1;
+                for (&other, &other_want) in ws.iter().zip(&want) {
+                    if let Some(p) = cache.lookup(&a2a(other)) {
+                        assert_eq!(p.r.to_bits(), other_want, "W={other} after W={w}");
+                        lanes += 1;
+                    }
+                }
+            }
+            // Two keys on one hash, both resident, each with its own answer.
+            assert_eq!(
+                CacheKey::of(&a2a(ws[0])).hash64(),
+                CacheKey::of(&a2a(ws[1])).hash64()
+            );
+        }
+        assert!(
+            cache.len() <= crate::table::WINDOW,
+            "{} resident",
+            cache.len()
+        );
+        for shard in &cache.shards {
+            let shard = shard.lock().unwrap();
+            assert_eq!(shard.index.occupied(), shard.slab.len());
+        }
+        assert_eq!(
+            cache.hits() + cache.misses(),
+            lanes,
+            "each lane counts once"
+        );
+        assert!(cache.misses() >= ws.len() as u64);
+        assert_lru_invariants(&cache);
     }
 
     #[test]
@@ -601,27 +752,27 @@ mod tests {
             let mut i = shard.head;
             while i != NIL {
                 forward.push(i);
-                assert!(forward.len() <= shard.map.len(), "shard {si}: list cycle");
+                assert!(forward.len() <= shard.slab.len(), "shard {si}: list cycle");
                 i = shard.slab[i].next;
             }
             let mut backward = Vec::new();
             let mut i = shard.tail;
             while i != NIL {
                 backward.push(i);
-                assert!(backward.len() <= shard.map.len(), "shard {si}: list cycle");
+                assert!(backward.len() <= shard.slab.len(), "shard {si}: list cycle");
                 i = shard.slab[i].prev;
             }
             backward.reverse();
             assert_eq!(forward, backward, "shard {si}: asymmetric links");
             assert_eq!(
                 forward.len(),
-                shard.map.len(),
+                shard.slab.len(),
                 "shard {si}: orphaned entries"
             );
             for &slot in &forward {
                 assert_eq!(
-                    shard.map.get(&shard.slab[slot].key),
-                    Some(&slot),
+                    shard.find(&shard.slab[slot].key),
+                    Some(slot),
                     "shard {si}: slot {slot} not indexed under its key"
                 );
             }
@@ -712,8 +863,8 @@ mod tests {
 
         // Negative mirror of the boundary behaves identically.
         assert_ne!(
-            CacheKey::of(&a2a(-1000.005)).0,
-            CacheKey::of(&a2a(-1000.0049)).0
+            CacheKey::of(&a2a(-1000.005)).words,
+            CacheKey::of(&a2a(-1000.0049)).words
         );
     }
 

@@ -11,9 +11,10 @@
 //!   interpolation cell routes by that cell's key
 //!   ([`serving_cell_hash`]), so every lane of a sweep that lands in one
 //!   cell meets the one node holding it; anything else routes by the
-//!   FNV-1a hash of its *quantized* cache key ([`scenario_hash`]). Either
-//!   way the same request lands on the same node from any client — cache
-//!   locality without coordination.
+//!   hash of its *quantized* cache key ([`scenario_hash`]). Either way
+//!   the same request lands on the same node from any client — cache
+//!   locality without coordination — as long as clients and nodes run
+//!   the same build: the hash is the keys' own, not a published function.
 //! * **Ownership is locality, not authority.** Every node can solve every
 //!   scenario exactly; the ring only decides where cache and cell state
 //!   *accumulates*. Killing a node therefore degrades capacity, never
@@ -180,17 +181,22 @@ impl HashRing {
     }
 }
 
-/// The routing hash of one scenario: FNV-1a of its quantized cache key.
-/// Shared by servers and clients — both sides must agree where a scenario
-/// lives.
+/// The routing hash of one scenario: [`CacheKey::hash64`] of its
+/// quantized cache key, computed without building the key. The same value
+/// picks the node's shard and slot. Shared by servers and clients — both
+/// sides must agree where a scenario lives, so they must run the same
+/// build.
 pub fn scenario_hash(scenario: &Scenario) -> u64 {
     CacheKey::hash_of(scenario)
 }
 
 /// The routing hash of one request (or batch lane) at `max_rel_err`: the
-/// hash of the interpolation cell that would answer it, or
-/// [`scenario_hash`] when it would not consult a cell. Exact mode always
-/// routes by [`scenario_hash`].
+/// [`CellKey::hash64`](crate::interp::CellKey::hash64) of the
+/// interpolation cell that would answer it, or [`scenario_hash`] when it
+/// would not consult a cell. Exact mode always routes by
+/// [`scenario_hash`]. One key and one hash pass per lane, with no
+/// allocation; a node hashing the same lane gets the same value, so
+/// router and nodes must run the same build.
 pub fn route_hash(scenario: &Scenario, max_rel_err: f64) -> u64 {
     serving_cell_hash(scenario, max_rel_err).unwrap_or_else(|| scenario_hash(scenario))
 }

@@ -6,7 +6,7 @@
 //! asks for thousands of *near-identical* scenarios. The exact-bucket cache
 //! only collapses float noise; each genuinely distinct sweep point still
 //! pays a full solve. This module adds the missing layer: a **cell index**
-//! over the [`AxisKind`](lopc_core::scenario::AxisKind) reference grid,
+//! over the [`AxisKind`] reference grid,
 //! answering in-cell queries by multilinear interpolation between the
 //! cell's exactly solved corners — but *only* when the cell carries an
 //! error certificate at least as tight as the caller's tolerance.
@@ -14,16 +14,15 @@
 //! # Cell lifecycle
 //!
 //! 1. A query with `max_rel_err > 0` snaps each continuous axis onto the
-//!    reference grid ([`AxisKind::bracket`](lopc_core::scenario::AxisKind::bracket));
+//!    reference grid ([`AxisKind::bracket`]);
 //!    axes sitting exactly on a
 //!    grid point are *degenerate* and contribute no corners, so a `W`-sweep
 //!    at a round-valued machine builds 1-D cells (two corners), not 4-D
 //!    ones (sixteen).
 //! 2. On first touch the cell is **built**: every corner, the cell
 //!    **centre**, and (for cells spanning ≥ 2 axes) every **face
-//!    midpoint** are solved exactly through one call of the shared
-//!    [`SolutionCache::solve_batch`], which dedupes them against the exact
-//!    cache, so adjacent cells reuse corners. Each probe is compared
+//!    midpoint** are solved exactly in one pass through the shared
+//!    [`SolutionCache`], so adjacent cells reuse corners. Each probe is compared
 //!    against its own interpolation; the worst observed residual, inflated
 //!    by [`SAFETY_FACTOR`] and floored at [`CERT_FLOOR`], becomes the
 //!    cell's certified relative error. The
@@ -51,6 +50,16 @@
 //! and holds that cell (DESIGN.md §15). Nodes never exchange cells: a node
 //! that gets a request for a cell it lacks builds the cell itself.
 //!
+//! Each lane builds one [`CacheKey`] and, when it misses the exact cache,
+//! one [`CellKey`]; both live inline and carry their hash
+//! (`table` module), which picks the shard and the slot. Snapping onto the
+//! grid reuses the thread's last bracket per axis when the coordinate
+//! repeats, as it does along a sweep. The lane's
+//! exact key goes from the probe straight into the miss solve. A cell's
+//! corners are its only allocation: builds and interpolation work on
+//! fixed-size arrays. The cell index is a FIFO ring of cells per shard,
+//! indexed by hash, that stores each key once.
+//!
 //! Corner solutions are **owned by the cell**, not referenced from the
 //! LRU cache: a certificate can never outlive the data it certifies, and
 //! the exact cache stays a pure repeat-accelerator whose eviction policy
@@ -58,12 +67,13 @@
 //! independence: hammering the LRU until the corner entries are evicted
 //! must not perturb interpolated answers).
 
-use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::cache::SolutionCache;
-use lopc_core::scenario::{AxisBracket, AxisValue, INTERP_AXES};
+use crate::cache::{CacheKey, SolutionCache};
+use crate::table::{SlotIndex, Vacancy, WordHash};
+use lopc_core::scenario::{AxisBracket, AxisKind, AxisValue, INTERP_AXES};
 use lopc_core::{ModelError, Prediction, Scenario};
 
 /// Multiplier applied to the observed centre residual to obtain the
@@ -103,54 +113,70 @@ pub enum Served {
     },
 }
 
+/// Words in a cell key: variant tag, `P`, `ps` or `k`, and both bracket
+/// ends of every axis.
+const CELL_WORDS: usize = 3 + 2 * INTERP_AXES;
+
 /// Identity of one grid cell: variant tag, discrete parameters, and the
-/// bit patterns of every axis bracket endpoint.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct CellKey(Box<[u64]>);
+/// bit patterns of every axis bracket endpoint, inline and zero-padded,
+/// plus their hash ([`CellKey::hash64`]). Equality compares the words;
+/// [`Hash`] feeds only the stored hash.
+#[derive(Clone, Debug)]
+pub struct CellKey {
+    hash: u64,
+    words: [u64; CELL_WORDS],
+}
+
+impl PartialEq for CellKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.words == other.words
+    }
+}
+
+impl Eq for CellKey {}
+
+impl Hash for CellKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 impl CellKey {
     fn of(scenario: &Scenario, brackets: &[AxisBracket; INTERP_AXES]) -> Option<CellKey> {
-        let mut words: Vec<u64> = Vec::with_capacity(3 + 2 * INTERP_AXES);
-        match scenario {
-            Scenario::AllToAll { machine, .. } => {
-                words.push(0);
-                words.push(machine.p as u64);
-            }
+        let mut words = [0; CELL_WORDS];
+        let discrete = match scenario {
+            Scenario::AllToAll { machine, .. } => [0, machine.p as u64],
             Scenario::ClientServer { machine, ps, .. } => {
-                words.push(1);
-                words.push(machine.p as u64);
-                words.push(ps.map_or(u64::MAX, |ps| ps as u64));
+                words[2] = ps.map_or(u64::MAX, |ps| ps as u64);
+                [1, machine.p as u64]
             }
             Scenario::ForkJoin { machine, k, .. } => {
-                words.push(2);
-                words.push(machine.p as u64);
-                words.push(*k as u64);
+                words[2] = *k as u64;
+                [2, machine.p as u64]
             }
-            Scenario::SharedMemory { machine, .. } => {
-                words.push(4);
-                words.push(machine.p as u64);
-            }
+            Scenario::SharedMemory { machine, .. } => [4, machine.p as u64],
             Scenario::General(_) => return None,
+        };
+        words[..2].copy_from_slice(&discrete);
+        for (i, b) in brackets.iter().enumerate() {
+            words[3 + 2 * i] = b.lo.to_bits();
+            words[4 + 2 * i] = b.hi.to_bits();
         }
-        for b in brackets {
-            words.push(b.lo.to_bits());
-            words.push(b.hi.to_bits());
-        }
-        Some(CellKey(words.into_boxed_slice()))
+        let mut hash = WordHash::new();
+        words.iter().for_each(|&w| hash.add(w));
+        Some(CellKey {
+            hash: hash.finish(),
+            words,
+        })
     }
 
-    /// FNV-1a over the key words. Selects the local shard *and* places the
-    /// cell on the cluster ring — every node and router must agree on a
-    /// cell's home.
+    /// The cell's 64-bit hash (`table::WordHash` over the key
+    /// words), computed once when the key is built. It selects the local
+    /// shard and slot *and* places the cell on the cluster ring — every
+    /// node and router must agree on a cell's home, so routers and nodes
+    /// must run the same build (DESIGN.md §15).
     pub fn hash64(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &w in self.0.iter() {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
+        self.hash
     }
 }
 
@@ -174,13 +200,32 @@ fn locate(scenario: &Scenario) -> Option<Located> {
         if !(min..=max).contains(&axis.value) {
             return None;
         }
-        brackets[i] = axis.kind.bracket(axis.value)?;
+        brackets[i] = bracket(i, axis)?;
     }
     let key = CellKey::of(scenario, &brackets)?;
     Some(Located {
         axes,
         brackets,
         key,
+    })
+}
+
+/// `axis.kind.bracket(axis.value)` for axis `i`, reusing the bracket this
+/// thread last computed for axis `i` when the value is the same. The lanes
+/// of a sweep share all coordinates but one, and a bracket costs a `log10`
+/// and a `powi`; `bracket` is a pure function, so the reuse is exact.
+fn bracket(i: usize, axis: &AxisValue) -> Option<AxisBracket> {
+    type Last = std::cell::Cell<Option<(AxisKind, u64, Option<AxisBracket>)>>;
+    thread_local! {
+        static LAST: [Last; INTERP_AXES] = const { [const { Last::new(None) }; INTERP_AXES] };
+    }
+    LAST.with(|last| match last[i].get() {
+        Some((kind, bits, b)) if kind == axis.kind && bits == axis.value.to_bits() => b,
+        _ => {
+            let b = axis.kind.bracket(axis.value);
+            last[i].set(Some((axis.kind, axis.value.to_bits(), b)));
+            b
+        }
     })
 }
 
@@ -196,14 +241,40 @@ pub fn serving_cell_hash(scenario: &Scenario, max_rel_err: f64) -> Option<u64> {
     locate(scenario).map(|at| at.key.hash64())
 }
 
+/// The non-degenerate axes of a cell, in axis order.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    axes: [usize; INTERP_AXES],
+    len: usize,
+}
+
+impl Span {
+    fn of(brackets: &[AxisBracket; INTERP_AXES]) -> Span {
+        let mut span = Span {
+            axes: [0; INTERP_AXES],
+            len: 0,
+        };
+        for (i, b) in brackets.iter().enumerate() {
+            if !b.is_degenerate() {
+                span.axes[span.len] = i;
+                span.len += 1;
+            }
+        }
+        span
+    }
+
+    fn axes(&self) -> &[usize] {
+        &self.axes[..self.len]
+    }
+}
+
 /// One built cell: brackets, exactly solved corners, certificate.
 #[derive(Debug)]
 struct Cell {
     brackets: [AxisBracket; INTERP_AXES],
-    /// Indices of the non-degenerate axes, in axis order.
-    span_axes: Vec<usize>,
-    /// `2^span_axes.len()` corner solutions in bitmask order (bit `j` set =
-    /// the `hi` endpoint of `span_axes[j]`). Empty when the cell is
+    span: Span,
+    /// `2^span.len` corner solutions in bitmask order (bit `j` set = the
+    /// `hi` endpoint of `span.axes()[j]`). Empty when the cell is
     /// untrusted (`cert` infinite).
     corners: Vec<Prediction>,
     /// Certified relative error; `INFINITY` = never interpolate here.
@@ -214,7 +285,7 @@ impl Cell {
     fn untrusted(brackets: [AxisBracket; INTERP_AXES]) -> Cell {
         Cell {
             brackets,
-            span_axes: Vec::new(),
+            span: Span::of(&brackets),
             corners: Vec::new(),
             cert: f64::INFINITY,
         }
@@ -222,11 +293,11 @@ impl Cell {
 
     /// Multilinear interpolation of the corner solutions at `axes`.
     fn interpolate(&self, axes: &[AxisValue; INTERP_AXES]) -> Prediction {
-        let ts: Vec<f64> = self
-            .span_axes
-            .iter()
-            .map(|&a| self.brackets[a].weight(axes[a].value))
-            .collect();
+        let mut ts = [0.0f64; INTERP_AXES];
+        for (t, &a) in ts.iter_mut().zip(self.span.axes()) {
+            *t = self.brackets[a].weight(axes[a].value);
+        }
+        let ts = &ts[..self.span.len];
         let mut acc = [0.0f64; 6];
         let mut nan = [false; 6];
         for (mask, corner) in self.corners.iter().enumerate() {
@@ -306,34 +377,64 @@ pub fn rel_resid(approx: &Prediction, exact: &Prediction) -> f64 {
     worst
 }
 
-/// One shard of the cell index: FIFO-bounded map of built (or building)
-/// cells. `Arc<OnceLock<Cell>>` gives build-once semantics under
-/// concurrency — the first toucher builds (outside the shard lock), racing
-/// threads block on the same slot instead of duplicating the corner
-/// solves, which matters when a parallel batch walks a sweep front across
-/// an empty grid.
+/// One shard of the cell index: a FIFO ring of built (or building) cells
+/// with a hash index over it. `Arc<OnceLock<Cell>>` gives build-once
+/// semantics under concurrency — the first toucher builds (outside the
+/// shard lock), racing threads block on the same slot instead of
+/// duplicating the corner solves, which matters when a parallel batch
+/// walks a sweep front across an empty grid.
 struct CellShard {
-    map: HashMap<CellKey, Arc<OnceLock<Cell>>>,
-    /// Insertion order; in sync with `map` (cells are only removed by
-    /// FIFO eviction). Eviction is FIFO rather than LRU on purpose: an
+    index: SlotIndex,
+    /// Cells in insertion order around the ring; once it is full, `next`
+    /// is the oldest. Eviction is FIFO rather than LRU on purpose: an
     /// evicted cell whose corners are still in the exact cache rebuilds
     /// for free, so recency tracking buys nothing here.
-    order: VecDeque<CellKey>,
+    ring: Vec<(CellKey, Arc<OnceLock<Cell>>)>,
+    next: usize,
     capacity: usize,
 }
 
 impl CellShard {
+    fn new(capacity: usize) -> Self {
+        CellShard {
+            index: SlotIndex::new(capacity),
+            ring: Vec::with_capacity(capacity),
+            next: 0,
+            capacity,
+        }
+    }
+
     fn slot(&mut self, key: &CellKey) -> Arc<OnceLock<Cell>> {
-        if let Some(slot) = self.map.get(key) {
-            return Arc::clone(slot);
+        if let Some(i) = self.index.find(key.hash, |i| self.ring[i].0 == *key) {
+            return Arc::clone(&self.ring[i].1);
         }
         let slot = Arc::new(OnceLock::new());
-        self.map.insert(key.clone(), Arc::clone(&slot));
-        self.order.push_back(key.clone());
-        while self.order.len() > self.capacity {
-            let evict = self.order.pop_front().expect("order non-empty");
-            self.map.remove(&evict);
-        }
+        let entry = (key.clone(), Arc::clone(&slot));
+        let (pos, i) = match self.index.vacancy(key.hash) {
+            Vacancy::Free(pos) if self.ring.len() < self.capacity => {
+                self.ring.push(entry);
+                (pos, self.ring.len() - 1)
+            }
+            Vacancy::Free(_) => {
+                // Evict the oldest cell. Its removal may free an earlier
+                // entry of this key's window, so ask again.
+                let i = self.next;
+                self.next = (i + 1) % self.capacity;
+                self.index.remove(self.ring[i].0.hash, i);
+                self.ring[i] = entry;
+                let Vacancy::Free(pos) = self.index.vacancy(key.hash) else {
+                    unreachable!("a removal frees entries, never takes one")
+                };
+                (pos, i)
+            }
+            Vacancy::Full { pos, slot } => {
+                // Every entry of the window is taken (only by keys crafted
+                // to collide): the new cell replaces the first.
+                self.ring[slot] = entry;
+                (pos, slot)
+            }
+        };
+        self.index.put(pos, key.hash, i);
         slot
     }
 }
@@ -357,13 +458,7 @@ impl InterpCache {
         InterpCache {
             cache,
             shards: (0..cell_shards.max(1))
-                .map(|_| {
-                    Mutex::new(CellShard {
-                        map: HashMap::new(),
-                        order: VecDeque::new(),
-                        capacity: cells_per_shard.max(1),
-                    })
-                })
+                .map(|_| Mutex::new(CellShard::new(cells_per_shard.max(1))))
                 .collect(),
             interp_hits: AtomicU64::new(0),
             interp_fallbacks: AtomicU64::new(0),
@@ -415,7 +510,7 @@ impl InterpCache {
     pub fn cells(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cell shard poisoned").map.len())
+            .map(|s| s.lock().expect("cell shard poisoned").ring.len())
             .sum()
     }
 
@@ -452,8 +547,9 @@ impl InterpCache {
     /// Batched [`InterpCache::predict`]. Each lane is answered by the
     /// same policy — exact mode, resident-exact shortcut, certified
     /// interpolation, exact fallback — and every lane that ends up needing
-    /// an exact solve goes through one key-deduped
-    /// [`SolutionCache::solve_batch`] call.
+    /// an exact solve is solved after all lanes were probed, under the key
+    /// it was probed with (a lane whose key an earlier lane solved is a
+    /// hit).
     pub fn predict_batch(
         &self,
         scenarios: &[Scenario],
@@ -486,11 +582,12 @@ impl InterpCache {
         let n = scenarios.len();
         let mut out: Vec<Option<Result<T, ModelError>>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        let mut misses: Vec<usize> = Vec::new();
+        let mut misses: Vec<(usize, CacheKey)> = Vec::new();
         for (i, s) in scenarios.iter().enumerate() {
             // The exact answer may already be resident — never interpolate
             // past a bit-identical hit.
-            if let Some(p) = self.cache.lookup(s) {
+            let key = CacheKey::of(s);
+            if let Some(p) = self.cache.probe(&key) {
                 out[i] = Some(exact(Ok(p)));
                 continue;
             }
@@ -501,15 +598,14 @@ impl InterpCache {
                 }
                 None => {
                     self.interp_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    misses.push(i);
+                    misses.push((i, key));
                 }
             }
         }
-        if !misses.is_empty() {
-            let lanes: Vec<Scenario> = misses.iter().map(|&i| scenarios[i].clone()).collect();
-            for (&i, r) in misses.iter().zip(self.cache.solve_batch(&lanes)) {
-                out[i] = Some(exact(r));
-            }
+        // Exact solves after every lane has been probed, so a miss that a
+        // later lane's cell build solved is a hit here.
+        for (i, key) in misses {
+            out[i] = Some(exact(self.cache.solve_keyed(&scenarios[i], key)));
         }
         out.into_iter()
             .map(|r| r.expect("every lane resolved"))
@@ -546,7 +642,7 @@ impl InterpCache {
     /// The build-once slot for `key` (creating it, and FIFO-evicting, as
     /// needed).
     fn slot_for(&self, key: &CellKey) -> Arc<OnceLock<Cell>> {
-        let shard = &self.shards[(key.hash64() % self.shards.len() as u64) as usize];
+        let shard = &self.shards[(key.hash % self.shards.len() as u64) as usize];
         shard.lock().expect("cell shard poisoned").slot(key)
     }
 
@@ -559,7 +655,7 @@ impl InterpCache {
             let shard = shard.lock().expect("cell shard poisoned");
             keys.extend(
                 shard
-                    .map
+                    .ring
                     .iter()
                     .filter(|(_, slot)| slot.get().is_some())
                     .map(|(key, _)| key.clone()),
@@ -570,8 +666,9 @@ impl InterpCache {
 
     /// Build a cell on its first touch: solve its corners and probes and
     /// derive the certificate. All `2^d + 1 + 2d` exact solves go through
-    /// one [`SolutionCache::solve_batch`] call, so a corner already
-    /// resident in the exact cache is not solved again.
+    /// the exact cache in one pass, corners first, so a corner already
+    /// resident is not solved again. Lanes and probe answers live in
+    /// fixed-size arrays; the corners are the cell's one allocation.
     ///
     /// The probe set is the centre plus, for cells spanning two or more
     /// axes, every face midpoint: in 1-D the leading-order interpolation
@@ -580,55 +677,56 @@ impl InterpCache {
     /// certificate covers the worst residual over all probes.
     fn build_cell(&self, template: &Scenario, brackets: [AxisBracket; INTERP_AXES]) -> Cell {
         self.cells_built.fetch_add(1, Ordering::Relaxed);
-        let span_axes: Vec<usize> = (0..INTERP_AXES)
-            .filter(|&i| !brackets[i].is_degenerate())
-            .collect();
-        let d = span_axes.len();
+        let span = Span::of(&brackets);
+        let d = span.len;
 
         let centre_coords: [f64; INTERP_AXES] =
             std::array::from_fn(|i| 0.5 * (brackets[i].lo + brackets[i].hi));
-        let mut probe_coords: Vec<[f64; INTERP_AXES]> = vec![centre_coords];
+        let mut probe_coords = [centre_coords; 1 + 2 * INTERP_AXES];
+        let mut probes = 1;
         if d >= 2 {
-            for &ax in &span_axes {
+            for &ax in span.axes() {
                 for end in [brackets[ax].lo, brackets[ax].hi] {
-                    let mut c = centre_coords;
-                    c[ax] = end;
-                    probe_coords.push(c);
+                    probe_coords[probes][ax] = end;
+                    probes += 1;
                 }
             }
         }
+        let probe_coords = &probe_coords[..probes];
 
-        // Corner lanes first (bitmask order), probe lanes riding along.
-        let mut lanes: Vec<Scenario> = Vec::with_capacity((1 << d) + probe_coords.len());
+        // One exact solve per lane, keyed once; the template is eligible,
+        // so every lane relocates.
+        let solve = |coords: [f64; INTERP_AXES]| {
+            let lane = template
+                .with_axis_values(coords)
+                .expect("eligible template");
+            let key = CacheKey::of(&lane);
+            self.cache.solve_keyed(&lane, key)
+        };
+        let mut corners: Vec<Prediction> = Vec::with_capacity(1 << d);
+        let mut corner_failed = false;
         for mask in 0..(1u32 << d) {
             let mut coords: [f64; INTERP_AXES] = std::array::from_fn(|i| brackets[i].lo);
-            for (j, &ax) in span_axes.iter().enumerate() {
+            for (j, &ax) in span.axes().iter().enumerate() {
                 if mask & (1 << j) != 0 {
                     coords[ax] = brackets[ax].hi;
                 }
             }
-            let Some(corner) = template.with_axis_values(coords) else {
-                return Cell::untrusted(brackets);
-            };
-            lanes.push(corner);
-        }
-        for &coords in &probe_coords {
-            let Some(probe) = template.with_axis_values(coords) else {
-                return Cell::untrusted(brackets);
-            };
-            lanes.push(probe);
-        }
-
-        let mut results = self.cache.solve_batch(&lanes).into_iter();
-        let mut corners: Vec<Prediction> = Vec::with_capacity(1 << d);
-        for _ in 0..(1u32 << d) {
-            match results.next().expect("one result per lane") {
+            match solve(coords) {
                 Ok(p) => corners.push(p),
                 // A corner outside the solvable region poisons the whole
                 // cell: certificates only cover cells that are smooth
-                // throughout.
-                Err(_) => return Cell::untrusted(brackets),
+                // throughout. (The probes are still solved, as every lane
+                // of a build always is.)
+                Err(_) => corner_failed = true,
             }
+        }
+        let mut exact: [Option<Prediction>; 1 + 2 * INTERP_AXES] = [None; 1 + 2 * INTERP_AXES];
+        for (slot, &coords) in exact.iter_mut().zip(probe_coords) {
+            *slot = solve(coords).ok();
+        }
+        if corner_failed {
+            return Cell::untrusted(brackets);
         }
 
         // Structural consistency: one discrete optimum and one NaN pattern
@@ -642,14 +740,14 @@ impl InterpCache {
 
         let cell = Cell {
             brackets,
-            span_axes,
+            span,
             corners,
             cert: f64::INFINITY,
         };
         let kinds = template.interp_axes().expect("eligible template");
         let mut worst = 0.0f64;
-        for coords in probe_coords {
-            let Some(Ok(exact)) = results.next() else {
+        for (coords, exact) in probe_coords.iter().zip(exact) {
+            let Some(exact) = exact else {
                 // An unsolvable probe means the cell is not smooth
                 // throughout: no certificate.
                 return Cell::untrusted(brackets);
@@ -845,6 +943,58 @@ mod tests {
         // The revisited cell was rebuilt — but its corners were still in
         // the exact cache, so the rebuild cost no new solves.
         assert_eq!(c.cells_built(), 4);
+    }
+
+    /// Every cell and every exact key forced onto one hash: each lane still
+    /// gets its own cell's interpolation or its own exact solve, the index
+    /// never grows past one window, and the counters add up.
+    #[test]
+    fn colliding_cells_never_answer_for_each_other() {
+        const TOL: f64 = 1e-2;
+        // Points in distinct W cells (and one two-axis cell), each answered
+        // first by a fresh node: its cell interpolated from its own corners.
+        let mut lanes: Vec<Scenario> = (0..16).map(|i| a2a(400.0 * 1.11f64.powi(i))).collect();
+        lanes.push(Scenario::AllToAll {
+            machine: Machine::new(32, 26.3, 200.0).with_c2(0.0),
+            w: 777.7,
+        });
+        let want: Vec<(Prediction, Served)> = lanes
+            .iter()
+            .map(|q| interp_cache().predict_traced(q, TOL).unwrap())
+            .collect();
+        let cells: HashSet<CellKey> = lanes.iter().map(|s| locate(s).unwrap().key).collect();
+        assert_eq!(cells.len(), lanes.len(), "one cell per lane");
+
+        let _forced = crate::table::forced::Hash::to(0x5555_0000_aaaa_ffff);
+        let c = InterpCache::new(SolutionCache::new(2, 256), 2, 64);
+        for round in 0..3 {
+            for (q, (want, want_served)) in lanes.iter().zip(&want) {
+                let (p, served) = c.predict_traced(q, TOL).unwrap();
+                match served {
+                    Served::Interpolated { .. } => {
+                        assert_eq!(served, *want_served, "{q:?}, round {round}");
+                        assert_eq!(p, *want, "{q:?}, round {round}");
+                    }
+                    Served::Exact => {
+                        let exact = lopc_core::scenario::solve(q).unwrap();
+                        assert_eq!(p, exact, "{q:?}, round {round}");
+                    }
+                }
+            }
+        }
+        let lanes_served = 3 * lanes.len() as u64;
+        assert!(c.cells() <= crate::table::WINDOW, "{} cells", c.cells());
+        for shard in &c.shards {
+            let shard = shard.lock().unwrap();
+            assert_eq!(shard.index.occupied(), shard.ring.len());
+        }
+        assert!(c.cache().len() <= crate::table::WINDOW);
+        // Each cell is built at least once, and again only after a
+        // colliding newcomer evicted it; no lane is counted twice.
+        assert!(c.cells_built() >= cells.len() as u64);
+        assert!(c.cells_built() <= lanes_served);
+        assert!(c.interp_hits() + c.interp_fallbacks() <= lanes_served);
+        assert!(c.interp_hits() > 0, "no lane interpolated under collisions");
     }
 
     #[test]

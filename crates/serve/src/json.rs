@@ -21,8 +21,10 @@
 //!   and the tests use it.
 //!
 //! Subset implemented: objects, arrays, strings, finite numbers, booleans,
-//! `null`. Numbers follow RFC 8259's grammar on input and are emitted with
-//! Rust's shortest-round-trip formatting, so `parse(render(x))` is `x`
+//! `null`. Numbers follow RFC 8259's grammar on input and are emitted in
+//! shortest round-trip form by this module's own writer (a Ryu-style digit
+//! search whose output is byte-identical to `format!("{x:?}")`, at about
+//! half its cost), so `parse(render(x))` is `x`
 //! bit for bit for every finite `f64`, `-0.0` included — the property that
 //! lets the service return *identical* numbers to a direct library call
 //! (and that the proptest round-trip suite pins). Non-finite numbers cannot
@@ -188,20 +190,345 @@ impl Json {
 }
 
 /// The one number emitter: integral values below 9e15 as integers, others
-/// in shortest round-trip form, non-finite values as `null`.
+/// in shortest round-trip form, non-finite values as `null`. The bytes are
+/// `format!("{}", x as i64)` (with `-0.0` as `-0`) and `format!("{x:?}")`
+/// respectively; `crates/serve/tests/number_table.rs` pins both against std.
 pub(crate) fn write_num(out: &mut String, x: f64) {
     if !x.is_finite() {
         // JSON has no NaN/Infinity; the codec layer maps null back to NaN.
         out.push_str("null");
-    } else if x.fract() == 0.0 && x.abs() < 9e15 {
-        // `as i64` drops the sign of -0.0.
-        if x == 0.0 && x.is_sign_negative() {
-            out.push('-');
-        }
-        let _ = write!(out, "{}", x as i64);
-    } else {
-        let _ = write!(out, "{x:?}");
+        return;
     }
+    let mut buf = [0u8; 32];
+    let abs = x.abs();
+    // `abs as u64` truncates, so the round trip holds iff `x` is integral.
+    let len = if abs < 9e15 && (abs as u64) as f64 == abs {
+        let sign = usize::from(x.is_sign_negative());
+        buf[0] = b'-';
+        let v = abs as u64;
+        let len = digit_count(v);
+        put_digits(&mut buf[sign..sign + len], v);
+        sign + len
+    } else {
+        write_shortest(&mut buf, x)
+    };
+    out.push_str(std::str::from_utf8(&buf[..len]).expect("ASCII digits"));
+}
+
+/// Write `x`'s `{:?}` form (finite, nonzero `x`) into `buf`, returning its
+/// length: the shortest digits that round-trip, as a decimal when
+/// `1e-4 <= |x| < 1e16` and in exponent form (`1e16`, `2.5e-5`) otherwise.
+fn write_shortest(buf: &mut [u8; 32], x: f64) -> usize {
+    let mut n = usize::from(x.is_sign_negative());
+    buf[0] = b'-';
+    let abs = x.abs();
+    let (digits, e10) = shortest_digits(abs.to_bits());
+    let len = digit_count(digits);
+    // The decimal point sits `point` digits into the digit string.
+    let point = len as i32 + e10;
+    if !(1e-4..1e16).contains(&abs) {
+        // d.ddde-x: write the digits one place right, then move the first
+        // one left over the point.
+        put_digits(&mut buf[n + 1..n + 1 + len], digits);
+        buf[n] = buf[n + 1];
+        n += 1;
+        if len > 1 {
+            buf[n] = b'.';
+            n += len;
+        }
+        buf[n] = b'e';
+        n += 1;
+        let exp = point - 1;
+        if exp < 0 {
+            buf[n] = b'-';
+            n += 1;
+        }
+        let exp = u64::from(exp.unsigned_abs());
+        let elen = digit_count(exp);
+        put_digits(&mut buf[n..n + elen], exp);
+        n + elen
+    } else if point <= 0 {
+        // 0.000ddd
+        let zeros = (2 - point) as usize;
+        buf[n..n + zeros].fill(b'0');
+        buf[n + 1] = b'.';
+        n += zeros;
+        put_digits(&mut buf[n..n + len], digits);
+        n + len
+    } else if (point as usize) < len {
+        // ddd.ddd: write the digits, then move the fraction one place right.
+        let at = n + point as usize;
+        put_digits(&mut buf[n..n + len], digits);
+        for i in (at..n + len).rev() {
+            buf[i + 1] = buf[i];
+        }
+        buf[at] = b'.';
+        n + len + 1
+    } else {
+        // ddd000.0
+        put_digits(&mut buf[n..n + len], digits);
+        let end = n + point as usize;
+        buf[n + len..end].fill(b'0');
+        buf[end..end + 2].copy_from_slice(b".0");
+        end + 2
+    }
+}
+
+/// Decimal digits of `v` (1 for 0).
+fn digit_count(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |l| l as usize + 1)
+}
+
+/// Fill `buf` with the last `buf.len()` decimal digits of `v` (which must
+/// have no more), zero-padded. Eight digits take one 64-bit division and
+/// then two independent four-digit halves, so the chain of dependent
+/// divisions stays short.
+fn put_digits(buf: &mut [u8], mut v: u64) {
+    let mut i = buf.len();
+    while i >= 8 {
+        let low = (v % 100_000_000) as u32;
+        v /= 100_000_000;
+        put_pairs(&mut buf[i - 8..i - 4], low / 10_000);
+        put_pairs(&mut buf[i - 4..i], low % 10_000);
+        i -= 8;
+    }
+    let mut v = v as u32;
+    if i >= 4 {
+        put_pairs(&mut buf[i - 4..i], v % 10_000);
+        v /= 10_000;
+        i -= 4;
+    }
+    if i >= 2 {
+        put_pairs(&mut buf[i - 2..i], v % 100);
+        v /= 100;
+        i -= 2;
+    }
+    if i == 1 {
+        buf[0] = b'0' + v as u8;
+    }
+}
+
+/// Write `v < 10^buf.len()` into the two or four bytes of `buf`.
+fn put_pairs(buf: &mut [u8], v: u32) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let (hi, lo) = ((v / 100) as usize * 2, (v % 100) as usize * 2);
+    let n = buf.len();
+    buf[n - 2..].copy_from_slice(&PAIRS[lo..lo + 2]);
+    if n == 4 {
+        buf[..2].copy_from_slice(&PAIRS[hi..hi + 2]);
+    }
+}
+
+// -- shortest round-trip digits ----------------------------------------------
+//
+// Ryu (Adams, "Ryū: fast float-to-string conversion", PLDI 2018): scale the
+// double and the two ends of its rounding interval by one 128-bit power of
+// five, then drop decimal digits while the interval still holds a shorter
+// number. The power-of-five tables are computed at compile time below with
+// a small fixed-width bigint.
+
+/// Bits kept of each `5^i` (and of each `2^k / 5^i`) in the tables.
+const POW5_BITS: i32 = 125;
+/// `5^i` for `i < 326`, scaled to exactly [`POW5_BITS`] bits, as `[lo, hi]`.
+static POW5: [[u64; 2]; 326] = pow5_table();
+/// `floor(2^(bitlen(5^i) - 1 + POW5_BITS) / 5^i) + 1` for `i < 342`.
+static POW5_INV: [[u64; 2]; 342] = pow5_inv_table();
+
+/// Bits `[shift, shift + 128)` of the little-endian bigint `big`.
+const fn window<const N: usize>(big: &[u64; N], shift: usize) -> u128 {
+    let mut out = 0u128;
+    let mut bit = 0;
+    while bit < 128 {
+        let at = shift + bit;
+        if at / 64 < N && (big[at / 64] >> (at % 64)) & 1 == 1 {
+            out |= 1 << bit;
+        }
+        bit += 1;
+    }
+    out
+}
+
+const fn pow5_table() -> [[u64; 2]; 326] {
+    let mut out = [[0; 2]; 326];
+    let mut pow = [0u64; 12]; // 5^325 < 2^755
+    pow[0] = 1;
+    let mut i = 0;
+    while i < out.len() {
+        let len = pow5_bits(i as i32);
+        let top = if len >= POW5_BITS {
+            window(&pow, (len - POW5_BITS) as usize)
+        } else {
+            window(&pow, 0) << (POW5_BITS - len)
+        };
+        out[i] = [top as u64, (top >> 64) as u64];
+        // pow *= 5
+        let mut carry = 0;
+        let mut j = 0;
+        while j < pow.len() {
+            let t = pow[j] as u128 * 5 + carry;
+            pow[j] = t as u64;
+            carry = t >> 64;
+            j += 1;
+        }
+        i += 1;
+    }
+    out
+}
+
+const fn pow5_inv_table() -> [[u64; 2]; 342] {
+    // quot = floor(2^K / 5^i), carried from one i to the next by dividing
+    // by 5 (floor(floor(a) / 5) = floor(a / 5)); K covers the largest
+    // numerator, 2^(bitlen(5^341) - 1 + POW5_BITS) = 2^916.
+    const K: usize = 1000;
+    let mut out = [[0; 2]; 342];
+    let mut quot = [0u64; 16];
+    quot[K / 64] = 1 << (K % 64);
+    let mut i = 0;
+    while i < out.len() {
+        let numerator_bits = (pow5_bits(i as i32) - 1 + POW5_BITS) as usize;
+        let inv = window(&quot, K - numerator_bits) + 1;
+        out[i] = [inv as u64, (inv >> 64) as u64];
+        // quot /= 5
+        let mut rem = 0;
+        let mut j = quot.len();
+        while j > 0 {
+            j -= 1;
+            let t = (rem << 64) | quot[j] as u128;
+            quot[j] = (t / 5) as u64;
+            rem = t % 5;
+        }
+        i += 1;
+    }
+    out
+}
+
+/// `ceil(log2(5^e))`, the bit length of `5^e`, for `0 <= e <= 3528`.
+const fn pow5_bits(e: i32) -> i32 {
+    ((e as u32 * 1217359) >> 19) as i32 + 1
+}
+
+/// `floor(log10(2^e))` for `0 <= e <= 1650`.
+fn log10_pow2(e: i32) -> u32 {
+    (e as u32 * 78913) >> 18
+}
+
+/// `floor(log10(5^e))` for `0 <= e <= 2620`.
+fn log10_pow5(e: i32) -> u32 {
+    (e as u32 * 732923) >> 20
+}
+
+fn multiple_of_pow5(mut v: u64, p: u32) -> bool {
+    let mut count = 0;
+    while v.is_multiple_of(5) {
+        v /= 5;
+        count += 1;
+    }
+    count >= p
+}
+
+/// `(m · mul) >> j` for a 128-bit `mul`, `j >= 64`.
+fn mul_shift(m: u64, mul: [u64; 2], j: i32) -> u64 {
+    let lo = m as u128 * mul[0] as u128;
+    let hi = m as u128 * mul[1] as u128;
+    (((lo >> 64) + hi) >> (j - 64)) as u64
+}
+
+/// The shortest decimal `(digits, e10)` with `digits · 10^e10` inside the
+/// rounding interval of the positive finite double with bit pattern
+/// `bits`, nearest to it, ties rounded up as std's `{:?}` rounds them.
+fn shortest_digits(bits: u64) -> (u64, i32) {
+    let mantissa = bits & ((1 << 52) - 1);
+    let exponent = (bits >> 52) as i32;
+    // Two extra bits so the interval ends are integers too.
+    let (e2, m2) = if exponent == 0 {
+        (1 - 1023 - 52 - 2, mantissa)
+    } else {
+        (exponent - 1023 - 52 - 2, (1 << 52) | mantissa)
+    };
+    // Round-half-even parsing accepts the interval ends of an even mantissa.
+    let accept_ends = m2 & 1 == 0;
+    let mv = 4 * m2;
+    // The interval below a power of two is half as wide.
+    let mm_shift = u64::from(mantissa != 0 || exponent <= 1);
+    let (mp, mm) = (mv + 2, mv - 1 - mm_shift);
+
+    let (mut vr, mut vp, mut vm, e10);
+    // Whether the lower end, scaled, is exactly `vm` (no digits dropped).
+    let mut vm_exact = false;
+    if e2 >= 0 {
+        let q = log10_pow2(e2) - u32::from(e2 > 3);
+        e10 = q as i32;
+        let mul = POW5_INV[q as usize];
+        let j = -e2 + q as i32 + POW5_BITS + pow5_bits(q as i32) - 1;
+        (vr, vp, vm) = (
+            mul_shift(mv, mul, j),
+            mul_shift(mp, mul, j),
+            mul_shift(mm, mul, j),
+        );
+        if q <= 21 {
+            // At most one of mp, mv, mm is a multiple of 5.
+            if mv.is_multiple_of(5) {
+                // mv exact: only matters for round-half-even, which std's
+                // `{:?}` does not do.
+            } else if accept_ends {
+                vm_exact = multiple_of_pow5(mm, q);
+            } else {
+                vp -= u64::from(multiple_of_pow5(mp, q));
+            }
+        }
+    } else {
+        let q = log10_pow5(-e2) - u32::from(-e2 > 1);
+        e10 = q as i32 + e2;
+        let i = -e2 - q as i32;
+        let mul = POW5[i as usize];
+        let j = q as i32 - (pow5_bits(i) - POW5_BITS);
+        (vr, vp, vm) = (
+            mul_shift(mv, mul, j),
+            mul_shift(mp, mul, j),
+            mul_shift(mm, mul, j),
+        );
+        if q <= 1 {
+            // mm has one trailing zero bit iff mm_shift is 1; mp always has.
+            if accept_ends {
+                vm_exact = mm_shift == 1;
+            } else {
+                vp -= 1;
+            }
+        }
+    }
+
+    // Drop digits while a shorter number still fits in [vm, vp], two at a
+    // time first (most doubles shed two or three).
+    let mut removed = 0;
+    let mut last = 0;
+    if vp / 100 > vm / 100 {
+        vm_exact &= vm.is_multiple_of(100);
+        last = vr % 100 / 10;
+        (vr, vp, vm) = (vr / 100, vp / 100, vm / 100);
+        removed = 2;
+    }
+    while vp / 10 > vm / 10 {
+        vm_exact &= vm.is_multiple_of(10);
+        last = vr % 10;
+        (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+        removed += 1;
+    }
+    if vm_exact {
+        // The lower end is itself a shorter number and may be taken.
+        while vm.is_multiple_of(10) {
+            last = vr % 10;
+            (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+            removed += 1;
+        }
+    }
+    // Round vr to nearest (an exact half rounds up), and step inside the
+    // interval when vr is its excluded lower end.
+    let up = (vr == vm && !(accept_ends && vm_exact)) || last >= 5;
+    (vr + u64::from(up), e10 + removed)
 }
 
 fn render_str(out: &mut String, s: &str) {

@@ -78,6 +78,7 @@ pub mod metrics;
 pub(crate) mod reactor;
 pub mod server;
 pub mod sys;
+mod table;
 
 pub use cache::SolutionCache;
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};

@@ -24,8 +24,8 @@
 //! is a one-lane batch. The scenario list goes through
 //! [`InterpCache::predict_batch`](crate::interp::InterpCache):
 //! cache-resident and certified-interpolated lanes are answered in place,
-//! and the remaining misses are key-deduped and each solved once by
-//! [`lopc_core::scenario::solve`].
+//! and each remaining miss is solved by [`lopc_core::scenario::solve`]
+//! unless an earlier lane already solved its key.
 //!
 //! Status codes: `200` success, `400` malformed HTTP/JSON/schema, `404`
 //! unknown path, `405` wrong method, `422` well-formed but unsolvable
