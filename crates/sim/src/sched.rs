@@ -1,15 +1,21 @@
 //! Pending-event schedulers: the priority queue at the heart of the engine.
 //!
-//! The event loop pops the globally earliest event on every iteration, so for
-//! large machines the scheduler *is* the hot path. Two implementations sit
-//! behind the [`EventQueue`] trait:
+//! The event loop pops the globally earliest event on every iteration, so the
+//! scheduler is the hot path at every machine size, not only on large ones:
+//! in a P = 32 replication (32–50 pending events) the sorted run below takes
+//! about a quarter off the wall time a plain binary heap needs (DESIGN.md §4).
+//! Two implementations sit behind the [`EventQueue`] trait:
 //!
-//! * [`BinaryHeapQueue`] — `std::collections::BinaryHeap`, `O(log n)` per
-//!   operation. Simple and allocation-friendly; kept selectable (see
-//!   [`Scheduler`]) as the reference implementation for differential tests.
+//! * [`BinaryHeapQueue`] — for small populations: up to 64 pending items a
+//!   sorted run of `(key, item)` pairs, earliest last, so a pop is
+//!   `Vec::pop` and a push a binary search plus a short shift; past that a
+//!   `std::collections::BinaryHeap` over the same pairs, `O(log n)` per
+//!   operation. `Engine::new` picks it for small machines (see
+//!   [`Scheduler::auto_for`]).
 //! * [`CalendarQueue`] — a bucketed time wheel after Brown's calendar queue
-//!   (CACM 31(10), 1988), `O(1)` amortized per operation. This is the
-//!   default. The design and resize policy are documented in DESIGN.md §4.
+//!   (CACM 31(10), 1988), `O(1)` amortized per operation, for large
+//!   machines; `Scheduler::default()`. The design and resize policy are
+//!   documented in DESIGN.md §4.
 //!
 //! Both orderings are **total and identical**: events pop in ascending
 //! `(time, seq)` order, where `seq` is a unique tie-break key (the engine
@@ -17,6 +23,11 @@
 //! time events therefore pop in one fixed deterministic order and a
 //! simulation run is bit-reproducible regardless of the scheduler — the
 //! property the differential proptests in `tests/differential.rs` pin down.
+//! Both queues compare one integer: the time's IEEE-754 bits above `seq`.
+//! For finite, non-negative times (−0.0 folded into +0.0) that integer
+//! orders exactly like `(time, seq)`, so every push asserts the time is
+//! finite and non-negative; `tests/queue_oracle.rs` checks both queues
+//! against a plain `(f64, u64)` sort over that domain's corners.
 //!
 //! # Year aliasing
 //!
@@ -73,7 +84,7 @@
 //! assert_eq!(order, [2, 3, 1]);
 //! ```
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::config::Time;
@@ -81,25 +92,30 @@ use crate::config::Time;
 /// Scheduler selection for an [`Engine`](crate::Engine).
 ///
 /// `Scheduler::default()` is the calendar queue; `Engine::new` however picks
-/// *adaptively* via [`Scheduler::auto_for`] because the heap wins outright
-/// on small machines (§9 baselines: ~1.5× at ≤ 32 pending events). Both
-/// remain explicitly selectable so differential tests (and sceptical users)
-/// can cross-check that both produce identical simulations — see
+/// *adaptively* via [`Scheduler::auto_for`] because the heap queue's sorted
+/// run wins outright on small machines (1.5–2.0× end to end at `P = 32`,
+/// see [`ADAPTIVE_HEAP_MAX_PENDING`]). Both remain explicitly selectable so
+/// differential tests (and sceptical users) can cross-check that both
+/// produce identical simulations — see
 /// [`crate::runner::run_with_scheduler`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scheduler {
     /// Bucketed calendar queue, `O(1)` amortized (the default).
     #[default]
     Calendar,
-    /// `std::collections::BinaryHeap`, `O(log n)` — the reference.
+    /// [`BinaryHeapQueue`]: a sorted run up to 64 pending events, a binary
+    /// heap (`O(log n)`) beyond — the engine's choice for small machines,
+    /// and the calendar queue's reference in the differential tests.
     BinaryHeap,
 }
 
-/// Largest steady-state pending-event population at which the binary heap
-/// is kept. In `sim_perf`'s end-to-end runs (DESIGN.md §9, medians of
-/// fifteen) the heap is ~1.3× faster at `P = 32` (32 pending events), the
-/// calendar queue ~1.06× faster at `P = 256` (512 pending) and ~2.0×
-/// faster at `P = 1024` (4,096 pending).
+/// Largest steady-state pending-event population at which the heap queue
+/// is kept. `sim_perf`'s end-to-end runs (DESIGN.md §4; three runs of
+/// best-of-ten on a 2-vCPU Xeon VM) read the heap queue's speed-up over the
+/// calendar queue as 1.5–2.0× at `P = 32` (32 pending events, all in its
+/// sorted run), 0.94–1.39× at `P = 64` (the population peaks at 66, so the
+/// run turns into a heap), 0.84–1.19× at `P = 256` (512 pending) and
+/// 0.58–0.82× at `P = 1024` (4,096 pending).
 pub const ADAPTIVE_HEAP_MAX_PENDING: usize = 32;
 
 impl Scheduler {
@@ -107,11 +123,11 @@ impl Scheduler {
     /// population (for the engine: `P × fanout`, see
     /// [`SimConfig::pending_hint`](crate::config::SimConfig::pending_hint)).
     ///
-    /// At or below [`ADAPTIVE_HEAP_MAX_PENDING`] pending events the wheel's
-    /// bucket scanning overhead dominates and the heap is faster; above it
-    /// the calendar queue's `O(1)` amortized operations win. The choice
-    /// never affects results — schedulers are observationally equivalent —
-    /// only speed.
+    /// At or below [`ADAPTIVE_HEAP_MAX_PENDING`] pending events the heap
+    /// queue's sorted run beats the wheel's bucket scanning; above it the
+    /// calendar queue's `O(1)` amortized operations catch up and then win.
+    /// The choice never affects results — schedulers are observationally
+    /// equivalent — only speed.
     pub fn auto_for(pending_hint: usize) -> Scheduler {
         if pending_hint <= ADAPTIVE_HEAP_MAX_PENDING {
             Scheduler::BinaryHeap
@@ -137,27 +153,39 @@ impl Scheduler {
 /// The engine guarantees `seq` values are unique; queue behaviour is
 /// unspecified (but memory-safe) if two live items share a `seq`.
 pub trait Keyed {
-    /// When the item fires. Must be finite.
+    /// When the item fires: finite and non-negative. Both queues assert
+    /// this on every push, so a NaN, infinite or negative time panics.
     fn time(&self) -> Time;
     /// Unique tie-break key; items sharing a time pop in ascending `seq`.
     fn seq(&self) -> u64;
 }
 
+/// The pending-event order as one integer: the time's bits above `seq`.
+///
+/// For finite non-negative times the IEEE-754 bit pattern, read as an
+/// unsigned integer, rises with the value, so this key orders items exactly
+/// as comparing `(time, seq)` does. The `+ 0.0` folds −0.0 into +0.0, which
+/// `(time, seq)` treats as equal (the tie then goes to `seq`).
 #[inline]
-fn key<T: Keyed>(item: &T) -> (Time, u64) {
-    (item.time(), item.seq())
+fn key<T: Keyed>(item: &T) -> u128 {
+    ((item.time() + 0.0).to_bits() as u128) << 64 | item.seq() as u128
 }
 
+/// Panic unless `t` is a valid event time: the domain on which [`key`]
+/// orders like `(time, seq)`.
 #[inline]
-fn key_less<T: Keyed>(a: &T, b: &T) -> bool {
-    key(a) < key(b)
+fn check_time(t: Time) {
+    assert!(
+        (0.0..Time::INFINITY).contains(&t),
+        "event time {t} is not finite and non-negative"
+    );
 }
 
 /// A pending-event set popping items in ascending `(time, seq)` order.
 ///
 /// See the [module docs](self) for the implementations and a usage example.
 pub trait EventQueue<T: Keyed> {
-    /// Insert an item.
+    /// Insert an item. Panics if its time is not finite and non-negative.
     fn push(&mut self, item: T);
     /// Remove and return the item with the smallest `(time, seq)` key.
     fn pop(&mut self) -> Option<T>;
@@ -169,42 +197,77 @@ pub trait EventQueue<T: Keyed> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Binary heap reference implementation
-// ---------------------------------------------------------------------------
+/// An item with its [`key`], ordered so that `std::collections::BinaryHeap`
+/// (a max-heap) pops the smallest key first.
+struct Entry<T> {
+    key: u128,
+    item: T,
+}
 
-/// Min-wrapper giving `BinaryHeap` (a max-heap) ascending `(time, seq)` pops.
-struct MinEntry<T>(T);
-
-impl<T: Keyed> PartialEq for MinEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        key(&self.0) == key(&other.0)
+impl<T: Keyed> Entry<T> {
+    #[inline]
+    fn new(item: T) -> Self {
+        Entry {
+            key: key(&item),
+            item,
+        }
     }
 }
-impl<T: Keyed> Eq for MinEntry<T> {}
-impl<T: Keyed> PartialOrd for MinEntry<T> {
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T: Keyed> Ord for MinEntry<T> {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: the max-heap's "largest" is our smallest key.
-        key(&other.0).partial_cmp(&key(&self.0)).unwrap()
+        other.key.cmp(&self.key)
     }
 }
 
-/// The `O(log n)` reference scheduler: a thin wrapper over
-/// `std::collections::BinaryHeap`.
+// ---------------------------------------------------------------------------
+// Sorted run / binary heap
+// ---------------------------------------------------------------------------
+
+/// Largest population [`BinaryHeapQueue`] keeps as a sorted run; the push
+/// past it turns the run into a binary heap.
+const RUN_MAX: usize = 64;
+
+/// The small-population scheduler: a sorted run of `(key, item)` pairs that
+/// becomes a binary heap over the same pairs past 64 (`RUN_MAX`) items.
+///
+/// Up to `RUN_MAX` pending items the pairs sit in one `Vec` sorted
+/// descending by key, the earliest last: a pop is `Vec::pop`, and a push is
+/// a binary search plus a shift of the later-firing pairs in front of it.
+/// The push that would make the run longer than `RUN_MAX` reverses it into
+/// ascending order — already a valid heap — and from then on the pairs live
+/// in a `std::collections::BinaryHeap`, `O(log n)` per operation, until pops
+/// drain it to `RUN_MAX / 2` items and it is sorted back into a run. The
+/// hysteresis bounds the conversions to one per `RUN_MAX / 2` operations.
+/// Either way every comparison is one `u128` compare of the packed key
+/// ([`Keyed`] time bits over `seq`), computed once per push.
 #[derive(Default)]
 pub struct BinaryHeapQueue<T> {
-    heap: BinaryHeap<MinEntry<T>>,
+    /// The pending pairs, descending by key, while there are at most
+    /// `RUN_MAX`; empty while `heap` holds them.
+    run: Vec<Entry<T>>,
+    /// The pending pairs once the population has passed `RUN_MAX`; empty
+    /// otherwise.
+    heap: BinaryHeap<Entry<T>>,
 }
 
 impl<T: Keyed> BinaryHeapQueue<T> {
     /// New empty queue.
     pub fn new() -> Self {
         BinaryHeapQueue {
+            run: Vec::new(),
             heap: BinaryHeap::new(),
         }
     }
@@ -212,15 +275,37 @@ impl<T: Keyed> BinaryHeapQueue<T> {
 
 impl<T: Keyed> EventQueue<T> for BinaryHeapQueue<T> {
     fn push(&mut self, item: T) {
-        self.heap.push(MinEntry(item));
+        check_time(item.time());
+        let e = Entry::new(item);
+        if !self.heap.is_empty() {
+            self.heap.push(e);
+        } else if self.run.len() < RUN_MAX {
+            let pos = self.run.partition_point(|x| x.key > e.key);
+            self.run.insert(pos, e);
+        } else {
+            // Ascending keys already satisfy the (reversed) heap order.
+            self.run.reverse();
+            self.heap = BinaryHeap::from(std::mem::take(&mut self.run));
+            self.heap.push(e);
+        }
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<T> {
-        self.heap.pop().map(|e| e.0)
+        if self.heap.is_empty() {
+            return self.run.pop().map(|e| e.item);
+        }
+        let e = self.heap.pop();
+        if self.heap.len() <= RUN_MAX / 2 {
+            let mut run = std::mem::take(&mut self.heap).into_vec();
+            run.sort_unstable_by_key(|e| Reverse(e.key));
+            self.run = run;
+        }
+        e.map(|e| e.item)
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 }
 
@@ -249,6 +334,15 @@ const WIDTH_GAPS: f64 = 12.0;
 /// memmove a sorted `Vec` — so the overflow should only catch genuinely
 /// far-future events (several× the live-event span ahead).
 const FAR_YEARS: u64 = 4;
+/// Largest slot a time maps to: far below `u64::MAX`, the empty-bucket
+/// sentinel, so a time whose slot saturates (a time near `f64::MAX`, or any
+/// time under a width estimated from subnormal gaps) still lands in a real
+/// slot, and the position can scan past it without overflowing.
+const SLOT_MAX: u64 = 1 << 62;
+/// Bucket widths are clamped to `[MIN_WIDTH, MAX_WIDTH]`, where both the
+/// width and its inverse are finite and positive.
+const MIN_WIDTH: Time = 1e-300;
+const MAX_WIDTH: Time = 1e300;
 
 /// One wheel bucket: an unsorted bag of items plus the slot of its earliest.
 ///
@@ -279,10 +373,10 @@ impl<T> Bucket<T> {
 }
 
 /// Discrete slot of a timestamp at `inv_width` slots per time unit.
-/// Saturates on overflow; times are non-negative by contract.
+/// Saturates at [`SLOT_MAX`]; times are non-negative by contract.
 #[inline]
 fn slot_at(t: Time, inv_width: Time) -> u64 {
-    (t * inv_width) as u64
+    ((t * inv_width) as u64).min(SLOT_MAX)
 }
 
 /// `O(1)`-amortized calendar queue: a circular bucketed time wheel with
@@ -348,7 +442,7 @@ pub struct CalendarQueue<T> {
     run: Vec<T>,
     floor: usize,
     /// Items pushed into `cur_slot` above the run's minimum.
-    in_slot: BinaryHeap<MinEntry<T>>,
+    in_slot: BinaryHeap<Entry<T>>,
     /// Items beyond one year of `cur_slot`, sorted ascending by `(t, seq)`.
     overflow: Vec<T>,
     /// Slot of `overflow`'s head (`u64::MAX` when empty), checked every pop.
@@ -391,11 +485,17 @@ impl<T: Keyed> CalendarQueue<T> {
         }
     }
 
-    /// Discrete slot of a timestamp. Saturates on overflow; times are
+    /// Set the bucket width, clamped to `[MIN_WIDTH, MAX_WIDTH]`, and its
+    /// cached inverse.
+    fn set_width(&mut self, width: Time) {
+        self.width = width.clamp(MIN_WIDTH, MAX_WIDTH);
+        self.inv_width = 1.0 / self.width;
+    }
+
+    /// Discrete slot of a timestamp. Saturates at [`SLOT_MAX`]; times are
     /// non-negative by contract.
     #[inline]
     fn slot_of(&self, t: Time) -> u64 {
-        debug_assert!(t >= 0.0, "event times must be non-negative");
         slot_at(t, self.inv_width)
     }
 
@@ -413,7 +513,7 @@ impl<T: Keyed> CalendarQueue<T> {
         if slot == self.cur_slot {
             match self.run[self.floor..].last() {
                 // Later in the run: inserting would shift it.
-                Some(min) if key_less(min, &item) => self.in_slot.push(MinEntry(item)),
+                Some(min) if key(min) < key(&item) => self.in_slot.push(Entry::new(item)),
                 // A new minimum, such as a popped event pushed straight back.
                 Some(_) => self.run.push(item),
                 // Nothing else of this slot is pending: the item starts the
@@ -435,7 +535,7 @@ impl<T: Keyed> CalendarQueue<T> {
         let (slot, inv_width) = (self.cur_slot, self.inv_width);
         let bucket = &mut self.buckets[(slot & self.mask as u64) as usize];
         let items = &mut bucket.items;
-        items.sort_unstable_by(|a, b| key(b).partial_cmp(&key(a)).expect("event times are finite"));
+        items.sort_unstable_by_key(|x| Reverse(key(x)));
         self.floor = items.partition_point(|x| slot_at(x.time(), inv_width) != slot);
         std::mem::swap(&mut self.run, items);
         bucket.min_slot = u64::MAX;
@@ -483,8 +583,7 @@ impl<T: Keyed> CalendarQueue<T> {
             // otherwise sparse schedule). Widen geometrically — the boost
             // survives the rebuild's re-estimate because the rebuild takes
             // the max — so pathological schedules converge in O(log) boosts.
-            self.width *= 4.0;
-            self.inv_width = 1.0 / self.width;
+            self.set_width(self.width * 4.0);
             let items = self.drain_sorted();
             let boosted = self.width;
             self.rebuild(items, boosted);
@@ -511,9 +610,9 @@ impl<T: Keyed> CalendarQueue<T> {
         }
         all.append(&mut self.run);
         self.floor = 0;
-        all.extend(self.in_slot.drain().map(|e| e.0));
+        all.extend(self.in_slot.drain().map(|e| e.item));
         all.append(&mut self.overflow);
-        all.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
+        all.sort_by_key(key);
         self.len = 0;
         self.wheel_len = 0;
         self.overflow_min_slot = u64::MAX;
@@ -551,11 +650,9 @@ impl<T: Keyed> CalendarQueue<T> {
         }
         if distinct_steps > 0 && span > 0.0 {
             let estimate = WIDTH_GAPS * span / distinct_steps as Time;
-            self.width = estimate.max(min_width);
-            self.inv_width = 1.0 / self.width;
+            self.set_width(estimate.max(min_width));
         } else if min_width > self.width {
-            self.width = min_width;
-            self.inv_width = 1.0 / self.width;
+            self.set_width(min_width);
         }
         debug_assert!(self.width > 0.0 && self.width.is_finite());
 
@@ -598,7 +695,7 @@ impl<T: Keyed> CalendarQueue<T> {
 impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
     fn push(&mut self, item: T) {
         let t = item.time();
-        debug_assert!(t.is_finite(), "event time must be finite");
+        check_time(t);
         let slot = self.slot_of(t);
         if self.len == 0 {
             // Empty queue: re-anchor the position so `t` lands on the wheel.
@@ -612,14 +709,15 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
             // their items go back to their buckets first.
             let old = self.cur_slot;
             let bucket = &mut self.buckets[(old & self.mask as u64) as usize];
-            for MinEntry(x) in self.in_slot.drain() {
-                bucket.push(x, old);
+            for e in self.in_slot.drain() {
+                bucket.push(e.item, old);
             }
             self.lift_run();
             self.cur_slot = slot;
         }
         if slot >= self.far_horizon() {
-            let pos = self.overflow.partition_point(|x| key_less(x, &item));
+            let k = key(&item);
+            let pos = self.overflow.partition_point(|x| key(x) < k);
             self.overflow.insert(pos, item);
             self.overflow_min_slot = self.overflow_min_slot.min(slot);
         } else {
@@ -669,11 +767,11 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
             }
         }
         let from_heap = match (self.run[self.floor..].last(), self.in_slot.peek()) {
-            (Some(min), Some(h)) => key_less(&h.0, min),
+            (Some(min), Some(h)) => h.key < key(min),
             (min, _) => min.is_none(),
         };
         let item = if from_heap {
-            self.in_slot.pop().expect("non-empty").0
+            self.in_slot.pop().expect("non-empty").item
         } else {
             self.run.pop().expect("non-empty")
         };
@@ -872,6 +970,45 @@ mod tests {
         // The window re-anchors on the next push even at a far time.
         q.push(Item { t: 1e12, seq: 1 });
         assert_eq!(q.pop().unwrap().seq, 1);
+    }
+
+    /// The heap queue is a run up to `RUN_MAX` items, a heap from the push
+    /// past it until pops drain it to `RUN_MAX / 2`, then a run again; pops
+    /// stay in key order across both conversions.
+    #[test]
+    fn run_turns_into_heap_and_back() {
+        let mut rng = SmallRng::seed_from_u64(10);
+        let mut q = BinaryHeapQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut BinaryHeapQueue<Item>| {
+            q.push(Item {
+                t: (rng.random::<f64>() * 8.0).floor(),
+                seq,
+            });
+            seq += 1;
+        };
+        for _ in 0..RUN_MAX {
+            push(&mut q);
+        }
+        assert!(q.heap.is_empty() && q.run.len() == RUN_MAX);
+        push(&mut q);
+        assert!(q.run.is_empty() && q.heap.len() == RUN_MAX + 1);
+        let mut last = (f64::NEG_INFINITY, 0u64);
+        let mut pop = |q: &mut BinaryHeapQueue<Item>| {
+            let it = q.pop().unwrap();
+            assert!((it.t, it.seq) > last, "order violated");
+            last = (it.t, it.seq);
+        };
+        while q.len() > RUN_MAX / 2 + 1 {
+            pop(&mut q);
+        }
+        assert!(q.run.is_empty(), "still a heap above RUN_MAX / 2");
+        pop(&mut q);
+        assert!(q.heap.is_empty() && q.run.len() == RUN_MAX / 2);
+        assert!(q.run.windows(2).all(|w| w[0].key > w[1].key));
+        while !q.is_empty() {
+            pop(&mut q);
+        }
     }
 
     #[test]
