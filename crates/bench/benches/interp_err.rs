@@ -1,201 +1,37 @@
-//! Offline calibration of the interpolation error model (`interp_err`
-//! section of `BENCH_sim.json`).
+//! Per-query cost of the certified interpolation sweep path: a 400-point
+//! `AllToAll` W sweep answered from warm cells at a 1e-3 tolerance, cell
+//! builds done before the measured loop (the `interp_err` section of
+//! `BENCH_sim.json`).
 //!
-//! The serving layer's certificate is `max(centre_residual × SAFETY_FACTOR,
-//! CERT_FLOOR)` (see `lopc_serve::interp`). This experiment is what makes
-//! those two constants *calibrated* rather than guessed: it sweeps all four
-//! closed-form model variants over dense off-grid parameter grids — W
-//! sweeps at fixed machines, plus an off-grid `C²` so multi-dimensional
-//! cells are exercised — and records, for every interpolated answer, the
-//! true residual against the exact solve. Persisted headlines:
-//!
-//! * `worst_true_over_cert` — max(true residual / certificate); the
-//!   certificate is sound iff this stays ≤ 1 (asserted here);
-//! * `worst_true_over_center` — max inferred (true residual / centre
-//!   residual) over cells whose certificate is above the floor;
-//!   `SAFETY_FACTOR` must dominate this ratio;
-//! * `worst_floored_resid` — worst true residual among floor-certified
-//!   cells; `CERT_FLOOR` must dominate it;
-//! * per-variant `<kind>/worst_resid`, `<kind>/mean_resid`,
-//!   `<kind>/interp_share` (residual summaries via `lopc_stats`).
-//!
-//! The timing entries record the per-query cost of the interpolated sweep
-//! path (cell builds amortised over the sweep).
+//! The calibration of the certificate's `SAFETY_FACTOR` and `CERT_FLOOR`
+//! over this W grid is the test `calibration_sweep_certificates_are_sound`
+//! in `crates/serve/tests/interp_props.rs`; this bench only times.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lopc_bench::baseline::{self, Section};
 use lopc_core::{Machine, Scenario};
 use lopc_serve::cache::SolutionCache;
-use lopc_serve::interp::{rel_resid, InterpCache, Served, CERT_FLOOR, SAFETY_FACTOR};
-use lopc_stats::{minmax, Summary};
+use lopc_serve::interp::InterpCache;
 use std::hint::black_box;
 
-/// Tolerance used for calibration queries: wide open, so every certifiable
-/// cell actually serves and the sweep observes the whole certificate range.
-const CAL_TOL: f64 = 1.0;
-
-struct SweepStats {
-    kind: &'static str,
-    resids: Vec<f64>,
-    true_over_cert: Vec<f64>,
-    true_over_center: Vec<f64>,
-    floored_resids: Vec<f64>,
-    queries: usize,
-    interpolated: usize,
-}
-
-/// Sweep one scenario family over a dense geometric W grid (deliberately
-/// off the reference grid) and collect residual statistics.
-fn sweep(kind: &'static str, make: impl Fn(f64) -> Scenario, points: usize) -> SweepStats {
-    let cache = InterpCache::new(SolutionCache::new(8, 4096), 8, 1024);
-    let mut stats = SweepStats {
-        kind,
-        resids: Vec::with_capacity(points),
-        true_over_cert: Vec::new(),
-        true_over_center: Vec::new(),
-        floored_resids: Vec::new(),
-        queries: 0,
-        interpolated: 0,
-    };
-    // 50 .. ~12800 cycles, geometric, with an irrational-ish offset so the
-    // points land inside cells rather than on corners.
-    let ratio = (12_800.0f64 / 50.0).powf(1.0 / (points as f64 - 1.0));
-    for i in 0..points {
-        let w = 50.0 * 1.003 * ratio.powi(i as i32);
-        let scenario = make(w);
-        stats.queries += 1;
-        let Ok((served, mode)) = cache.predict_traced(&scenario, CAL_TOL) else {
-            continue;
-        };
-        let Served::Interpolated { certified_rel_err } = mode else {
-            continue;
-        };
-        let exact = lopc_core::scenario::solve(&scenario).expect("exact solve");
-        let resid = rel_resid(&served, &exact);
-        stats.interpolated += 1;
-        stats.resids.push(resid);
-        stats.true_over_cert.push(resid / certified_rel_err);
-        if certified_rel_err > CERT_FLOOR {
-            // cert = centre_resid * SAFETY_FACTOR here, so the true/centre
-            // ratio is recoverable exactly.
-            stats
-                .true_over_center
-                .push(resid * SAFETY_FACTOR / certified_rel_err);
-        } else {
-            stats.floored_resids.push(resid);
-        }
-    }
-    stats
-}
-
 fn bench(c: &mut Criterion) {
+    const POINTS: usize = 400;
     let m32 = Machine::new(32, 25.0, 200.0).with_c2(0.0);
-    let m16 = Machine::new(16, 50.0, 131.0).with_c2(1.0);
-    // Off-grid C² (0.3 ∉ k/8) forces 2-D (W × C²) cells.
-    let m_offgrid = Machine::new(32, 25.0, 200.0).with_c2(0.3);
+    // 50 .. ~12,800 cycles, geometric, offset by 0.3 % so the points land
+    // inside cells rather than on corners.
+    let ratio = (12_800.0f64 / 50.0).powf(1.0 / (POINTS as f64 - 1.0));
+    let scenarios: Vec<Scenario> = (0..POINTS)
+        .map(|i| Scenario::AllToAll {
+            machine: m32,
+            w: 50.0 * 1.003 * ratio.powi(i as i32),
+        })
+        .collect();
 
-    let points = 400;
-    let sweeps: Vec<SweepStats> = vec![
-        sweep(
-            "all_to_all",
-            |w| Scenario::AllToAll { machine: m32, w },
-            points,
-        ),
-        sweep(
-            "shared_memory",
-            |w| Scenario::SharedMemory { machine: m16, w },
-            points,
-        ),
-        sweep(
-            "client_server_fixed",
-            |w| Scenario::ClientServer {
-                machine: m32,
-                w,
-                ps: Some(5),
-            },
-            points,
-        ),
-        sweep(
-            "client_server_optimal",
-            |w| Scenario::ClientServer {
-                machine: m16,
-                w,
-                ps: None,
-            },
-            points,
-        ),
-        sweep(
-            "fork_join",
-            |w| Scenario::ForkJoin {
-                machine: m32,
-                w,
-                k: 4,
-            },
-            points,
-        ),
-        sweep(
-            "all_to_all_offgrid_c2",
-            |w| Scenario::AllToAll {
-                machine: m_offgrid,
-                w,
-            },
-            points,
-        ),
-    ];
-
-    let mut section = Section::new("interp_err");
-    let mut worst_over_cert = 0.0f64;
-    let mut worst_over_center = 0.0f64;
-    let mut worst_floored = 0.0f64;
-    for s in &sweeps {
-        let summary = Summary::from_samples(&s.resids);
-        let worst = minmax(&s.resids).map_or(0.0, |(_, hi)| hi);
-        let share = s.interpolated as f64 / s.queries.max(1) as f64;
-        section.derived(format!("{}/worst_resid", s.kind), worst);
-        section.derived(format!("{}/mean_resid", s.kind), summary.mean);
-        section.derived(format!("{}/interp_share", s.kind), share);
-        worst_over_cert = worst_over_cert.max(minmax(&s.true_over_cert).map_or(0.0, |(_, hi)| hi));
-        worst_over_center =
-            worst_over_center.max(minmax(&s.true_over_center).map_or(0.0, |(_, hi)| hi));
-        worst_floored = worst_floored.max(minmax(&s.floored_resids).map_or(0.0, |(_, hi)| hi));
-        println!(
-            "[interp_err] {:<24} {:>4}/{:<4} interpolated, worst resid {:.2e}, mean {:.2e}",
-            s.kind, s.interpolated, s.queries, worst, summary.mean
-        );
-    }
-    section.derived("safety_factor", SAFETY_FACTOR);
-    section.derived("cert_floor", CERT_FLOOR);
-    section.derived("worst_true_over_cert", worst_over_cert);
-    section.derived("worst_true_over_center", worst_over_center);
-    section.derived("worst_floored_resid", worst_floored);
-    println!(
-        "[interp_err] worst true/cert {worst_over_cert:.3} (sound iff <= 1), \
-         worst true/centre {worst_over_center:.3} (SAFETY_FACTOR = {SAFETY_FACTOR}), \
-         worst floored resid {worst_floored:.2e} (CERT_FLOOR = {CERT_FLOOR:.0e})"
-    );
-    // The calibration *is* a gate: an unsound certificate fails the bench.
-    assert!(
-        worst_over_cert <= 1.0,
-        "certificate violated: true residual exceeded the certified bound by {worst_over_cert:.3}x"
-    );
-    assert!(
-        worst_floored <= CERT_FLOOR,
-        "floor violated: a floor-certified cell had residual {worst_floored:.2e}"
-    );
-
-    // Timing: per-query cost of the certified sweep path, cells warm.
     let mut g = c.benchmark_group("interp_sweep");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(points as u64));
+    g.throughput(Throughput::Elements(POINTS as u64));
     g.bench_function("all_to_all_warm", |b| {
         let cache = InterpCache::new(SolutionCache::new(8, 4096), 8, 1024);
-        let ratio = (12_800.0f64 / 50.0).powf(1.0 / (points as f64 - 1.0));
-        let scenarios: Vec<Scenario> = (0..points)
-            .map(|i| Scenario::AllToAll {
-                machine: m32,
-                w: 50.0 * 1.003 * ratio.powi(i as i32),
-            })
-            .collect();
         // Build the cells once; the measured loop is the steady state.
         for s in &scenarios {
             let _ = cache.predict(s, 1e-3);
@@ -210,6 +46,7 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
+    let mut section = Section::new("interp_err");
     for r in &criterion::take_results() {
         section.entry(
             format!("{}/{}", r.group, r.id),
@@ -218,7 +55,7 @@ fn bench(c: &mut Criterion) {
         );
     }
     match baseline::update(&baseline::default_path(), section) {
-        Ok(path) => println!("[interp_err] calibration written to {}", path.display()),
+        Ok(path) => println!("[interp_err] baseline written to {}", path.display()),
         Err(e) => eprintln!("[interp_err] could not write baseline: {e}"),
     }
 }

@@ -1,10 +1,12 @@
 //! Conservative parallel simulation bench: per-thread scaling of
 //! `lopc_sim::par::run_par` against the sequential engine at two machine
-//! sizes, after asserting the runs are bit-identical in release (the
-//! pre-flight is the gate — DESIGN.md §13). P=4096 is the lockstep
-//! lattice shape (constant `W`, `So`, `St`) whose window edges land on
-//! tied events. Speedup is recorded, not gated: CI runners are shared and
-//! have few cores, so their timings are too noisy to compare.
+//! sizes. P=4096 is the lockstep lattice shape (constant `W`, `So`, `St`)
+//! whose window edges land on tied events. That the parallel runs timed
+//! here are the sequential run, bit for bit, is the test
+//! `bench_sized_lattice_matches_sequential` in
+//! `crates/sim/tests/par_differential.rs` (DESIGN.md §13). Speedup is
+//! recorded, not gated: CI runners are shared and have few cores, so
+//! their timings are too noisy to compare.
 //!
 //! Results are persisted as the `par_sim` section of `BENCH_sim.json` at
 //! the repository root so every run extends the perf baseline that later
@@ -51,23 +53,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("par_sim");
     for &(p, cycles) in &sizes {
         let cfg = sim_cfg(p, cycles);
-
-        // Pre-flight: the parallel runs being timed are the sequential run,
-        // bit for bit — otherwise the throughput comparison is meaningless.
         let reference = run_with_scheduler(&cfg, Scheduler::Calendar).unwrap();
-        for threads in THREADS {
-            let opts = ParOptions {
-                lps: LPS,
-                threads,
-                scheduler: Some(Scheduler::Calendar),
-                trace: false,
-            };
-            let par = run_par(&cfg, &opts).unwrap();
-            assert_eq!(
-                par, reference,
-                "parallel run diverged at P={p} threads={threads}"
-            );
-        }
         println!(
             "[par_sim] P={p}: {} events/run, mean R = {:.1}",
             reference.events, reference.aggregate.mean_r

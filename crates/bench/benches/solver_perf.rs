@@ -1,5 +1,7 @@
 //! Solver strategy bench: bisection vs secant vs damped fixed-point on the
 //! §5.3 `F[R] = R` equation (the quartic the thesis solves numerically).
+//! That the three find the same root is the unit test
+//! `root_finders_agree_on_the_fixed_point` in `crates/core/src/all_to_all.rs`.
 //!
 //! Results are persisted as the `solver_perf` section of `BENCH_sim.json`
 //! at the repository root (format documented in the README).
@@ -15,27 +17,6 @@ fn bench(c: &mut Criterion) {
     let model = AllToAll::new(fig5_machine(), 512.0);
     let lo = model.contention_free();
     let hi = model.upper_bound();
-
-    // Correctness cross-check before timing: all three agree.
-    let r_bis = bisect(|r| model.eval_f(r) - r, lo, hi + 1.0, 1e-10, 200)
-        .unwrap()
-        .x;
-    let r_sec = secant(|r| model.eval_f(r) - r, lo + 1.0, hi, 1e-9, 100)
-        .unwrap()
-        .x;
-    let r_fp = solve_damped(
-        vec![lo + 1.0],
-        |x, out| out[0] = model.eval_f(x[0]),
-        &FixedPointOptions {
-            damping: 0.5,
-            tol: 1e-12,
-            max_iter: 100_000,
-        },
-    )
-    .unwrap()
-    .x[0];
-    println!("[solver_perf] bisection {r_bis:.6} / secant {r_sec:.6} / fixed-point {r_fp:.6}");
-    assert!((r_bis - r_sec).abs() < 1e-4 && (r_bis - r_fp).abs() < 1e-4);
 
     let mut g = c.benchmark_group("solver_perf");
     g.bench_function("bisection", |b| {

@@ -2,11 +2,11 @@
 //!
 //! `cargo bench` output used to be plain text that scrolled away; nothing
 //! recorded a baseline to compare the next PR against. This module gives the
-//! perf-tracking benches (`sim_perf`, `solver_perf`, `serve_perf`) a tiny
-//! persistence layer: each bench writes its measurements as one *section* of
-//! a single JSON document at the repository root, leaving other sections
-//! untouched, so the file accumulates the full baseline of the perf
-//! trajectory.
+//! perf-tracking benches (`sim_perf`, `par_sim`, `solver_perf`,
+//! `interp_err`, `c10k`, `cluster_bench`) a tiny persistence layer: each
+//! bench writes its measurements as one *section* of a single JSON document
+//! at the repository root, leaving other sections untouched, so the file
+//! accumulates the full baseline of the perf trajectory.
 //!
 //! The file format is documented in the repository README ("Bench baselines"
 //! section). JSON support comes from the workspace's shared hand-rolled

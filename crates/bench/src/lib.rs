@@ -3,8 +3,10 @@
 //! Every experiment produces an [`ExpResult`] holding the regenerated data
 //! series, model-vs-simulator comparison tables, and headline notes (the
 //! "paper says X, we measure Y" lines recorded in EXPERIMENTS.md). The
-//! `figures` binary renders all of them; the criterion benches print each
-//! experiment's headline and then time its computational kernel.
+//! `figures` binary renders all of them. The criterion benches time the
+//! simulator, the solvers and the serving layer, and `ablations` prints
+//! the model-side accuracy studies of DESIGN.md §7; the correctness checks
+//! behind their timings are tests.
 //!
 //! Parameter choices that the scanned thesis leaves ambiguous (exact axis
 //! values for W and St) are centralised in [`params`] and documented in

@@ -302,6 +302,37 @@ mod tests {
         assert!((recomposed - sol.r).abs() < 1e-6);
     }
 
+    /// Bisection, the secant method and the damped fixed point find the
+    /// same root of the §5.3 equation `F[R] = R`, to 1e-4.
+    #[test]
+    fn root_finders_agree_on_the_fixed_point() {
+        use lopc_solver::{secant, solve_damped, FixedPointOptions};
+        let model = AllToAll::new(fig52_machine(), 512.0);
+        let lo = model.contention_free();
+        let hi = model.upper_bound();
+        let r_bis = bisect(|r| model.eval_f(r) - r, lo, hi + 1.0, 1e-10, 200)
+            .unwrap()
+            .x;
+        let r_sec = secant(|r| model.eval_f(r) - r, lo + 1.0, hi, 1e-9, 100)
+            .unwrap()
+            .x;
+        let r_fp = solve_damped(
+            vec![lo + 1.0],
+            |x, out| out[0] = model.eval_f(x[0]),
+            &FixedPointOptions {
+                damping: 0.5,
+                tol: 1e-12,
+                max_iter: 100_000,
+            },
+        )
+        .unwrap()
+        .x[0];
+        assert!(
+            (r_bis - r_sec).abs() < 1e-4 && (r_bis - r_fp).abs() < 1e-4,
+            "bisection {r_bis} / secant {r_sec} / fixed point {r_fp}"
+        );
+    }
+
     /// F is strictly decreasing above the contention-free point.
     #[test]
     fn f_is_decreasing() {

@@ -9,6 +9,10 @@
 //! 2. **Exactness contract**: `max_rel_err = 0` requests are bit-identical
 //!    to library `scenario::solve`, no matter what interpolation traffic
 //!    populated the grid first.
+//! 3. **Calibration**: on the dense off-grid sweeps that calibrate
+//!    [`SAFETY_FACTOR`] and [`CERT_FLOOR`], every interpolated answer is
+//!    within its certificate, and every floor-certified one within the
+//!    floor.
 //!
 //! Nothing here depends on the event scheduler (interpolation is pure
 //! model arithmetic), but the suite runs under the CI scheduler × seed
@@ -22,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use lopc_core::scenario::solve;
 use lopc_core::{Machine, Scenario};
 use lopc_serve::cache::SolutionCache;
-use lopc_serve::interp::{rel_resid, InterpCache, Served, CERT_FLOOR};
+use lopc_serve::interp::{rel_resid, InterpCache, Served, CERT_FLOOR, SAFETY_FACTOR};
 
 /// Draw one random interpolation-eligible scenario. Parameters cover the
 /// paper's regimes (contention-bound through compute-bound) across all
@@ -148,4 +152,90 @@ proptest! {
             }
         }
     }
+}
+
+/// The calibration of the certificate: six scenario families over the
+/// four closed-form variants (`ClientServer` with a fixed and with the
+/// optimal `ps`, and `AllToAll` also at an off-grid `C²`, which forces
+/// 2-D W × C² cells), each swept over 400 geometric W points off the
+/// reference grid, at a wide-open tolerance so every certifiable cell
+/// serves. Every
+/// interpolated answer must sit within its certificate, and every
+/// floor-certified one within [`CERT_FLOOR`]. Run with `--nocapture` for
+/// the worst ratios DESIGN §12 quotes: the worst true/probe residual
+/// ratio is what [`SAFETY_FACTOR`] must dominate.
+#[test]
+fn calibration_sweep_certificates_are_sound() {
+    const POINTS: usize = 400;
+    let m32 = Machine::new(32, 25.0, 200.0).with_c2(0.0);
+    let m16 = Machine::new(16, 50.0, 131.0).with_c2(1.0);
+    // 0.3 is not a multiple of 1/8, so C² is an off-grid axis.
+    let m_offgrid = Machine::new(32, 25.0, 200.0).with_c2(0.3);
+    let families: [(&str, &dyn Fn(f64) -> Scenario); 6] = [
+        ("all_to_all", &|w| Scenario::AllToAll { machine: m32, w }),
+        ("shared_memory", &|w| Scenario::SharedMemory {
+            machine: m16,
+            w,
+        }),
+        ("client_server_fixed", &|w| Scenario::ClientServer {
+            machine: m32,
+            w,
+            ps: Some(5),
+        }),
+        ("client_server_optimal", &|w| Scenario::ClientServer {
+            machine: m16,
+            w,
+            ps: None,
+        }),
+        ("fork_join", &|w| Scenario::ForkJoin {
+            machine: m32,
+            w,
+            k: 4,
+        }),
+        ("all_to_all_offgrid_c2", &|w| Scenario::AllToAll {
+            machine: m_offgrid,
+            w,
+        }),
+    ];
+    // 50 .. ~12,800 cycles, offset by 0.3 % so the points land inside
+    // cells rather than on corners.
+    let ratio = (12_800.0f64 / 50.0).powf(1.0 / (POINTS as f64 - 1.0));
+    let (mut worst_over_cert, mut worst_over_probe, mut worst_floored) = (0.0f64, 0.0f64, 0.0f64);
+    for (kind, make) in families {
+        let cache = InterpCache::new(SolutionCache::new(8, 4096), 8, 1024);
+        let mut interpolated = 0;
+        for i in 0..POINTS {
+            let scenario = make(50.0 * 1.003 * ratio.powi(i as i32));
+            let Ok((served, Served::Interpolated { certified_rel_err })) =
+                cache.predict_traced(&scenario, 1.0)
+            else {
+                continue;
+            };
+            let resid = rel_resid(&served, &solve(&scenario).expect("exact solve"));
+            interpolated += 1;
+            worst_over_cert = worst_over_cert.max(resid / certified_rel_err);
+            if certified_rel_err > CERT_FLOOR {
+                // Above the floor the certificate is the worst probe
+                // residual × SAFETY_FACTOR, so this ratio is exact.
+                worst_over_probe = worst_over_probe.max(resid * SAFETY_FACTOR / certified_rel_err);
+            } else {
+                worst_floored = worst_floored.max(resid);
+            }
+        }
+        println!("{kind:<24} {interpolated:>3}/{POINTS} interpolated");
+        assert!(interpolated > 0, "{kind}: no point was interpolated");
+    }
+    println!(
+        "worst true/cert {worst_over_cert:.3}, worst true/probe {worst_over_probe:.3} \
+         (SAFETY_FACTOR = {SAFETY_FACTOR}), worst floored residual {worst_floored:.2e} \
+         (CERT_FLOOR = {CERT_FLOOR:.0e})"
+    );
+    assert!(
+        worst_over_cert <= 1.0,
+        "certificate violated: a true residual exceeded its certificate {worst_over_cert:.3}x"
+    );
+    assert!(
+        worst_floored <= CERT_FLOOR,
+        "floor violated: a floor-certified cell had residual {worst_floored:.2e}"
+    );
 }

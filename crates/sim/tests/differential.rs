@@ -12,12 +12,14 @@
 //!    produce bit-identical reports (event counts, mean response, makespan,
 //!    per-node cycles) for randomly drawn configurations across both stop
 //!    conditions, fork-join fanout, multi-hop forwarding, and the
-//!    protocol-processor variant.
+//!    protocol-processor variant; and whole reports must match, with the
+//!    adaptive default as well, on the constant-time machines the
+//!    `sim_perf` bench times, up to P = 1024.
 
 use lopc_dist::ServiceTime;
 use lopc_sim::{
-    run_with_scheduler, BinaryHeapQueue, CalendarQueue, DestChooser, EventQueue, Keyed, Scheduler,
-    SimConfig, StopCondition, ThreadSpec,
+    run_with_scheduler, BinaryHeapQueue, CalendarQueue, DestChooser, Engine, EventQueue, Keyed,
+    Scheduler, SimConfig, SimReport, StopCondition, ThreadSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -205,15 +207,71 @@ proptest! {
     }
 }
 
-/// The default scheduler really is the calendar queue: `Engine::new` and an
-/// explicit calendar run agree bit-for-bit with the heap reference.
+/// `sim_perf`'s `sim_full` machines as `(P, fanout)`: `P × fanout` events
+/// are pending. P = 32 stays in the heap queue's sorted run, P = 64 (up to
+/// 66 pending) crosses into its heap, and P = 1024 at fanout 4 starts
+/// 4,096 tied events, the geometry where a delay equals the calendar
+/// wheel's year.
+const SIM_FULL: &[(usize, u32)] = &[(32, 1), (64, 1), (256, 2), (1024, 4)];
+
+/// Homogeneous all-to-all machine with constant work, handlers and wires,
+/// so every event time sits on a lattice and ties abound; `fanout` scales
+/// the pending-event population. The same machine `sim_perf` times.
+fn sim_full_config(p: usize, fanout: u32) -> SimConfig {
+    SimConfig {
+        p,
+        net_latency: 25.0,
+        request_handler: ServiceTime::constant(200.0),
+        reply_handler: ServiceTime::constant(200.0),
+        threads: vec![
+            ThreadSpec {
+                work: Some(ServiceTime::constant(512.0)),
+                dest: DestChooser::UniformOther,
+                hops: 1,
+                fanout,
+            };
+            p
+        ],
+        protocol_processor: false,
+        latency_dist: None,
+        stop: StopCondition::CyclesPerThread { n: 24 },
+        seed: 42,
+    }
+}
+
+/// A direct sequential [`Engine`] run. `run_with_scheduler` is routed
+/// through the parallel engine under `LOPC_TEST_THREADS`, so it cannot
+/// serve as the reference.
+fn sequential(cfg: &SimConfig, scheduler: Scheduler) -> SimReport {
+    Engine::with_scheduler(cfg.clone(), scheduler)
+        .unwrap()
+        .run_to_completion()
+}
+
+/// `run` (the adaptive default), the calendar queue and the heap queue
+/// produce the same whole report, every float bit for bit. The default is
+/// the heap queue up to `ADAPTIVE_HEAP_MAX_PENDING` pending events (the
+/// exponential P = 16 machine and `sim_full`'s P = 32) and the calendar
+/// queue above, so the cases exercise both of its choices.
 #[test]
 fn default_scheduler_matches_both_explicit_schedulers() {
-    let cfg = drawn_config(16, 500.0, 131.0, 1, 1, 1, false, true, 7);
-    let default = lopc_sim::run(&cfg).unwrap();
-    let cal = run_with_scheduler(&cfg, Scheduler::Calendar).unwrap();
-    let heap = run_with_scheduler(&cfg, Scheduler::BinaryHeap).unwrap();
-    assert_eq!(default.aggregate.mean_r, cal.aggregate.mean_r);
-    assert_eq!(default.aggregate.mean_r, heap.aggregate.mean_r);
-    assert_eq!(default.events, heap.events);
+    let mut configs = vec![drawn_config(16, 500.0, 131.0, 1, 1, 1, false, true, 7)];
+    configs.extend(
+        SIM_FULL
+            .iter()
+            .map(|&(p, fanout)| sim_full_config(p, fanout)),
+    );
+    for cfg in &configs {
+        let (p, fanout) = (cfg.p, cfg.threads[0].fanout);
+        let cal = sequential(cfg, Scheduler::Calendar);
+        let heap = sequential(cfg, Scheduler::BinaryHeap);
+        // `assert!` rather than `assert_eq!`: a P = 1024 report's Debug
+        // dump would bury the message.
+        assert!(cal == heap, "schedulers diverged at P={p} fanout={fanout}");
+        let default = lopc_sim::run(cfg).unwrap();
+        assert!(
+            default == cal,
+            "the default scheduler diverged at P={p} fanout={fanout}"
+        );
+    }
 }

@@ -27,7 +27,8 @@
 //!   equivalence is seed-independent, not tuned.
 //!
 //! A deterministic grid adds a lattice schedule (constant `W`, `So` and
-//! `St`) whose window edges all land on tied events.
+//! `St`) whose window edges all land on tied events, and the same lattice
+//! runs at the `par_sim` bench's sizes, P = 4096 and 65,536.
 
 use lopc_dist::ServiceTime;
 use lopc_sim::validate::test_seed;
@@ -195,6 +196,42 @@ fn full_grid_on_fixed_config_matches() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// `par_sim`'s machines at its sizes: an all-to-all lattice (constant
+/// `W` = 512, `So` = 200 and `St` = 25) at P = 4096 for 4 cycles, whose
+/// window edges land on tied events, and at P = 65,536 for 2, each on
+/// 4 LPs at 1, 2 and 4 threads under the calendar queue.
+#[test]
+fn bench_sized_lattice_matches_sequential() {
+    for (p, cycles) in [(4096, 4), (65536, 2)] {
+        let cfg = SimConfig {
+            p,
+            net_latency: 25.0,
+            request_handler: ServiceTime::constant(200.0),
+            reply_handler: ServiceTime::constant(200.0),
+            threads: vec![ThreadSpec::worker(ServiceTime::constant(512.0)); p],
+            protocol_processor: false,
+            latency_dist: None,
+            stop: StopCondition::CyclesPerThread { n: cycles },
+            seed: test_seed(42),
+        };
+        let reference = sequential(&cfg, Scheduler::Calendar);
+        for threads in [1, 2, 4] {
+            let opts = ParOptions {
+                lps: 4,
+                threads,
+                scheduler: Some(Scheduler::Calendar),
+                trace: true,
+            };
+            // `assert!` rather than `assert_eq!`: a report's Debug dump at
+            // this size would bury the message.
+            assert!(
+                run_par(&cfg, &opts).unwrap() == reference,
+                "parallel run diverged at P={p} threads={threads}"
+            );
         }
     }
 }
