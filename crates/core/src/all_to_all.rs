@@ -303,7 +303,9 @@ mod tests {
     }
 
     /// Bisection, the secant method and the damped fixed point find the
-    /// same root of the §5.3 equation `F[R] = R`, to 1e-4.
+    /// same root of the §5.3 equation `F[R] = R`, to 1e-9 relative. They
+    /// agree to about 1e-12; a secant that returns its previous iterate
+    /// instead of its last one is about 4e-8 off.
     #[test]
     fn root_finders_agree_on_the_fixed_point() {
         use lopc_solver::{secant, solve_damped, FixedPointOptions};
@@ -327,8 +329,9 @@ mod tests {
         )
         .unwrap()
         .x[0];
+        let agrees = |r: f64| ((r - r_bis) / r_bis).abs() < 1e-9;
         assert!(
-            (r_bis - r_sec).abs() < 1e-4 && (r_bis - r_fp).abs() < 1e-4,
+            agrees(r_sec) && agrees(r_fp),
             "bisection {r_bis} / secant {r_sec} / fixed point {r_fp}"
         );
     }

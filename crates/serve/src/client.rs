@@ -1,7 +1,7 @@
-//! A minimal blocking HTTP client for the service — the in-repo test
-//! client the smoke suite, the integration tests, the CI smoke job, and
-//! the cluster tier's node-to-node calls use (the build container has no
-//! curl crate, and shelling out would not be portable).
+//! A minimal blocking HTTP client for the service, used by the smoke
+//! suite, the integration tests, the CI smoke job and the routing
+//! [`ClusterClient`](crate::cluster::ClusterClient) (the build container
+//! has no curl crate, and shelling out would not be portable).
 //!
 //! One [`Client`] owns one keep-alive connection; requests on it are
 //! sequential. For concurrency, open one client per thread.

@@ -286,14 +286,15 @@ pub struct ClusterState {
 
 impl ClusterState {
     /// Build the cluster state for a node advertising `self_addr`, peered
-    /// with `peer_addrs`. With no peers this is a degenerate one-node
-    /// cluster — the topology endpoint and metrics stay well-formed.
-    pub fn new(self_addr: String, peer_addrs: &[String], vnodes: usize) -> ClusterState {
+    /// with `peer_addrs`, on a ring of [`VNODES`] points per node. With no
+    /// peers this is a degenerate one-node cluster — the topology endpoint
+    /// and metrics stay well-formed.
+    pub fn new(self_addr: String, peer_addrs: &[String]) -> ClusterState {
         let mut members: Vec<String> = peer_addrs.to_vec();
         members.push(self_addr.clone());
         ClusterState {
             self_addr,
-            ring: HashRing::new(members, vnodes),
+            ring: HashRing::new(members, VNODES),
         }
     }
 
@@ -819,7 +820,6 @@ mod tests {
         let state = ClusterState::new(
             "10.0.0.1:7070".into(),
             &["10.0.0.2:7070".into(), "10.0.0.3:7070".into()],
-            VNODES,
         );
         let doc = state.topology_json();
         assert_eq!(
@@ -835,7 +835,7 @@ mod tests {
 
     #[test]
     fn single_node_cluster_is_degenerate_but_well_formed() {
-        let state = ClusterState::new("10.0.0.1:7070".into(), &[], VNODES);
+        let state = ClusterState::new("10.0.0.1:7070".into(), &[]);
         assert_eq!(state.ring().len(), 1);
         let doc = state.topology_json();
         assert_eq!(doc.get("nodes").and_then(Json::as_array).unwrap().len(), 1);

@@ -24,25 +24,22 @@
 //! Numbers use shortest-round-trip formatting, so decode(encode(x)) is
 //! bit-identical — served predictions equal direct library calls exactly.
 //!
-//! Two implementations of the schema live here:
-//!
-//! * **The wire path** (crate-private): `predict_request` decodes a
-//!   predict body straight from its bytes into the tolerance and validated
-//!   [`Scenario`]s, `write_scenario` / `write_prediction` append the wire
-//!   objects straight to a `String`, and `prediction_from_str` /
-//!   `predictions_from_str` read a response straight into [`Prediction`]s.
-//!   They run on the one tokenizer ([`crate::json`]'s `Tokens`) and build
-//!   no [`Json`] value. The server's predict endpoints and the client use
-//!   only these.
-//! * **The tree API** (public): [`scenario_to_json`], [`scenario_from_json`],
-//!   [`prediction_to_json`], [`prediction_from_json`] and
-//!   [`max_rel_err_from_json`] convert to and from [`Json`] values.
-//!   `perfbench/` calls them, and the tests use them as the oracle the
-//!   wire path must match byte for byte, bit for bit and error for error.
+//! The schema is implemented once, on the one tokenizer ([`crate::json`]'s
+//! `Tokens`), with no [`Json`] value in between. The crate-private wire
+//! functions are the product: `predict_request` decodes a predict body
+//! into its tolerance and validated [`Scenario`]s, `write_scenario` and
+//! `write_prediction` append wire objects to a `String`, and
+//! `prediction_from_str` / `predictions_from_str` read a response. The
+//! server's predict endpoints and the client use only these. The public
+//! [`Json`] functions ([`scenario_to_json`], [`scenario_from_json`],
+//! [`prediction_to_json`], [`prediction_from_json`],
+//! [`max_rel_err_from_json`]) are thin adapters over them, kept for
+//! `perfbench/`. `crates/serve/tests/codec_props.rs` judges the wire
+//! functions against an oracle that shares none of this code.
 
 use std::borrow::Cow;
 
-use crate::json::{write_num, Json, Token, Tokens};
+use crate::json::{parse, write_num, Json, Token, Tokens};
 use lopc_core::{GeneralModel, Machine, ModelError, Prediction, Scenario};
 
 /// Why a document could not be decoded into a scenario or prediction.
@@ -61,21 +58,6 @@ fn err<T>(msg: impl Into<String>) -> Result<T, DecodeError> {
     Err(DecodeError(msg.into()))
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, DecodeError> {
-    v.get(key)
-        .ok_or_else(|| DecodeError(format!("missing field {key:?}")))
-}
-
-fn num(v: &Json, key: &str) -> Result<f64, DecodeError> {
-    field(v, key)?
-        .as_num()
-        .ok_or_else(|| DecodeError(format!("field {key:?} must be a number")))
-}
-
-fn uint(v: &Json, key: &str) -> Result<u64, DecodeError> {
-    to_uint(num(v, key)?, key)
-}
-
 fn to_uint(x: f64, key: &str) -> Result<u64, DecodeError> {
     if x < 0.0 || x.fract() != 0.0 || x > 9e15 {
         return err(format!("field {key:?} must be a non-negative integer"));
@@ -83,241 +65,15 @@ fn to_uint(x: f64, key: &str) -> Result<u64, DecodeError> {
     Ok(x as u64)
 }
 
-// ---------------------------------------------------------------------------
-// Machine
-// ---------------------------------------------------------------------------
-
-/// Encode a [`Machine`] as `{"p", "st", "so", "c2"}`.
-pub fn machine_to_json(m: &Machine) -> Json {
-    Json::Object(vec![
-        ("p".into(), Json::Num(m.p as f64)),
-        ("st".into(), Json::Num(m.s_l)),
-        ("so".into(), Json::Num(m.s_o)),
-        ("c2".into(), Json::Num(m.c2)),
-    ])
-}
-
-/// Decode a [`Machine`].
-pub fn machine_from_json(v: &Json) -> Result<Machine, DecodeError> {
-    Ok(Machine {
-        p: uint(v, "p")? as usize,
-        s_l: num(v, "st")?,
-        s_o: num(v, "so")?,
-        c2: num(v, "c2")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Scenario
-// ---------------------------------------------------------------------------
-
-/// Encode a [`Scenario`] into its wire object.
-pub fn scenario_to_json(s: &Scenario) -> Json {
-    let mut kv: Vec<(String, Json)> = vec![("kind".into(), Json::Str(s.kind().into()))];
-    match s {
-        Scenario::AllToAll { machine, w } | Scenario::SharedMemory { machine, w } => {
-            kv.push(("machine".into(), machine_to_json(machine)));
-            kv.push(("w".into(), Json::Num(*w)));
-        }
-        Scenario::ClientServer { machine, w, ps } => {
-            kv.push(("machine".into(), machine_to_json(machine)));
-            kv.push(("w".into(), Json::Num(*w)));
-            if let Some(ps) = ps {
-                kv.push(("ps".into(), Json::Num(*ps as f64)));
-            }
-        }
-        Scenario::ForkJoin { machine, w, k } => {
-            kv.push(("machine".into(), machine_to_json(machine)));
-            kv.push(("w".into(), Json::Num(*w)));
-            kv.push(("k".into(), Json::Num(*k as f64)));
-        }
-        Scenario::General(model) => {
-            kv.push(("machine".into(), machine_to_json(&model.machine)));
-            kv.push((
-                "w".into(),
-                Json::Array(
-                    model
-                        .w
-                        .iter()
-                        .map(|w| w.map_or(Json::Null, Json::Num))
-                        .collect(),
-                ),
-            ));
-            kv.push((
-                "v".into(),
-                Json::Array(
-                    model
-                        .v
-                        .iter()
-                        .map(|row| Json::Array(row.iter().map(|&x| Json::Num(x)).collect()))
-                        .collect(),
-                ),
-            ));
-            kv.push((
-                "protocol_processor".into(),
-                Json::Bool(model.protocol_processor),
-            ));
-        }
-    }
-    Json::Object(kv)
-}
-
-/// Decode a wire object into a [`Scenario`].
-pub fn scenario_from_json(v: &Json) -> Result<Scenario, DecodeError> {
-    let kind = field(v, "kind")?
-        .as_str()
-        .ok_or_else(|| DecodeError("field \"kind\" must be a string".into()))?;
-    let machine = machine_from_json(field(v, "machine")?)?;
-    match kind {
-        "all_to_all" => Ok(Scenario::AllToAll {
-            machine,
-            w: num(v, "w")?,
-        }),
-        "shared_memory" => Ok(Scenario::SharedMemory {
-            machine,
-            w: num(v, "w")?,
-        }),
-        "client_server" => {
-            let ps = match v.get("ps") {
-                None | Some(Json::Null) => None,
-                Some(_) => Some(uint(v, "ps")? as usize),
-            };
-            Ok(Scenario::ClientServer {
-                machine,
-                w: num(v, "w")?,
-                ps,
-            })
-        }
-        "fork_join" => {
-            let k = uint(v, "k")?;
-            if k > u32::MAX as u64 {
-                return err("field \"k\" out of range");
-            }
-            Ok(Scenario::ForkJoin {
-                machine,
-                w: num(v, "w")?,
-                k: k as u32,
-            })
-        }
-        "general" => {
-            let w = field(v, "w")?
-                .as_array()
-                .ok_or_else(|| DecodeError("field \"w\" must be an array".into()))?
-                .iter()
-                .map(|x| match x {
-                    Json::Null => Ok(None),
-                    Json::Num(w) => Ok(Some(*w)),
-                    _ => err("\"w\" entries must be numbers or null"),
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let rows = field(v, "v")?
-                .as_array()
-                .ok_or_else(|| DecodeError("field \"v\" must be an array".into()))?;
-            let mut vmat = Vec::with_capacity(rows.len());
-            for row in rows {
-                let row = row
-                    .as_array()
-                    .ok_or_else(|| DecodeError("\"v\" rows must be arrays".into()))?
-                    .iter()
-                    .map(|x| {
-                        x.as_num()
-                            .ok_or_else(|| DecodeError("\"v\" entries must be numbers".into()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                vmat.push(row);
-            }
-            let protocol_processor = match v.get("protocol_processor") {
-                None => false,
-                Some(x) => x.as_bool().ok_or_else(|| {
-                    DecodeError("\"protocol_processor\" must be a boolean".into())
-                })?,
-            };
-            Ok(Scenario::General(GeneralModel {
-                machine,
-                w,
-                v: vmat,
-                protocol_processor,
-            }))
-        }
-        other => err(format!("unknown scenario kind {other:?}")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Request options
-// ---------------------------------------------------------------------------
-
 /// Name of the optional tolerance field accepted by `POST /v1/predict`
 /// (alongside the scenario fields) and by `POST /v1/predict/batch`
 /// (top-level, next to `"scenarios"`).
 pub const MAX_REL_ERR_FIELD: &str = "max_rel_err";
 
-/// Decode the optional `max_rel_err` tolerance from a request document.
-///
-/// Absent or `null` means exact mode (`0.0`). A present value must be a
-/// finite number in `[0, 1]` — a *relative* error bound above 100 % is
-/// certainly a client bug, and rejecting it early (400) beats serving
-/// nonsense.
-pub fn max_rel_err_from_json(v: &Json) -> Result<f64, DecodeError> {
-    match v.get(MAX_REL_ERR_FIELD) {
-        None | Some(Json::Null) => Ok(0.0),
-        Some(Json::Num(x)) if x.is_finite() && (0.0..=1.0).contains(x) => Ok(*x),
-        Some(_) => err(format!(
-            "field {MAX_REL_ERR_FIELD:?} must be a number in [0, 1]"
-        )),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prediction
-// ---------------------------------------------------------------------------
-
 /// Every key of the prediction wire object, in order — the schema-drift
 /// check in the smoke suite asserts responses carry exactly these.
 pub const PREDICTION_FIELDS: [&str; 8] =
     ["r", "x", "rw", "rq", "ry", "contention", "ps", "iterations"];
-
-/// Encode a [`Prediction`] (`NaN` components become `null`).
-pub fn prediction_to_json(p: &Prediction) -> Json {
-    Json::Object(vec![
-        ("r".into(), Json::Num(p.r)),
-        ("x".into(), Json::Num(p.x)),
-        ("rw".into(), Json::Num(p.rw)),
-        ("rq".into(), Json::Num(p.rq)),
-        ("ry".into(), Json::Num(p.ry)),
-        ("contention".into(), Json::Num(p.contention)),
-        (
-            "ps".into(),
-            p.ps.map_or(Json::Null, |ps| Json::Num(ps as f64)),
-        ),
-        ("iterations".into(), Json::Num(p.iterations as f64)),
-    ])
-}
-
-fn num_or_nan(v: &Json, key: &str) -> Result<f64, DecodeError> {
-    match field(v, key)? {
-        Json::Null => Ok(f64::NAN),
-        Json::Num(x) => Ok(*x),
-        _ => err(format!("field {key:?} must be a number or null")),
-    }
-}
-
-/// Decode a [`Prediction`] (`null` components become `NaN`).
-pub fn prediction_from_json(v: &Json) -> Result<Prediction, DecodeError> {
-    Ok(Prediction {
-        r: num_or_nan(v, "r")?,
-        x: num_or_nan(v, "x")?,
-        rw: num_or_nan(v, "rw")?,
-        rq: num_or_nan(v, "rq")?,
-        ry: num_or_nan(v, "ry")?,
-        contention: num_or_nan(v, "contention")?,
-        ps: match field(v, "ps")? {
-            Json::Null => None,
-            _ => Some(uint(v, "ps")? as usize),
-        },
-        iterations: uint(v, "iterations")? as usize,
-    })
-}
 
 /// `NaN`-aware prediction equality: components are equal when both are `NaN`
 /// or bit-for-bit equal. This is the relation the serve-vs-library
@@ -337,14 +93,60 @@ pub fn predictions_identical(a: &Prediction, b: &Prediction) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// The `Json` adapters: an encoder writes the wire bytes and parses them; a
+// decoder renders its value compactly and reads the text. A non-finite
+// `Json::Num` renders as `null`, so it decodes as `null` does.
+// ---------------------------------------------------------------------------
+
+/// The [`Json`] value of the wire bytes `write` appends.
+fn tree(write: impl FnOnce(&mut String)) -> Json {
+    let mut out = String::new();
+    write(&mut out);
+    parse(&out).expect("the wire writers write JSON")
+}
+
+/// Encode a [`Scenario`] into its wire object.
+pub fn scenario_to_json(s: &Scenario) -> Json {
+    tree(|out| write_scenario(out, s))
+}
+
+/// Decode a wire object into a [`Scenario`].
+pub fn scenario_from_json(v: &Json) -> Result<Scenario, DecodeError> {
+    read_document(&v.to_compact(), |t| read_scenario(t, 0))
+        .map_err(DecodeError)?
+        .scenario()
+}
+
+/// Decode the optional `max_rel_err` tolerance from a request document.
+///
+/// Absent or `null` means exact mode (`0.0`). A present value must be a
+/// finite number in `[0, 1]` — a *relative* error bound above 100 % is
+/// certainly a client bug, and rejecting it early (400) beats serving
+/// nonsense.
+pub fn max_rel_err_from_json(v: &Json) -> Result<f64, DecodeError> {
+    let text = v.to_compact();
+    let fields = read_document(&text, |t| read_scenario(t, 0)).map_err(DecodeError)?;
+    tolerance(fields.max_rel_err)
+}
+
+/// Encode a [`Prediction`] (`NaN` components become `null`).
+pub fn prediction_to_json(p: &Prediction) -> Json {
+    tree(|out| write_prediction(out, p))
+}
+
+/// Decode a [`Prediction`] (`null` components become `NaN`).
+pub fn prediction_from_json(v: &Json) -> Result<Prediction, DecodeError> {
+    prediction_from_str(&v.to_compact())
+}
+
+// ---------------------------------------------------------------------------
 // The wire path: bytes straight to values and back
 // ---------------------------------------------------------------------------
 //
-// Members are read in document order into one slot per key, the first of
-// duplicate keys winning as `Json::get` finds it, and checked once the
-// whole document has been read, in the order the tree decoders check
-// them. So a body gets the tree path's first error: a syntax error
-// anywhere beats every schema error, whatever order the members come in.
+// Members are read in document order into one slot per key (the first of
+// duplicate keys wins, unknown keys are skipped) and checked once the
+// whole document has been read. So a syntax error anywhere beats every
+// schema error, whatever order the members come in.
 
 /// The keys of the machine object, in order.
 const MACHINE_FIELDS: [&str; 4] = ["p", "st", "so", "c2"];
@@ -405,8 +207,7 @@ fn first<'a, T>(
 }
 
 /// Read a value `depth` deep, passing each member to `f` when it is an
-/// object. Any other value reads as an object with no members, as
-/// [`Json::get`] finds none in it.
+/// object. Any other value reads as an object with no members.
 fn read_members<'a>(
     t: &mut Tokens<'a>,
     depth: usize,
@@ -548,7 +349,9 @@ fn read_scenario<'a>(t: &mut Tokens<'a>, depth: usize) -> Result<ScenarioFields<
 }
 
 impl ScenarioFields<'_> {
-    /// The scenario, checked as [`scenario_from_json`] checks its object.
+    /// The scenario, or the first failing check of: `kind`, `machine`
+    /// (`p`, `st`, `so`, `c2`), a known kind, then the kind's own fields
+    /// (`w`; `ps` then `w`; `k` then `w`; `w`, `v`, `protocol_processor`).
     fn scenario(self) -> Result<Scenario, DecodeError> {
         let kind = match self.kind {
             None => return err("missing field \"kind\""),
@@ -621,7 +424,8 @@ impl ScenarioFields<'_> {
     }
 }
 
-/// The tolerance, checked as [`max_rel_err_from_json`] checks it.
+/// The tolerance: absent or `null` is exact mode (`0.0`), anything else
+/// must be a number in `[0, 1]`.
 fn tolerance(slot: Option<Num>) -> Result<f64, DecodeError> {
     match slot {
         None | Some(Num::Null) => Ok(0.0),
@@ -688,9 +492,9 @@ fn read_batch(t: &mut Tokens<'_>) -> Result<Lanes, String> {
 
 /// Decode a `POST /v1/predict` body (`batch = false`) or a
 /// `POST /v1/predict/batch` body into its `max_rel_err` and its
-/// model-validated lanes, in one pass over the text. Errors are the tree
-/// path's (`parse`, [`max_rel_err_from_json`], [`scenario_from_json`],
-/// `Scenario::validate`), checked in the same order.
+/// model-validated lanes, in one pass over the text. A body gets the first
+/// failing check in [`BodyError`]'s order: its syntax, its tolerance, its
+/// `scenarios` array, then the lowest lane's decode or validation error.
 pub(crate) fn predict_request(text: &str, batch: bool) -> Result<(f64, Vec<Scenario>), BodyError> {
     let (tol, lanes) = read_document(text, |t| if batch { read_batch(t) } else { read_single(t) })
         .map_err(BodyError::Json)?;
@@ -698,8 +502,7 @@ pub(crate) fn predict_request(text: &str, batch: bool) -> Result<(f64, Vec<Scena
     Ok((tol, lanes?))
 }
 
-/// Append `s`'s wire object to `out`: the bytes
-/// `scenario_to_json(s).to_compact()` renders.
+/// Append `s`'s wire object to `out`, compact.
 pub(crate) fn write_scenario(out: &mut String, s: &Scenario) {
     let machine = match s {
         Scenario::AllToAll { machine, .. }
@@ -750,8 +553,7 @@ pub(crate) fn write_scenario(out: &mut String, s: &Scenario) {
     out.push('}');
 }
 
-/// Append `p`'s wire object to `out`: the bytes
-/// `prediction_to_json(p).to_compact()` renders.
+/// Append `p`'s wire object to `out`, compact.
 pub(crate) fn write_prediction(out: &mut String, p: &Prediction) {
     write_fields(
         out,
@@ -802,8 +604,7 @@ fn read_prediction(
             None => t.skip_value(depth + 1),
         }
     })?;
-    // As `prediction_from_json` checks: `null` is NaN, and `ps` must be
-    // present even when null.
+    // `null` is NaN, and `ps` must be present even when null.
     let num_or_nan = |i: usize| match f[i] {
         None => err(format!("missing field {:?}", PREDICTION_FIELDS[i])),
         Some(Num::Null) => Ok(f64::NAN),
@@ -965,6 +766,46 @@ mod tests {
         ] {
             assert!(max_rel_err_from_json(&doc(bad)).is_err(), "{bad}");
         }
+    }
+
+    /// `v` with member `key` set to `x`.
+    fn with(v: &Json, key: &str, x: Json) -> Json {
+        let Json::Object(mut kv) = v.clone() else {
+            unreachable!("a wire object")
+        };
+        kv.retain(|(k, _)| k != key);
+        kv.push((key.into(), x));
+        Json::Object(kv)
+    }
+
+    /// A hand-built non-finite `Json::Num` renders as `null`, so the
+    /// adapters decode it as they decode `null`.
+    #[test]
+    fn a_non_finite_tree_number_decodes_as_null() {
+        let scenario = scenario_to_json(&sample_scenarios()[1]);
+        let p = lopc_core::scenario::solve(&sample_scenarios()[0]).unwrap();
+        let prediction = prediction_to_json(&p);
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for key in ["w", "ps"] {
+                assert_eq!(
+                    scenario_from_json(&with(&scenario, key, Json::Num(x))),
+                    scenario_from_json(&with(&scenario, key, Json::Null)),
+                    "{key} = {x}"
+                );
+            }
+            assert_eq!(
+                max_rel_err_from_json(&with(&scenario, MAX_REL_ERR_FIELD, Json::Num(x))),
+                Ok(0.0)
+            );
+            for key in PREDICTION_FIELDS {
+                let decode = |v| format!("{:?}", prediction_from_json(&with(&prediction, key, v)));
+                assert_eq!(decode(Json::Num(x)), decode(Json::Null), "{key} = {x}");
+            }
+        }
+        assert_eq!(
+            scenario_from_json(&with(&scenario, "w", Json::Num(f64::NAN))),
+            err("field \"w\" must be a number")
+        );
     }
 
     #[test]

@@ -7,18 +7,16 @@
 //! machinery for its wire format; `lopc_bench::baseline` now re-uses this
 //! module, so there is exactly one JSON implementation in the tree.
 //!
-//! Two layers share it:
-//!
-//! * **The wire path.** `Tokens` is the one tokenizer: a cursor over a
-//!   document's bytes that reads punctuation, strings (borrowed when they
-//!   hold no escape), numbers and literals, and skips any value. The
-//!   grammar, its error texts and the nesting bound live here once. The
-//!   predict endpoints and the client decode straight from it and encode
-//!   through `write_num` (see `codec`); no [`Json`] value is built.
-//! * **The tree API.** [`parse`] builds a [`Json`] value on the same
+//! * **The tokenizer.** `Tokens` is a cursor over a document's bytes that
+//!   reads punctuation, strings (borrowed when they hold no escape),
+//!   numbers and literals, and skips any value. The grammar, its error
+//!   texts and the nesting bound live here once. The scenario schema
+//!   (`codec`) decodes straight from it and encodes through `write_num`,
+//!   so the predict path builds no [`Json`] value.
+//! * **The value tree.** [`parse`] builds a [`Json`] value on the same
 //!   tokenizer, and [`Json::to_compact`] / [`Json::to_pretty`] render one.
-//!   `/metrics`, `/v1/cluster`, error bodies, `BENCH_sim.json`, `perfbench/`
-//!   and the tests use it.
+//!   `/metrics`, `/v1/cluster`, error bodies, `BENCH_sim.json` and the
+//!   codec's `Json` adapters use it.
 //!
 //! Subset implemented: objects, arrays, strings, finite numbers, booleans,
 //! `null`. Numbers follow RFC 8259's grammar on input and are emitted in

@@ -11,9 +11,8 @@
 //!   one number emitter, and the value tree built on them);
 //!   `lopc_bench::baseline` re-uses it for `BENCH_sim.json`;
 //! * [`codec`] — the wire schema for [`Scenario`](lopc_core::Scenario) and
-//!   [`Prediction`](lopc_core::Prediction): the predict path decodes and
-//!   encodes straight between bytes and values, and the `Json` tree
-//!   functions stay as the public API and the tests' oracle;
+//!   [`Prediction`](lopc_core::Prediction), implemented once, straight
+//!   between bytes and values; its `Json` functions are adapters over it;
 //! * [`cache`] — the sharded LRU solution cache over quantized scenario
 //!   keys, so repeated and near-identical sweep queries skip the AMVA
 //!   fixed-point solve;

@@ -46,11 +46,6 @@ fn main() {
             }
             "--peer" => config.peers.push(value_for("--peer")),
             "--advertise" => config.advertise = Some(value_for("--advertise")),
-            "--vnodes" => {
-                config.vnodes = value_for("--vnodes")
-                    .parse()
-                    .unwrap_or_else(|_| die("--vnodes must be an integer"))
-            }
             "--help" | "-h" => {
                 println!(
                     "lopc-serve: LoPC prediction service\n\n\
@@ -60,8 +55,7 @@ fn main() {
                      --cache-capacity N  cache entries per shard (default 256)\n  \
                      --idle-timeout-ms N close keep-alive connections idle this long (default 30000)\n  \
                      --peer HOST:PORT    another ring member, published in GET /v1/cluster (repeatable; all nodes list each other)\n  \
-                     --advertise H:P     ring identity to advertise (default: the bound address)\n  \
-                     --vnodes N          virtual ring points per node (default 64)"
+                     --advertise H:P     ring identity to advertise (default: the bound address)"
                 );
                 return;
             }

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use std::sync::OnceLock;
 
 use crate::cache::SolutionCache;
-use crate::cluster::{ClusterState, VNODES};
+use crate::cluster::ClusterState;
 use crate::codec::{predict_request, write_prediction, BodyError};
 use crate::http::{write_response, Request};
 use crate::interp::InterpCache;
@@ -70,8 +70,6 @@ pub struct ServerConfig {
     /// the bound address — override it when binding `0.0.0.0` or an
     /// ephemeral port, since every member must name this node the same.
     pub advertise: Option<String>,
-    /// Virtual points per node on the ring.
-    pub vnodes: usize,
 }
 
 impl Default for ServerConfig {
@@ -84,7 +82,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(30),
             peers: Vec::new(),
             advertise: None,
-            vnodes: VNODES,
         }
     }
 }
@@ -429,7 +426,7 @@ pub fn start_on(listener: TcpListener, config: ServerConfig) -> std::io::Result<
     // but `/v1/cluster` still serves the topology so routing clients work
     // against any deployment.
     let self_addr = config.advertise.clone().unwrap_or_else(|| addr.to_string());
-    service.enable_cluster(ClusterState::new(self_addr, &config.peers, config.vnodes));
+    service.enable_cluster(ClusterState::new(self_addr, &config.peers));
     // Many-connection serving is fd-bound; lift the soft limit as far as
     // the environment allows (best effort — C10K needs ~10k fds).
     let _ = crate::sys::raise_nofile_limit(65536);
@@ -666,7 +663,7 @@ mod tests {
     fn cluster_topology_round_trips_through_the_endpoint() {
         use crate::cluster::{ClusterState, VNODES};
         let a = service();
-        a.enable_cluster(ClusterState::new("127.0.0.1:1".into(), &[], VNODES));
+        a.enable_cluster(ClusterState::new("127.0.0.1:1".into(), &[]));
         let reply = a.handle("GET", "/v1/cluster", b"");
         assert_eq!(reply.status, 200, "{}", reply.body);
         let topo = parse(&reply.body).unwrap();

@@ -1,17 +1,24 @@
-//! Codec properties: the wire path against the `Json` tree.
+//! Codec properties: the wire functions against an independent oracle.
 //!
 //! The predict endpoints and the client decode and encode straight between
-//! bytes and `Scenario` / `Prediction` values (the codec's crate-private
-//! wire path); the `Json` tree functions stay as the public API. Those tree
-//! functions are the oracle here:
+//! bytes and `Scenario` / `Prediction` values, through the codec's
+//! crate-private wire functions. Their judge is `support/oracle.rs`: an
+//! RFC 8259 reader and writer and the schema over them, written apart from
+//! `json.rs` and `codec.rs` and sharing no code with them.
 //!
-//! 1. the wire writers render exactly the bytes the tree renders;
-//! 2. the wire readers decode exactly what `parse` plus the tree decoders
-//!    decode — the same bits, or the same first error;
-//! 3. hand-written bodies pin the rules the tree path has always followed
-//!    (the first of duplicate keys wins, unknown keys are ignored, ...);
-//! 4. corrupted bodies get from `Service::handle` the status and error the
-//!    tree path gives.
+//! 1. the wire writers render exactly the oracle's bytes;
+//! 2. the wire readers decode exactly what the oracle decodes: the same
+//!    bits, the same schema or model error, or a syntax error on both
+//!    sides (whose wording is the tokenizer's own, so it is not compared);
+//! 3. hand-written bodies pin the schema's rules (the first of duplicate
+//!    keys wins, unknown keys are ignored, ...);
+//! 4. corrupted bodies get from `Service::handle` the oracle's reply: its
+//!    status, and the exact bytes of a 200, the exact text of a schema or
+//!    model error, or the `invalid JSON:` prefix of a syntax error.
+//!
+//! The order of errors is the wire contract itself: a syntax error
+//! anywhere, then a bad tolerance, then a missing `scenarios` array, then
+//! the lowest lane's decode or validation error.
 //!
 //! The wire functions are crate-private, so this suite compiles the codec's
 //! own sources in as modules and calls them directly (their unit tests run
@@ -25,19 +32,20 @@ mod json;
 #[path = "../src/codec.rs"]
 mod codec;
 
+#[path = "support/oracle.rs"]
+mod oracle;
 mod support;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use codec::{
-    max_rel_err_from_json, predict_request, prediction_from_json, prediction_from_str,
-    prediction_to_json, predictions_from_str, scenario_from_json, scenario_to_json,
-    write_prediction, write_scenario, BodyError, DecodeError,
+    predict_request, prediction_from_str, predictions_from_str, write_prediction, write_scenario,
+    BodyError, DecodeError,
 };
-use json::{parse, Json};
 use lopc_core::{GeneralModel, Machine, Prediction, Scenario};
 use lopc_serve::Service;
+use oracle::{Refusal, Value};
 use support::corrupt;
 
 // -- generators -------------------------------------------------------------
@@ -140,46 +148,56 @@ fn random_prediction(rng: &mut SmallRng) -> Prediction {
 }
 
 /// A `max_rel_err` member value, valid or not (`None` = absent).
-fn random_tolerance(rng: &mut SmallRng) -> Option<Json> {
+fn random_tolerance(rng: &mut SmallRng) -> Option<Value> {
     match rng.random_range(0..8usize) {
         0 | 1 => None,
-        2 => Some(Json::Null),
-        3 => Some(Json::Num(-0.0)),
-        4 => Some(Json::Num(1.5)),
-        5 => Some(Json::Str("x".into())),
-        _ => Some(Json::Num(
+        2 => Some(Value::Null),
+        3 => Some(Value::Number(-0.0)),
+        4 => Some(Value::Number(1.5)),
+        5 => Some(Value::Text("x".into())),
+        _ => Some(Value::Number(
             [0.0, 1e-3, 5e-2, 1.0][rng.random_range(0..4usize)],
         )),
     }
 }
 
-/// Render `v` compactly or pretty-printed (whitespace between every token).
-fn render(v: &Json, rng: &mut SmallRng) -> String {
-    if rng.random_bool(0.5) {
-        v.to_compact()
-    } else {
-        v.to_pretty()
-    }
+/// Write `v` compactly or with random whitespace at every gap, and now and
+/// then with every string character written as a `\u` escape.
+fn render(v: &Value, rng: &mut SmallRng) -> String {
+    let spaced = rng.random_bool(0.5);
+    let escape_all = rng.random_bool(0.2);
+    let mut gap = |out: &mut String| {
+        if spaced {
+            for _ in 0..rng.random_range(0..3usize) {
+                out.push([' ', '\t', '\n', '\r'][rng.random_range(0..4usize)]);
+            }
+        }
+    };
+    let mut out = String::new();
+    gap(&mut out);
+    oracle::write(&mut out, v, &mut gap, escape_all);
+    gap(&mut out);
+    out
 }
 
 /// Shuffle an object's members so `kind` (or `scenarios`) may come last.
-fn shuffled(v: Json, rng: &mut SmallRng) -> Json {
+fn shuffled(v: Value, rng: &mut SmallRng) -> Value {
     match v {
-        Json::Object(mut kv) => {
-            for i in (1..kv.len()).rev() {
-                kv.swap(i, rng.random_range(0..i + 1));
+        Value::Map(mut members) => {
+            for i in (1..members.len()).rev() {
+                members.swap(i, rng.random_range(0..i + 1));
             }
-            Json::Object(kv)
+            Value::Map(members)
         }
         other => other,
     }
 }
 
-fn with_member(v: Json, key: &str, value: Option<Json>) -> Json {
+fn with_member(v: Value, key: &str, value: Option<Value>) -> Value {
     match (v, value) {
-        (Json::Object(mut kv), Some(value)) => {
-            kv.push((key.into(), value));
-            Json::Object(kv)
+        (Value::Map(mut members), Some(value)) => {
+            members.push((key.into(), value));
+            Value::Map(members)
         }
         (v, _) => v,
     }
@@ -188,7 +206,7 @@ fn with_member(v: Json, key: &str, value: Option<Json>) -> Json {
 /// A single body: one scenario object, maybe with a tolerance, in any
 /// member order.
 fn single_body(rng: &mut SmallRng) -> String {
-    let s = scenario_to_json(&random_scenario(rng));
+    let s = oracle::scenario_value(&random_scenario(rng));
     let v = with_member(s, "max_rel_err", random_tolerance(rng));
     let v = shuffled(v, rng);
     render(&v, rng)
@@ -198,33 +216,23 @@ fn single_body(rng: &mut SmallRng) -> String {
 /// member, in any member order.
 fn batch_body(rng: &mut SmallRng) -> String {
     let lanes = (0..rng.random_range(0..6usize))
-        .map(|_| shuffled(scenario_to_json(&random_scenario(rng)), rng))
+        .map(|_| shuffled(oracle::scenario_value(&random_scenario(rng)), rng))
         .collect();
-    let v = Json::Object(vec![("scenarios".into(), Json::Array(lanes))]);
+    let v = Value::Map(vec![("scenarios".into(), Value::List(lanes))]);
     let v = with_member(v, "max_rel_err", random_tolerance(rng));
-    let extra = rng.random_bool(0.3).then(|| Json::Array(vec![Json::Null]));
+    let extra = rng.random_bool(0.3).then(|| Value::List(vec![Value::Null]));
     let v = shuffled(with_member(v, "extra", extra), rng);
     render(&v, rng)
 }
 
-// -- oracles ----------------------------------------------------------------
-
-/// Why a predict body is refused, with every error as text.
-#[derive(Debug, PartialEq)]
-enum Refusal {
-    Json(String),
-    Tolerance(String),
-    NotBatch,
-    Decode(usize, String),
-    Invalid(usize, String),
-}
+// -- verdicts ---------------------------------------------------------------
 
 type Request = Result<(f64, Vec<Scenario>), Refusal>;
 
-/// The wire decoder's verdict on a predict body.
+/// The wire decoder's verdict on a predict body, in the oracle's terms.
 fn wire_request(text: &str, batch: bool) -> Request {
     predict_request(text, batch).map_err(|e| match e {
-        BodyError::Json(e) => Refusal::Json(e),
+        BodyError::Json(_) => Refusal::Syntax,
         BodyError::Tolerance(e) => Refusal::Tolerance(e.0),
         BodyError::NotBatch => Refusal::NotBatch,
         BodyError::Decode(i, e) => Refusal::Decode(i, e.0),
@@ -232,45 +240,23 @@ fn wire_request(text: &str, batch: bool) -> Request {
     })
 }
 
-/// The tree path's verdict: `parse`, then the tolerance, then the
-/// `scenarios` array, then each lane decoded and validated in order.
-fn tree_request(text: &str, batch: bool) -> Request {
-    let doc = parse(text).map_err(Refusal::Json)?;
-    let tol = max_rel_err_from_json(&doc).map_err(|e| Refusal::Tolerance(e.0))?;
-    let items = if batch {
-        doc.get("scenarios")
-            .and_then(Json::as_array)
-            .ok_or(Refusal::NotBatch)?
-    } else {
-        std::slice::from_ref(&doc)
-    };
-    let mut lanes = Vec::new();
-    for (i, item) in items.iter().enumerate() {
-        let s = scenario_from_json(item).map_err(|e| Refusal::Decode(i, e.0))?;
-        s.validate()
-            .map_err(|e| Refusal::Invalid(i, e.to_string()))?;
-        lanes.push(s);
-    }
-    Ok((tol, lanes))
-}
-
 /// Debug text shows every bit that matters: `-0.0` prints with its sign.
-fn assert_same<T: std::fmt::Debug>(wire: &T, tree: &T, input: &str) {
-    assert_eq!(format!("{wire:?}"), format!("{tree:?}"), "on {input}");
+fn assert_same<T: std::fmt::Debug>(wire: &T, oracle: &T, input: &str) {
+    assert_eq!(format!("{wire:?}"), format!("{oracle:?}"), "on {input}");
 }
 
-fn tree_predictions(text: &str) -> Result<Vec<Prediction>, DecodeError> {
-    let doc = parse(text).map_err(DecodeError)?;
-    doc.get("predictions")
-        .and_then(Json::as_array)
-        .ok_or_else(|| DecodeError("missing \"predictions\" array".into()))?
-        .iter()
-        .map(prediction_from_json)
-        .collect()
-}
-
-fn tree_prediction(text: &str) -> Result<Prediction, DecodeError> {
-    prediction_from_json(&parse(text).map_err(DecodeError)?)
+/// Hold a response reader's verdict on `text` to the oracle's: the same
+/// bits or the same schema error, and an error wherever the oracle finds
+/// a syntax error.
+fn judge<T: std::fmt::Debug>(
+    wire: Result<T, DecodeError>,
+    text: &str,
+    decode: impl FnOnce(&Value) -> Result<T, String>,
+) {
+    match oracle::read(text) {
+        Ok(doc) => assert_same(&wire.map_err(|e| e.0), &decode(&doc), text),
+        Err(why) => assert!(wire.is_err(), "{text}: the oracle refuses it ({why})"),
+    }
 }
 
 // -- 1. writers -------------------------------------------------------------
@@ -282,12 +268,16 @@ fn writers_render_the_tree_bytes() {
         let s = random_scenario(&mut rng);
         let mut wire = String::new();
         write_scenario(&mut wire, &s);
-        assert_eq!(wire, scenario_to_json(&s).to_compact(), "{s:?}");
+        assert_eq!(wire, oracle::compact(&oracle::scenario_value(&s)), "{s:?}");
 
         let p = random_prediction(&mut rng);
         let mut wire = String::new();
         write_prediction(&mut wire, &p);
-        assert_eq!(wire, prediction_to_json(&p).to_compact(), "{p:?}");
+        assert_eq!(
+            wire,
+            oracle::compact(&oracle::prediction_value(&p)),
+            "{p:?}"
+        );
     }
 }
 
@@ -305,12 +295,11 @@ fn request_decoder_matches_the_tree() {
             single_body(&mut rng)
         };
         let wire = wire_request(&text, batch);
-        let tree = tree_request(&text, batch);
-        assert_same(&wire, &tree, &text);
+        assert_same(&wire, &oracle::request(&text, batch), &text);
         // The other endpoint's reading of the same text must agree too.
         assert_same(
             &wire_request(&text, !batch),
-            &tree_request(&text, !batch),
+            &oracle::request(&text, !batch),
             &text,
         );
         decoded[usize::from(batch)] += usize::from(wire.is_ok());
@@ -326,19 +315,15 @@ fn prediction_readers_match_the_tree() {
         let preds: Vec<Prediction> = (0..rng.random_range(0..5usize))
             .map(|_| random_prediction(&mut rng))
             .collect();
-        let v = Json::Object(vec![(
+        let v = Value::Map(vec![(
             "predictions".into(),
-            Json::Array(preds.iter().map(prediction_to_json).collect()),
+            Value::List(preds.iter().map(oracle::prediction_value).collect()),
         )]);
         let text = render(&v, &mut rng);
-        assert_same(
-            &predictions_from_str(&text),
-            &tree_predictions(&text),
-            &text,
-        );
+        judge(predictions_from_str(&text), &text, oracle::predictions_of);
         if let Some(p) = preds.first() {
-            let text = render(&prediction_to_json(p), &mut rng);
-            assert_same(&prediction_from_str(&text), &tree_prediction(&text), &text);
+            let text = render(&oracle::prediction_value(p), &mut rng);
+            judge(prediction_from_str(&text), &text, oracle::prediction_of);
         }
     }
     // Malformed responses fail alike.
@@ -354,11 +339,10 @@ fn prediction_readers_match_the_tree() {
         r#"{"predictions":[{"r":1,"x":1,"rw":1,"rq":1,"ry":1,"contention":1,"ps":-1,"iterations":1}]}"#,
         r#"{"predictions":[]} x"#,
     ] {
-        assert_same(&predictions_from_str(text), &tree_predictions(text), text);
-        assert_same(&prediction_from_str(text), &tree_prediction(text), text);
+        judge(predictions_from_str(text), text, oracle::predictions_of);
+        judge(prediction_from_str(text), text, oracle::prediction_of);
     }
 }
-
 // -- 3. rules ---------------------------------------------------------------
 
 const MACHINE: &str = r#""machine":{"p":32,"st":25,"so":200,"c2":0}"#;
@@ -370,11 +354,11 @@ fn a2a(w: f64) -> Scenario {
     }
 }
 
-/// Decode `text` on both paths; they must agree, and the wire's answer is
-/// returned for the rule's own assertion.
+/// Decode `text` with the wire decoder and the oracle; they must agree,
+/// and the wire's answer is returned for the rule's own assertion.
 fn both(text: &str, batch: bool) -> Request {
     let wire = wire_request(text, batch);
-    assert_same(&wire, &tree_request(text, batch), text);
+    assert_same(&wire, &oracle::request(text, batch), text);
     wire
 }
 
@@ -427,12 +411,32 @@ fn strings_follow_rfc_8259() {
             assert_eq!(decoded, Ok((0.0, vec![a2a(1.0)])), "{body}");
         } else {
             assert!(
-                matches!(decoded, Err(Refusal::Json(_))),
+                matches!(decoded, Err(Refusal::Syntax)),
                 "{body}: {decoded:?}"
             );
         }
         let reply = Service::new(4, 64).handle("POST", "/v1/predict", body.as_bytes());
         assert_eq!(reply.status, status, "{body}: {}", reply.body);
+    }
+}
+
+/// The stated limits, on both sides: a value inside 128 containers is
+/// read and one inside 129 is refused; a number that overflows `f64` is
+/// refused, and one that underflows reads as zero.
+#[test]
+fn nesting_and_number_limits_agree() {
+    // The lane object is the first container; `note` nests the rest.
+    let nested = |arrays: usize| {
+        let note = format!("{}0{}", "[".repeat(arrays), "]".repeat(arrays));
+        format!(r#"{{"kind":"all_to_all",{MACHINE},"w":1,"note":{note}}}"#)
+    };
+    assert_eq!(both(&nested(127), false), Ok((0.0, vec![a2a(1.0)])));
+    assert_eq!(both(&nested(128), false), Err(Refusal::Syntax));
+    let w = |w: &str| format!(r#"{{"kind":"all_to_all",{MACHINE},"w":{w}}}"#);
+    assert_eq!(both(&w("1e308"), false), Ok((0.0, vec![a2a(1e308)])));
+    assert_eq!(both(&w("1e-400"), false), Ok((0.0, vec![a2a(0.0)])));
+    for overflow in ["1e309", "-1.8e308"] {
+        assert_eq!(both(&w(overflow), false), Err(Refusal::Syntax));
     }
 }
 
@@ -453,11 +457,11 @@ fn kind_may_come_after_the_other_fields() {
         500.0,
         1,
     ));
-    let Json::Object(mut kv) = scenario_to_json(&general) else {
+    let Value::Map(mut members) = oracle::scenario_value(&general) else {
         unreachable!("a scenario encodes as an object")
     };
-    kv.rotate_left(1);
-    let text = Json::Object(kv).to_compact();
+    members.rotate_left(1);
+    let text = oracle::compact(&Value::Map(members));
     assert!(text.ends_with(r#""kind":"general"}"#), "{text}");
     assert_eq!(both(&text, false), Ok((0.0, vec![general])));
 }
@@ -480,6 +484,8 @@ fn max_rel_err_inside_a_batch_lane_is_ignored() {
     assert!(matches!(both(&single, false), Err(Refusal::Tolerance(_))));
 }
 
+/// The wire contract's order of errors: syntax, tolerance, `scenarios`,
+/// then the lowest lane's decode or validation error.
 #[test]
 fn errors_keep_the_tree_precedence() {
     let lane = format!(r#"{{"kind":"all_to_all",{MACHINE},"w":1}}"#);
@@ -513,7 +519,7 @@ fn errors_keep_the_tree_precedence() {
     ] {
         let got = both(&text, true);
         let kind = match &got {
-            Err(Refusal::Json(_)) => "json".to_string(),
+            Err(Refusal::Syntax) => "json".to_string(),
             Err(Refusal::Tolerance(_)) => "tolerance".into(),
             Err(Refusal::NotBatch) => "not batch".into(),
             Err(Refusal::Invalid(i, _)) => format!("invalid {i}"),
@@ -526,10 +532,19 @@ fn errors_keep_the_tree_precedence() {
 
 // -- 4. statuses through the service ----------------------------------------
 
-/// The tree path's reply to a predict body: status and error text (empty
-/// on success). Lanes are answered as the service answers them, by one
-/// `predict_batch` call on a fresh cache.
-fn tree_reply(body: &[u8], batch: bool) -> (u16, String) {
+/// What the service must answer to a predict body.
+enum Expected {
+    /// 200 with exactly these bytes.
+    Body(String),
+    /// An error body whose `"error"` is exactly this text.
+    Error(u16, String),
+    /// A 400 whose `"error"` starts `invalid JSON: `.
+    Syntax,
+}
+
+/// The oracle's reply to a predict body. Lanes are answered as the
+/// service answers them, by one `predict_batch` call on a fresh cache.
+fn oracle_reply(body: &[u8], batch: bool) -> Expected {
     let at = |i: usize| {
         if batch {
             format!(" at index {i}")
@@ -538,23 +553,62 @@ fn tree_reply(body: &[u8], batch: bool) -> (u16, String) {
         }
     };
     let Ok(text) = std::str::from_utf8(body) else {
-        return (400, "body is not UTF-8".into());
+        return Expected::Error(400, "body is not UTF-8".into());
     };
-    let (tol, lanes) = match tree_request(text, batch) {
+    let (tol, lanes) = match oracle::request(text, batch) {
         Ok(request) => request,
-        Err(Refusal::Json(e)) => return (400, format!("invalid JSON: {e}")),
-        Err(Refusal::Tolerance(e)) => return (400, e),
-        Err(Refusal::NotBatch) => return (400, "body must be {\"scenarios\": [...]}".into()),
-        Err(Refusal::Decode(i, e)) => return (400, format!("invalid scenario{}: {e}", at(i))),
-        Err(Refusal::Invalid(i, e)) => return (422, format!("invalid parameters{}: {e}", at(i))),
+        Err(refusal) => {
+            let (status, e) = match refusal {
+                Refusal::Syntax => return Expected::Syntax,
+                Refusal::Tolerance(e) => (400, e),
+                Refusal::NotBatch => (400, "body must be {\"scenarios\": [...]}".into()),
+                Refusal::Decode(i, e) => (400, format!("invalid scenario{}: {e}", at(i))),
+                Refusal::Invalid(i, e) => (422, format!("invalid parameters{}: {e}", at(i))),
+            };
+            return Expected::Error(status, e);
+        }
     };
-    let answers = Service::new(4, 64).interp().predict_batch(&lanes, tol);
-    for (i, answer) in answers.into_iter().enumerate() {
-        if let Err(e) = answer {
-            return (422, format!("unsolvable scenario{}: {e}", at(i)));
+    let mut answers = Vec::new();
+    let served = Service::new(4, 64).interp().predict_batch(&lanes, tol);
+    for (i, answer) in served.into_iter().enumerate() {
+        match answer {
+            Ok(p) => answers.push(oracle::prediction_value(&p)),
+            Err(e) => return Expected::Error(422, format!("unsolvable scenario{}: {e}", at(i))),
         }
     }
-    (200, String::new())
+    let reply = if batch {
+        Value::Map(vec![("predictions".into(), Value::List(answers))])
+    } else {
+        answers.remove(0)
+    };
+    Expected::Body(oracle::compact(&reply))
+}
+
+/// `base` with a control byte inserted inside one of its strings, which
+/// RFC 8259 forbids: a tab, line feed or carriage return (whitespace
+/// everywhere else), or any other byte below 0x20.
+fn control_in_string(base: &str, rng: &mut SmallRng) -> Vec<u8> {
+    // Offsets inside a string: after its opening quote, up to and
+    // including its closing one.
+    let mut inside = Vec::new();
+    let (mut open, mut escaped) = (false, false);
+    for (i, b) in base.bytes().enumerate() {
+        if open {
+            inside.push(i);
+        }
+        if escaped {
+            escaped = false;
+        } else if open && b == b'\\' {
+            escaped = true;
+        } else if b == b'"' {
+            open = !open;
+        }
+    }
+    let mut bytes = base.as_bytes().to_vec();
+    let control =
+        [b'\t', b'\n', b'\r', rng.random_range(0..0x20u32) as u8][rng.random_range(0..4usize)];
+    bytes.insert(inside[rng.random_range(0..inside.len())], control);
+    bytes
 }
 
 #[test]
@@ -574,41 +628,40 @@ fn corrupted_bodies_get_the_tree_status() {
             _ if batch => batch_body(&mut rng),
             _ => single_body(&mut rng),
         };
-        let body = corrupt(base.as_bytes(), &mut rng);
+        let body = if rng.random_bool(0.25) {
+            control_in_string(&base, &mut rng)
+        } else {
+            corrupt(base.as_bytes(), &mut rng)
+        };
         let path = if batch {
             "/v1/predict/batch"
         } else {
             "/v1/predict"
         };
         let reply = Service::new(4, 64).handle("POST", path, &body);
-        let (status, error) = tree_reply(&body, batch);
         let shown = String::from_utf8_lossy(&body);
-        assert_eq!(reply.status, status, "{shown}: {}", reply.body);
+        let error = || match oracle::read(&reply.body).map(|doc| doc.member("error").cloned()) {
+            Ok(Some(Value::Text(e))) => e,
+            _ => panic!("{shown}: not an error body: {}", reply.body),
+        };
+        let status = match oracle_reply(&body, batch) {
+            Expected::Body(want) => {
+                assert_eq!((reply.status, &reply.body), (200, &want), "{shown}");
+                200
+            }
+            Expected::Error(status, want) => {
+                assert_eq!(reply.status, status, "{shown}: {}", reply.body);
+                assert_eq!(error(), want, "{shown}");
+                status
+            }
+            Expected::Syntax => {
+                assert_eq!(reply.status, 400, "{shown}: {}", reply.body);
+                let e = error();
+                assert!(e.starts_with("invalid JSON: "), "{shown}: {e}");
+                400
+            }
+        };
         *statuses.entry(status).or_insert(0) += 1;
-        if status == 200 {
-            // The served bytes are the tree encoding of what they carry.
-            let doc = parse(&reply.body).expect("a 200 body is JSON");
-            let again = match doc.get("predictions") {
-                Some(Json::Array(items)) => Json::Object(vec![(
-                    "predictions".into(),
-                    Json::Array(
-                        items
-                            .iter()
-                            .map(|p| prediction_to_json(&prediction_from_json(p).unwrap()))
-                            .collect(),
-                    ),
-                )]),
-                _ => prediction_to_json(&prediction_from_json(&doc).unwrap()),
-            };
-            assert_eq!(reply.body, again.to_compact(), "{shown}");
-        } else {
-            let served = parse(&reply.body).expect("an error body is JSON");
-            assert_eq!(
-                served.get("error").and_then(Json::as_str),
-                Some(error.as_str()),
-                "{shown}"
-            );
-        }
     }
     // The corruptions reach every status, not just syntax errors.
     for status in [200, 400, 422] {
