@@ -1,9 +1,15 @@
 //! Simulator performance bench: event throughput of the discrete-event
-//! engine under both pending-event schedulers (calendar queue vs binary
-//! heap), the raw scheduler hold-model microbenchmark, and the work-stealing
-//! replication path.
+//! engine under both event-queue forces, the raw queue hold-model
+//! microbenchmark, and the work-stealing replication path.
 //!
-//! That both schedulers simulate the `sim_full` machines identically, whole
+//! The engine builds one queue, `BinaryHeapQueue`: a sorted run up to 128
+//! pending events, Brown's wheel above. The `heap_*` rows time it as the
+//! engine runs it (`Scheduler::BinaryHeap`, the default); the `calendar_*`
+//! rows time the wheel alone (`Scheduler::Calendar` end to end, and
+//! `CalendarQueue` in the hold model). The row names are kept so that
+//! `BENCH_sim.json` stays comparable across revisions.
+//!
+//! That both forces simulate the `sim_full` machines identically, whole
 //! reports bit for bit, is the test
 //! `default_scheduler_matches_both_explicit_schedulers` in
 //! `crates/sim/tests/differential.rs`; this bench only times them.
@@ -52,12 +58,12 @@ fn sim_cfg(p: usize, fanout: u32) -> SimConfig {
     }
 }
 
-/// One hold-model item; the scheduler microbench's event stand-in. The
+/// One hold-model item; the queue microbench's event stand-in. The
 /// payload pads the item to the size of the engine's internal event record
-/// (56 bytes: time, sequence, node and event kind) so scheduler data
-/// movement is modelled realistically: both queues move whole items, not
-/// just keys — the heap queue's run shifts and its heap sifts `(key, item)`
-/// pairs, and the calendar queue sorts its bags in place.
+/// (56 bytes: time, sequence, node and event kind) so queue data movement
+/// is modelled realistically: both queues move whole items, not just keys —
+/// the sorted run shifts `(key, item)` pairs, and the wheel sorts its bags
+/// in place.
 #[derive(Clone, Copy)]
 struct HoldItem {
     t: f64,
@@ -109,10 +115,11 @@ fn prefill<Q: EventQueue<HoldItem>>(q: &mut Q, n: usize, rng: &mut SmallRng, hol
 }
 
 fn bench(c: &mut Criterion) {
-    // -- End-to-end engine throughput, both schedulers, growing P ----------
-    // P = 32 and 64 hold about 32 and 64 pending events, the two sides of
-    // `ADAPTIVE_HEAP_MAX_PENDING` (P = 64 peaks at 66, past the heap
-    // queue's run bound).
+    // -- End-to-end engine throughput, both queue forces, growing P -------
+    // P = 32 and 64 hold about 32 and 64 pending events (P = 64 peaks at
+    // 66), which the default queue keeps in its sorted run; P = 256 at
+    // fanout 2 (512 pending) and P = 1024 at fanout 4 (4,096) run in its
+    // wheel.
     let mut g = c.benchmark_group("sim_full");
     for &(p, fanout) in SIM_FULL {
         let cfg = sim_cfg(p, fanout);
@@ -144,11 +151,10 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // -- Raw scheduler throughput (hold model) -----------------------------
-    // Steady-state population n models the pending-event set: n = 32 and 64
-    // are the small machines the engine runs the heap queue on (its sorted
-    // run), the rest a large-P sweep, where the heap pays O(log n) per op and
-    // the calendar queue stays O(1) amortized.
+    // -- Raw queue throughput (hold model) ---------------------------------
+    // Steady-state population n models the pending-event set: at n = 32 and
+    // 64 the default queue is its sorted run, and from n = 1024 up it is
+    // the wheel, where both rows should time the same queue.
     let mut g = c.benchmark_group("queue_hold");
     const HOLD_OPS: usize = 4096;
     let hold = ServiceTime::exponential(1000.0);

@@ -112,7 +112,7 @@ pub struct SimConfig {
     /// Stop condition / measurement mode.
     pub stop: StopCondition,
     /// RNG seed; equal seeds give bit-identical runs — independent of the
-    /// pending-event [`Scheduler`](crate::sched::Scheduler), of how many
+    /// event queue's [`Scheduler`](crate::sched::Scheduler) force, of how many
     /// threads [`run_replications`](crate::runner::run_replications) uses,
     /// and of the LP partition / worker count of the parallel engine
     /// ([`par::run_par`](crate::par::run_par)): every node draws from its
@@ -228,13 +228,15 @@ impl SimConfig {
         self.threads.iter().filter(|t| t.is_active()).count()
     }
 
-    /// Estimate of the steady-state pending-event population, used by the
-    /// adaptive scheduler choice (`P × fanout` in the ROADMAP's shorthand).
+    /// Estimate of the steady-state pending-event population (`P × fanout`).
     ///
     /// Each active thread keeps roughly `fanout` events in flight at any
     /// moment (its outstanding fork-join requests, or the compute-done event
     /// between cycles); pure servers add none of their own — their queued
-    /// arrivals are already counted at the origin.
+    /// arrivals are already counted at the origin. The engine no longer uses
+    /// it (its queue adapts to the actual population); it is kept because
+    /// the perfbench harness sizes its queue probes with it, and the next
+    /// benchmark change deletes it.
     pub fn pending_hint(&self) -> usize {
         self.threads
             .iter()

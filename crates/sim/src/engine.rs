@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::config::{ConfigError, NodeId, SimConfig, StopCondition, Time};
-use crate::sched::{BinaryHeapQueue, CalendarQueue, EventQueue, Keyed, Scheduler};
+use crate::sched::{BinaryHeapQueue, EventQueue, Keyed, Scheduler};
 use crate::stats::{Aggregate, NodeStats, NodeSummary, SimReport, Welford};
 use lopc_dist::Distribution;
 use rand::rngs::SmallRng;
@@ -90,12 +90,11 @@ pub(crate) struct Msg {
     arrived_at: Time,
 }
 
-/// CPU occupancy of a node.
+/// What a node's CPU computes. A handler running on the CPU (no protocol
+/// processor) is the node's `in_service` message, with the CPU `Idle`.
 #[derive(Clone, Copy, Debug)]
 enum Cpu {
     Idle,
-    /// Running a (non-preemptible) handler.
-    Handler,
     /// Running the computation thread; completion is the event carrying
     /// `token`, invalidated by bumping the node's token on preemption.
     Compute {
@@ -123,12 +122,10 @@ enum ThreadState {
 struct Node {
     cpu: Cpu,
     thread: ThreadState,
+    /// The handler unit: the CPU, or with `protocol_processor` the
+    /// coprocessor. Arrivals wait in `fifo` while `in_service` runs.
     fifo: VecDeque<Msg>,
     in_service: Option<Msg>,
-    // Protocol-processor state (used only when cfg.protocol_processor).
-    pp_busy: bool,
-    pp_fifo: VecDeque<Msg>,
-    pp_in_service: Option<Msg>,
     // Cycle bookkeeping.
     t_cycle_start: Time,
     /// When this cycle's requests were injected.
@@ -159,9 +156,6 @@ impl Node {
             thread: ThreadState::Absent,
             fifo: VecDeque::new(),
             in_service: None,
-            pp_busy: false,
-            pp_fifo: VecDeque::new(),
-            pp_in_service: None,
             t_cycle_start: 0.0,
             t_sent: 0.0,
             outstanding: 0,
@@ -183,7 +177,6 @@ impl Node {
 pub(crate) enum EvKind {
     Arrive(Msg),
     HandlerDone,
-    PpHandlerDone,
     ComputeDone { token: u64 },
 }
 
@@ -205,45 +198,6 @@ impl Keyed for Ev {
     }
     fn seq(&self) -> u64 {
         self.seq
-    }
-}
-
-/// The engine's pending-event set: one of the [`Scheduler`] implementations,
-/// dispatched by match so the hot loop pays no virtual-call cost.
-enum PendingEvents {
-    Calendar(CalendarQueue<Ev>),
-    Heap(BinaryHeapQueue<Ev>),
-}
-
-impl PendingEvents {
-    fn new(scheduler: Scheduler) -> Self {
-        match scheduler {
-            Scheduler::Calendar => PendingEvents::Calendar(CalendarQueue::new()),
-            Scheduler::BinaryHeap => PendingEvents::Heap(BinaryHeapQueue::new()),
-        }
-    }
-
-    fn kind(&self) -> Scheduler {
-        match self {
-            PendingEvents::Calendar(_) => Scheduler::Calendar,
-            PendingEvents::Heap(_) => Scheduler::BinaryHeap,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, ev: Ev) {
-        match self {
-            PendingEvents::Calendar(q) => q.push(ev),
-            PendingEvents::Heap(q) => q.push(ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Ev> {
-        match self {
-            PendingEvents::Calendar(q) => q.pop(),
-            PendingEvents::Heap(q) => q.pop(),
-        }
     }
 }
 
@@ -272,7 +226,7 @@ pub(crate) struct Core {
     /// Global id of the first owned node (`nodes[i]` is node `lo + i`).
     lo: NodeId,
     nodes: Vec<Node>,
-    queue: PendingEvents,
+    queue: BinaryHeapQueue<Ev>,
     now: Time,
     events: u64,
     /// Cycles recorded only when they *start* at or after this time.
@@ -295,8 +249,9 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// Build the core of LP `lp` of `lps` over a *validated* configuration
-    /// and prime its threads with their first work quantum.
+    /// Build the core of LP `lp` of `lps` over a *validated* configuration,
+    /// its queue under the `scheduler` force, and prime its threads with
+    /// their first work quantum.
     pub(crate) fn new(
         cfg: Arc<SimConfig>,
         lp: usize,
@@ -318,7 +273,7 @@ impl Core {
             cfg,
             lo,
             nodes,
-            queue: PendingEvents::new(scheduler),
+            queue: scheduler.queue(),
             now: 0.0,
             events: 0,
             warmup,
@@ -444,7 +399,6 @@ impl Core {
         match ev.kind {
             EvKind::Arrive(msg) => self.on_arrive(ev.node, msg),
             EvKind::HandlerDone => self.on_handler_done(ev.node),
-            EvKind::PpHandlerDone => self.on_pp_handler_done(ev.node),
             EvKind::ComputeDone { token } => self.on_compute_done(ev.node, token),
         }
     }
@@ -456,49 +410,39 @@ impl Core {
     fn on_arrive(&mut self, k: NodeId, mut msg: Msg) {
         let i = k - self.lo;
         msg.arrived_at = self.now;
-        {
-            let node = &mut self.nodes[i];
-            match msg.kind {
-                MsgKind::Request => node.stats.nq.add(self.now, 1.0),
-                MsgKind::Reply => {
-                    debug_assert_eq!(msg.origin, k, "reply must arrive at its origin");
-                    node.stats.ny.add(self.now, 1.0);
-                }
+        let node = &mut self.nodes[i];
+        match msg.kind {
+            MsgKind::Request => node.stats.nq.add(self.now, 1.0),
+            MsgKind::Reply => {
+                debug_assert_eq!(msg.origin, k, "reply must arrive at its origin");
+                node.stats.ny.add(self.now, 1.0);
             }
-            debug_assert!(
-                node.stats.ny.level() <= self.cfg.threads[k].fanout as f64,
-                "a node holds at most `fanout` replies"
-            );
-            let depth = node.stats.nq.level() + node.stats.ny.level();
-            node.stats.max_depth = node.stats.max_depth.max(depth as u64);
         }
+        debug_assert!(
+            node.stats.ny.level() <= self.cfg.threads[k].fanout as f64,
+            "a node holds at most `fanout` replies"
+        );
+        let depth = node.stats.nq.level() + node.stats.ny.level();
+        node.stats.max_depth = node.stats.max_depth.max(depth as u64);
 
-        if self.cfg.protocol_processor {
-            if self.nodes[i].pp_busy {
-                self.nodes[i].pp_fifo.push_back(msg);
-            } else {
-                self.start_pp_handler(k, msg);
-            }
+        if node.in_service.is_some() {
+            node.fifo.push_back(msg);
             return;
         }
-
-        match self.nodes[i].cpu {
-            Cpu::Idle => self.start_handler(k, msg),
-            Cpu::Handler => self.nodes[i].fifo.push_back(msg),
-            Cpu::Compute { end } => {
-                // Preempt-resume: bank remaining work, invalidate the pending
-                // completion event, run the handler now.
-                let remaining = (end - self.now).max(0.0);
-                let node = &mut self.nodes[i];
-                node.compute_token += 1;
-                node.thread = ThreadState::Ready { remaining };
-                node.stats.busy_compute.set(self.now, 0.0);
-                node.cpu = Cpu::Idle;
-                self.start_handler(k, msg);
-            }
+        // Preempt-resume, unless a protocol processor runs the handler
+        // beside the computation: bank remaining work, invalidate the
+        // pending completion event, run the handler now.
+        if let (false, Cpu::Compute { end }) = (self.cfg.protocol_processor, node.cpu) {
+            let remaining = (end - self.now).max(0.0);
+            node.compute_token += 1;
+            node.thread = ThreadState::Ready { remaining };
+            node.stats.busy_compute.set(self.now, 0.0);
+            node.cpu = Cpu::Idle;
         }
+        self.start_handler(k, msg);
     }
 
+    /// Run `msg`'s handler on the node's handler unit, which must be free.
     fn start_handler(&mut self, k: NodeId, msg: Msg) {
         let i = k - self.lo;
         debug_assert!(self.nodes[i].in_service.is_none());
@@ -512,29 +456,9 @@ impl Core {
                 MsgKind::Request => node.stats.busy_req.set(self.now, 1.0),
                 MsgKind::Reply => node.stats.busy_rep.set(self.now, 1.0),
             }
-            node.cpu = Cpu::Handler;
             node.in_service = Some(msg);
         }
         self.schedule(k, self.now + service, k, EvKind::HandlerDone);
-    }
-
-    fn start_pp_handler(&mut self, k: NodeId, msg: Msg) {
-        let i = k - self.lo;
-        debug_assert!(self.nodes[i].pp_in_service.is_none());
-        let service = match msg.kind {
-            MsgKind::Request => self.cfg.request_handler.sample(&mut self.nodes[i].rng),
-            MsgKind::Reply => self.cfg.reply_handler.sample(&mut self.nodes[i].rng),
-        };
-        {
-            let node = &mut self.nodes[i];
-            match msg.kind {
-                MsgKind::Request => node.stats.busy_req.set(self.now, 1.0),
-                MsgKind::Reply => node.stats.busy_rep.set(self.now, 1.0),
-            }
-            node.pp_busy = true;
-            node.pp_in_service = Some(msg);
-        }
-        self.schedule(k, self.now + service, k, EvKind::PpHandlerDone);
     }
 
     fn on_handler_done(&mut self, k: NodeId) {
@@ -545,7 +469,6 @@ impl Core {
             .expect("HandlerDone with no handler in service");
         {
             let node = &mut self.nodes[i];
-            node.cpu = Cpu::Idle;
             match msg.kind {
                 MsgKind::Request => {
                     node.stats.busy_req.set(self.now, 0.0);
@@ -559,49 +482,28 @@ impl Core {
         }
         self.complete_message(k, msg);
 
-        // CPU dispatch: queued handlers run before the thread resumes (this
-        // is the interference the BKT approximation charges to Rw).
-        if let Some(next) = self.nodes[i].fifo.pop_front() {
+        let ready = matches!(self.nodes[i].thread, ThreadState::Ready { .. });
+        let next = self.nodes[i].fifo.pop_front();
+        if self.cfg.protocol_processor {
+            // The coprocessor ran the handler, so the CPU is idle: a thread
+            // that just became ready starts at once, beside the next
+            // queued handler.
+            if ready {
+                self.start_compute(k);
+            }
+            if let Some(next) = next {
+                self.start_handler(k, next);
+            }
+        } else if let Some(next) = next {
+            // The CPU ran it: queued handlers run before the thread resumes
+            // (the interference the BKT approximation charges to Rw).
             self.start_handler(k, next);
-        } else if let ThreadState::Ready { .. } = self.nodes[i].thread {
+        } else if ready {
             self.start_compute(k);
         }
     }
 
-    fn on_pp_handler_done(&mut self, k: NodeId) {
-        let i = k - self.lo;
-        let msg = self.nodes[i]
-            .pp_in_service
-            .take()
-            .expect("PpHandlerDone with no handler in service");
-        {
-            let node = &mut self.nodes[i];
-            node.pp_busy = false;
-            match msg.kind {
-                MsgKind::Request => {
-                    node.stats.busy_req.set(self.now, 0.0);
-                    node.stats.nq.add(self.now, -1.0);
-                }
-                MsgKind::Reply => {
-                    node.stats.busy_rep.set(self.now, 0.0);
-                    node.stats.ny.add(self.now, -1.0);
-                }
-            }
-        }
-        self.complete_message(k, msg);
-
-        // The CPU never ran the handler: start the thread only if it just
-        // became ready and the CPU is idle.
-        if let (Cpu::Idle, ThreadState::Ready { .. }) = (self.nodes[i].cpu, self.nodes[i].thread) {
-            self.start_compute(k);
-        }
-        if let Some(next) = self.nodes[i].pp_fifo.pop_front() {
-            self.start_pp_handler(k, next);
-        }
-    }
-
-    /// Shared request/reply completion logic (CPU-handler and protocol-
-    /// processor paths): forward, reply, or end the origin's cycle.
+    /// Request/reply completion: forward, reply, or end the origin's cycle.
     fn complete_message(&mut self, k: NodeId, mut msg: Msg) {
         let i = k - self.lo;
         match msg.kind {
@@ -694,8 +596,10 @@ impl Core {
             other => unreachable!("start_compute on thread in state {other:?}"),
         };
         debug_assert!(
-            self.cfg.protocol_processor || self.nodes[i].fifo.is_empty(),
-            "compute must not start with queued handlers"
+            matches!(self.nodes[i].cpu, Cpu::Idle)
+                && (self.cfg.protocol_processor
+                    || (self.nodes[i].in_service.is_none() && self.nodes[i].fifo.is_empty())),
+            "compute must start on an idle CPU with no handler to run"
         );
         let node = &mut self.nodes[i];
         node.compute_token += 1;
@@ -872,28 +776,24 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine for a validated configuration, picking the
-    /// pending-event scheduler adaptively from the configuration's
-    /// steady-state event population ([`Scheduler::auto_for`] over
-    /// [`SimConfig::pending_hint`]): the binary heap for small machines,
-    /// the calendar queue for large ones.
+    /// Build an engine for a validated configuration. Its event queue
+    /// ([`BinaryHeapQueue`]) adapts to its own population: a sorted run
+    /// while small, Brown's wheel while large.
     ///
-    /// The choice never affects results — schedulers are observationally
-    /// equivalent (enforced by the differential tests) — only speed. The
-    /// `LOPC_TEST_SCHEDULER` environment variable (`calendar` / `heap`)
-    /// overrides the adaptive choice for CI matrix runs; use
-    /// [`Engine::with_scheduler`] to pin one programmatically.
+    /// The `LOPC_TEST_SCHEDULER` environment variable (`calendar` / `heap`)
+    /// forces the queue's mode for CI matrix runs; use
+    /// [`Engine::with_scheduler`] to force it programmatically. Neither
+    /// changes results, only speed.
     pub fn new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        let scheduler = crate::validate::env_scheduler()
-            .unwrap_or_else(|| Scheduler::auto_for(cfg.pending_hint()));
-        Self::with_scheduler(cfg, scheduler)
+        Self::with_scheduler(cfg, crate::validate::env_scheduler().unwrap_or_default())
     }
 
-    /// Build an engine with an explicit pending-event [`Scheduler`].
+    /// Build an engine whose queue runs under the [`Scheduler`] force:
+    /// `Calendar`, the wheel from the first event, or `BinaryHeap`, the
+    /// adaptive default.
     ///
-    /// Both schedulers produce bit-identical simulations (the differential
-    /// tests in `tests/differential.rs` enforce this); the binary heap is
-    /// kept selectable as the reference for such cross-checks.
+    /// Both produce bit-identical simulations (the differential tests in
+    /// `tests/differential.rs` enforce this).
     pub fn with_scheduler(cfg: SimConfig, scheduler: Scheduler) -> Result<Self, ConfigError> {
         cfg.validate()?;
         Ok(Engine {
@@ -915,13 +815,6 @@ impl Engine {
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.core.now
-    }
-
-    /// Which pending-event scheduler this engine is running on (the adaptive
-    /// choice of [`Engine::new`], or whatever [`Engine::with_scheduler`]
-    /// pinned).
-    pub fn scheduler(&self) -> Scheduler {
-        self.core.queue.kind()
     }
 
     /// Events processed so far.
@@ -1224,50 +1117,6 @@ mod tests {
         assert!(report.aggregate.total_cycles > 100);
         // R >= 2St + 2So even with no work.
         assert!(report.aggregate.mean_r >= 2.0 * 10.0 + 2.0 * 50.0 - 1e-9);
-    }
-
-    /// `Engine::new` resolves the scheduler adaptively from `P × fanout`
-    /// (unless `LOPC_TEST_SCHEDULER` overrides it, which plain `cargo test`
-    /// does not set).
-    #[test]
-    fn engine_new_picks_scheduler_adaptively() {
-        if crate::validate::env_scheduler().is_some() {
-            return; // matrix run: the override wins by design
-        }
-        let worker = ThreadSpec::worker(ServiceTime::constant(100.0));
-        let small = SimConfig {
-            p: 8,
-            net_latency: 10.0,
-            request_handler: ServiceTime::constant(50.0),
-            reply_handler: ServiceTime::constant(50.0),
-            threads: vec![worker.clone(); 8],
-            protocol_processor: false,
-            latency_dist: None,
-            stop: StopCondition::CyclesPerThread { n: 1 },
-            seed: 1,
-        };
-        assert_eq!(small.pending_hint(), 8);
-        assert_eq!(
-            Engine::new(small.clone()).unwrap().scheduler(),
-            Scheduler::BinaryHeap
-        );
-
-        let mut large = small.clone();
-        large.p = 64;
-        large.threads = vec![worker.clone(); 64];
-        assert_eq!(large.pending_hint(), 64);
-        assert_eq!(Engine::new(large).unwrap().scheduler(), Scheduler::Calendar);
-
-        // Fanout counts: 8 nodes × fanout 5 = 40 pending crosses over.
-        let mut fanned = small;
-        for t in &mut fanned.threads {
-            t.fanout = 5;
-        }
-        assert_eq!(fanned.pending_hint(), 40);
-        assert_eq!(
-            Engine::new(fanned).unwrap().scheduler(),
-            Scheduler::Calendar
-        );
     }
 
     /// Stream seeds are a pure function of `(master, stream)` — counter

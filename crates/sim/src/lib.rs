@@ -23,21 +23,22 @@
 //! Alewife machine to within ~1 %; here the simulator plays the role of the
 //! hardware (see DESIGN.md, substitutions).
 //!
-//! The pending-event set behind the loop is pluggable ([`sched`]): the
-//! engine picks adaptively between an `O(1)`-amortized calendar queue
-//! (large machines) and a binary heap (small ones, ≤ 32 pending events),
-//! with both explicitly selectable ([`Scheduler`],
-//! [`runner::run_with_scheduler`]) — every scheduler produces bit-identical
-//! runs, so the choice is purely a speed matter. Independent replications
-//! run in parallel with work stealing ([`run_replications`]), optionally
-//! under a sequential-precision stopping rule ([`run_until_precision`]),
-//! and the [`validate`] module turns replications plus a model prediction
-//! into an interval-aware pass/fail verdict. A conservative parallel engine
-//! ([`par`]) partitions the node set into logical processes that advance in
-//! rounds over one global safe window (the earliest pending or in-flight
-//! event plus the lookahead) — proven **bit-identical** to the sequential
-//! engine for every partition and worker count by a differential
-//! equivalence suite (`tests/par_differential.rs`, DESIGN.md §13).
+//! The pending-event queue behind the loop ([`sched`]) adapts to its own
+//! population: a sorted run up to 128 pending events, an `O(1)`-amortized
+//! calendar queue (Brown's wheel) above, with items moved between the two
+//! as the population crosses the bound. Tests force either mode
+//! ([`Scheduler`], [`runner::run_with_scheduler`]), and every mode produces
+//! bit-identical runs, so the queue is purely a speed matter. Independent
+//! replications run in parallel with work stealing ([`run_replications`]),
+//! optionally under a sequential-precision stopping rule
+//! ([`run_until_precision`]), and the [`validate`] module turns
+//! replications plus a model prediction into an interval-aware pass/fail
+//! verdict. A conservative parallel engine ([`par`]) partitions the node
+//! set into logical processes that advance in rounds over one global safe
+//! window (the earliest pending or in-flight event plus the lookahead) —
+//! proven **bit-identical** to the sequential engine for every partition
+//! and worker count by a differential equivalence suite
+//! (`tests/par_differential.rs`, DESIGN.md §13).
 //!
 //! # Example
 //!
@@ -85,8 +86,8 @@ pub use engine::{stream_seed, Engine};
 pub use par::{lookahead, run_par, ParOptions};
 pub use routing::DestChooser;
 pub use runner::{
-    run, run_paired, run_paired_until, run_replications, run_replications_with, run_traced,
-    run_until_precision, run_with_scheduler, MeanCi, Replications,
+    run, run_paired, run_paired_until, run_replications, run_traced, run_until_precision,
+    run_with_scheduler, MeanCi, Replications,
 };
 pub use sched::{BinaryHeapQueue, CalendarQueue, EventQueue, Keyed, Scheduler};
 pub use stats::{NodeSummary, SimReport, TimeWeighted, Welford};

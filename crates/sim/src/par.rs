@@ -3,10 +3,9 @@
 //!
 //! The node set is partitioned into contiguous blocks, one per **logical
 //! process** (LP); each LP is a private `Core` — its own pending-event
-//! queue (calendar or heap, chosen per LP by
-//! [`Scheduler::auto_for_lp`]), its own nodes, its own clock. LPs
-//! synchronize in rounds over one global safe window (Nicol's YAWNS
-//! protocol):
+//! queue (which adapts to that LP's own population), its own nodes, its
+//! own clock. LPs synchronize in rounds over one global safe window
+//! (Nicol's YAWNS protocol):
 //!
 //! 1. **Lookahead.** Every cross-node event is a message arrival paying at
 //!    least [`lookahead`] time units `L` of wire delay (`net_latency`, or
@@ -102,10 +101,10 @@ pub struct ParOptions {
     /// block of LPs for the whole run). `0` picks the available
     /// parallelism; clamped to the LP count.
     pub threads: usize,
-    /// Pending-event scheduler for every LP queue. `None` resolves like the
-    /// sequential engine — the `LOPC_TEST_SCHEDULER` override if set, else
-    /// adaptively via [`Scheduler::auto_for_lp`] on the *per-LP* share of
-    /// the pending-event population.
+    /// The [`Scheduler`] force for every LP's queue. `None` resolves like
+    /// the sequential engine: the `LOPC_TEST_SCHEDULER` force if set, else
+    /// the default, under which each LP's queue adapts to its own
+    /// population.
     pub scheduler: Option<Scheduler>,
     /// Record the pooled per-cycle response-time trace
     /// ([`SimReport::cycle_trace`]), exactly as
@@ -161,16 +160,22 @@ pub(crate) fn run_rounds(
     }
     .min(cfg.p);
     let threads = threads_req.clamp(1, n);
-
-    if n <= 1 || la <= 0.0 {
-        let report = run_sequential(cfg, opts.scheduler, opts.trace)?;
-        return Ok((report, RoundStats::default()));
-    }
-
     let scheduler = opts
         .scheduler
         .or_else(crate::validate::env_scheduler)
-        .unwrap_or_else(|| Scheduler::auto_for_lp(cfg.pending_hint(), n));
+        .unwrap_or_default();
+
+    if n <= 1 || la <= 0.0 {
+        // The degenerate partition: the sequential engine.
+        let engine = Engine::with_scheduler(cfg.clone(), scheduler)?;
+        let engine = if opts.trace {
+            engine.with_cycle_trace()
+        } else {
+            engine
+        };
+        return Ok((engine.run_to_completion(), RoundStats::default()));
+    }
+
     let done = |m: Time| match cfg.stop {
         StopCondition::Horizon { end, .. } => m > end,
         StopCondition::CyclesPerThread { .. } => m == f64::INFINITY,
@@ -258,25 +263,6 @@ pub(crate) fn run_rounds(
             .sum(),
     };
     Ok((finalize_report(cores), stats))
-}
-
-/// The degenerate path: one LP (or zero lookahead) is just the sequential
-/// engine with the same scheduler/trace resolution.
-fn run_sequential(
-    cfg: &SimConfig,
-    scheduler: Option<Scheduler>,
-    trace: bool,
-) -> Result<SimReport, ConfigError> {
-    let engine = match scheduler {
-        Some(s) => Engine::with_scheduler(cfg.clone(), s)?,
-        None => Engine::new(cfg.clone())?,
-    };
-    let engine = if trace {
-        engine.with_cycle_trace()
-    } else {
-        engine
-    };
-    Ok(engine.run_to_completion())
 }
 
 #[cfg(test)]

@@ -40,17 +40,16 @@ fn run_single(
     Ok(engine.run_to_completion())
 }
 
-/// Run one simulation to completion with the adaptive default scheduler
-/// (see [`Engine::new`]).
+/// Run one simulation to completion (see [`Engine::new`]).
 pub fn run(cfg: &SimConfig) -> Result<SimReport, ConfigError> {
     run_single(cfg, None, false)
 }
 
-/// Run one simulation with an explicit pending-event [`Scheduler`].
+/// Run one simulation with its event queue under a [`Scheduler`] force.
 ///
-/// Every scheduler yields a bit-identical [`SimReport`] for the same
+/// Every force yields a bit-identical [`SimReport`] for the same
 /// configuration and seed; this entry point exists for differential tests
-/// and scheduler benchmarks.
+/// and queue benchmarks.
 pub fn run_with_scheduler(cfg: &SimConfig, scheduler: Scheduler) -> Result<SimReport, ConfigError> {
     run_single(cfg, Some(scheduler), false)
 }
@@ -127,14 +126,7 @@ impl Replications {
 
 /// Run replications for the index range `range` (seed `cfg.seed + i`),
 /// distributed over scoped threads through the work-stealing claim queue.
-///
-/// The scheduler selection (`None` = adaptive/env default) never affects
-/// results, only speed.
-fn run_index_range(
-    cfg: &SimConfig,
-    range: std::ops::Range<usize>,
-    scheduler: Option<Scheduler>,
-) -> Vec<SimReport> {
+fn run_index_range(cfg: &SimConfig, range: std::ops::Range<usize>) -> Vec<SimReport> {
     let count = range.len();
     let base = range.start;
     let run_one = |i: usize| {
@@ -143,7 +135,7 @@ fn run_index_range(
         // Config validated by the caller; the per-replication clone only
         // changes the seed. Routing through run_single keeps replications
         // under the LOPC_TEST_THREADS override too.
-        run_single(&c, scheduler, false).expect("validated config")
+        run_single(&c, None, false).expect("validated config")
     };
 
     let threads = lopc_solver::steal::worker_count(count);
@@ -221,28 +213,9 @@ fn run_index_range(
 /// assert!(ci.mean > 0.0 && ci.half_width >= 0.0);
 /// ```
 pub fn run_replications(cfg: &SimConfig, reps: usize) -> Result<Replications, ConfigError> {
-    run_replications_opt(cfg, reps, None)
-}
-
-/// [`run_replications`] with an explicit pending-event [`Scheduler`] — the
-/// ROADMAP's "`Scheduler` knob": identical results (schedulers are
-/// observationally equivalent), different speed.
-pub fn run_replications_with(
-    cfg: &SimConfig,
-    reps: usize,
-    scheduler: Scheduler,
-) -> Result<Replications, ConfigError> {
-    run_replications_opt(cfg, reps, Some(scheduler))
-}
-
-fn run_replications_opt(
-    cfg: &SimConfig,
-    reps: usize,
-    scheduler: Option<Scheduler>,
-) -> Result<Replications, ConfigError> {
     cfg.validate()?;
     Ok(Replications {
-        reports: run_index_range(cfg, 0..reps, scheduler),
+        reports: run_index_range(cfg, 0..reps),
     })
 }
 
@@ -268,7 +241,7 @@ pub fn run_until_precision(
     cfg.validate()?;
     let mut reports: Vec<SimReport> = Vec::with_capacity(rule.min_reps);
     let outcome = lopc_stats::run_to_precision(rule, |range| {
-        let batch = run_index_range(cfg, range, None);
+        let batch = run_index_range(cfg, range);
         let samples: Vec<f64> = batch.iter().map(&stat).collect();
         reports.extend(batch);
         samples
@@ -291,8 +264,8 @@ pub fn run_paired(
     reps: usize,
 ) -> Result<(Replications, Replications), ConfigError> {
     Ok((
-        run_replications_opt(cfg_a, reps, None)?,
-        run_replications_opt(cfg_b, reps, None)?,
+        run_replications(cfg_a, reps)?,
+        run_replications(cfg_b, reps)?,
     ))
 }
 
@@ -317,8 +290,8 @@ pub fn run_paired_until(
     let mut reports_a: Vec<SimReport> = Vec::with_capacity(rule.min_reps);
     let mut reports_b: Vec<SimReport> = Vec::with_capacity(rule.min_reps);
     let outcome = lopc_stats::run_paired_to_decision(rule, |range| {
-        let batch_a = run_index_range(cfg_a, range.clone(), None);
-        let batch_b = run_index_range(cfg_b, range, None);
+        let batch_a = run_index_range(cfg_a, range.clone());
+        let batch_b = run_index_range(cfg_b, range);
         let pairs: Vec<(f64, f64)> = batch_a
             .iter()
             .zip(&batch_b)
@@ -390,11 +363,11 @@ mod tests {
 
     #[test]
     fn scheduler_knob_changes_nothing_but_runs_both() {
-        let cal = run_replications_with(&cfg(), 3, Scheduler::Calendar).unwrap();
-        let heap = run_replications_with(&cfg(), 3, Scheduler::BinaryHeap).unwrap();
-        for (x, y) in cal.reports.iter().zip(&heap.reports) {
-            assert_eq!(x.aggregate.mean_r, y.aggregate.mean_r);
-            assert_eq!(x.events, y.events);
+        for seed in 100..103 {
+            let cfg = SimConfig { seed, ..cfg() };
+            let cal = run_with_scheduler(&cfg, Scheduler::Calendar).unwrap();
+            let heap = run_with_scheduler(&cfg, Scheduler::BinaryHeap).unwrap();
+            assert_eq!(cal, heap, "seed {seed}");
         }
     }
 

@@ -1,33 +1,34 @@
-//! Pending-event schedulers: the priority queue at the heart of the engine.
+//! The pending-event queue: the priority queue at the heart of the engine.
 //!
 //! The event loop pops the globally earliest event on every iteration, so the
-//! scheduler is the hot path at every machine size, not only on large ones:
-//! in a P = 32 replication (32–50 pending events) the sorted run below takes
-//! about a quarter off the wall time a plain binary heap needs (DESIGN.md §4).
-//! Two implementations sit behind the [`EventQueue`] trait:
+//! queue is the hot path at every machine size, not only on large ones: in a
+//! P = 32 replication (32–50 pending events) the sorted run below takes about
+//! a quarter off the wall time a plain binary heap needs (DESIGN.md §4).
+//! Every engine builds one queue, [`BinaryHeapQueue`], which adapts to its
+//! own population:
 //!
-//! * [`BinaryHeapQueue`] — for small populations: up to 64 pending items a
-//!   sorted run of `(key, item)` pairs, earliest last, so a pop is
-//!   `Vec::pop` and a push a binary search plus a short shift; past that a
-//!   `std::collections::BinaryHeap` over the same pairs, `O(log n)` per
-//!   operation. `Engine::new` picks it for small machines (see
-//!   [`Scheduler::auto_for`]).
-//! * [`CalendarQueue`] — a bucketed time wheel after Brown's calendar queue
-//!   (CACM 31(10), 1988), `O(1)` amortized per operation, for large
-//!   machines; `Scheduler::default()`. The design and resize policy are
-//!   documented in DESIGN.md §4.
+//! * up to 128 pending items, a sorted run of `(key, item)` pairs, earliest
+//!   last, so a pop is `Vec::pop` and a push a binary search plus a short
+//!   shift;
+//! * above that, [`CalendarQueue`]: a bucketed time wheel after Brown's
+//!   calendar queue (CACM 31(10), 1988), `O(1)` amortized per operation. The
+//!   design and resize policy are documented in DESIGN.md §4.
 //!
-//! Both orderings are **total and identical**: events pop in ascending
-//! `(time, seq)` order, where `seq` is a unique tie-break key (the engine
-//! packs the creating node and its per-node event counter into it). Equal-
-//! time events therefore pop in one fixed deterministic order and a
-//! simulation run is bit-reproducible regardless of the scheduler — the
-//! property the differential proptests in `tests/differential.rs` pin down.
-//! Both queues compare one integer: the time's IEEE-754 bits above `seq`.
-//! For finite, non-negative times (−0.0 folded into +0.0) that integer
-//! orders exactly like `(time, seq)`, so every push asserts the time is
-//! finite and non-negative; `tests/queue_oracle.rs` checks both queues
-//! against a plain `(f64, u64)` sort over that domain's corners.
+//! Items move between the two on the actual population, with hysteresis.
+//! Both sit behind the [`EventQueue`] trait, and [`CalendarQueue`] on its own
+//! is the queue with a run bound of 0 ([`Scheduler::Calendar`]).
+//!
+//! Every pop follows one **total** order: ascending `(time, seq)`, where
+//! `seq` is a unique tie-break key (the engine packs the creating node and
+//! its per-node event counter into it). Equal-time events therefore pop in
+//! one fixed deterministic order and a simulation run is bit-reproducible
+//! whichever part of the queue holds its events — the property the
+//! differential proptests in `tests/differential.rs` pin down. Both parts
+//! compare one integer: the time's IEEE-754 bits above `seq`. For finite,
+//! non-negative times (−0.0 folded into +0.0) that integer orders exactly
+//! like `(time, seq)`, so every push asserts the time is finite and
+//! non-negative; `tests/queue_oracle.rs` checks both queues against a plain
+//! `(f64, u64)` sort over that domain's corners.
 //!
 //! # Year aliasing
 //!
@@ -54,13 +55,13 @@
 //! pinned; median of three alternating runs), that layout took 439 ns at
 //! P = 4096 with `W` = 512, 882 ns with `W` = 1024 and 1,572 ns at P = 8192
 //! with `W` = 1024; this one takes 206, 171 and 235 ns, against 211–325
-//! and 300–490 ns for the binary heap at P = 4096 and 8192. `W` = 500,
+//! and 300–490 ns for a binary heap at P = 4096 and 8192. `W` = 500,
 //! which does not alias, read 142–228 ns before and 132–215 ns after.
 //!
 //! # Example
 //!
 //! ```
-//! use lopc_sim::sched::{CalendarQueue, EventQueue, Keyed};
+//! use lopc_sim::sched::{BinaryHeapQueue, EventQueue, Keyed};
 //!
 //! /// A minimal scheduled item: fire time plus insertion sequence.
 //! struct Timer {
@@ -76,7 +77,7 @@
 //!     }
 //! }
 //!
-//! let mut q = CalendarQueue::new();
+//! let mut q = BinaryHeapQueue::new();
 //! q.push(Timer { at: 30.0, seq: 1 });
 //! q.push(Timer { at: 10.0, seq: 2 });
 //! q.push(Timer { at: 10.0, seq: 3 }); // same time: FIFO by seq
@@ -89,61 +90,38 @@ use std::collections::BinaryHeap;
 
 use crate::config::Time;
 
-/// Scheduler selection for an [`Engine`](crate::Engine).
+/// The event queue's mode, forced for the tests and the CI matrix
+/// ([`crate::runner::run_with_scheduler`], `LOPC_TEST_SCHEDULER`).
 ///
-/// `Scheduler::default()` is the calendar queue; `Engine::new` however picks
-/// *adaptively* via [`Scheduler::auto_for`] because the heap queue's sorted
-/// run wins outright on small machines (1.5–2.0× end to end at `P = 32`,
-/// see [`ADAPTIVE_HEAP_MAX_PENDING`]). Both remain explicitly selectable so
-/// differential tests (and sceptical users) can cross-check that both
-/// produce identical simulations — see
-/// [`crate::runner::run_with_scheduler`].
+/// Every engine builds [`BinaryHeapQueue`]: `BinaryHeap`, the default,
+/// keeps its run bound, and `Calendar` sets it to 0, the wheel
+/// ([`CalendarQueue`]) from the first event. Neither changes a report
+/// (`tests/differential.rs`). The names stay because the perfbench harness
+/// matches on them; the next benchmark change renames them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scheduler {
-    /// Bucketed calendar queue, `O(1)` amortized (the default).
-    #[default]
+    /// The wheel from the first event: a run bound of 0.
     Calendar,
-    /// [`BinaryHeapQueue`]: a sorted run up to 64 pending events, a binary
-    /// heap (`O(log n)`) beyond — the engine's choice for small machines,
-    /// and the calendar queue's reference in the differential tests.
+    /// The adaptive queue with its default run bound: what every engine
+    /// builds unless forced.
+    #[default]
     BinaryHeap,
 }
 
-/// Largest steady-state pending-event population at which the heap queue
-/// is kept. `sim_perf`'s end-to-end runs (DESIGN.md §4; three runs of
-/// best-of-ten on a 2-vCPU Xeon VM) read the heap queue's speed-up over the
-/// calendar queue as 1.5–2.0× at `P = 32` (32 pending events, all in its
-/// sorted run), 0.94–1.39× at `P = 64` (the population peaks at 66, so the
-/// run turns into a heap), 0.84–1.19× at `P = 256` (512 pending) and
-/// 0.58–0.82× at `P = 1024` (4,096 pending).
-pub const ADAPTIVE_HEAP_MAX_PENDING: usize = 32;
-
 impl Scheduler {
-    /// Adaptive choice from an estimate of the steady-state pending-event
-    /// population (for the engine: `P × fanout`, see
-    /// [`SimConfig::pending_hint`](crate::config::SimConfig::pending_hint)).
-    ///
-    /// At or below [`ADAPTIVE_HEAP_MAX_PENDING`] pending events the heap
-    /// queue's sorted run beats the wheel's bucket scanning; above it the
-    /// calendar queue's `O(1)` amortized operations catch up and then win.
-    /// The choice never affects results — schedulers are observationally
-    /// equivalent — only speed.
-    pub fn auto_for(pending_hint: usize) -> Scheduler {
-        if pending_hint <= ADAPTIVE_HEAP_MAX_PENDING {
-            Scheduler::BinaryHeap
-        } else {
-            Scheduler::Calendar
-        }
+    /// [`Scheduler::BinaryHeap`], the queue the engine builds, for every
+    /// population: the queue adapts to its actual one. Kept for the
+    /// perfbench harness; the next benchmark change deletes it.
+    pub fn auto_for(_pending_hint: usize) -> Scheduler {
+        Scheduler::BinaryHeap
     }
 
-    /// Adaptive choice for one of `n_lps` logical processes sharing the
-    /// machine-wide pending population: each per-LP queue holds roughly
-    /// `pending_hint / n_lps` events, so the crossover is evaluated on that
-    /// share (rounded up — an over-estimate can only pick the calendar
-    /// queue earlier, which degrades gracefully). `n_lps <= 1` is exactly
-    /// [`Scheduler::auto_for`].
-    pub fn auto_for_lp(pending_hint: usize, n_lps: usize) -> Scheduler {
-        Scheduler::auto_for(pending_hint.div_ceil(n_lps.max(1)))
+    /// An empty queue under this force.
+    pub(crate) fn queue<T: Keyed>(self) -> BinaryHeapQueue<T> {
+        BinaryHeapQueue::with_run_max(match self {
+            Scheduler::Calendar => 0,
+            Scheduler::BinaryHeap => RUN_MAX,
+        })
     }
 }
 
@@ -233,79 +211,91 @@ impl<T> Ord for Entry<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Sorted run / binary heap
+// The adaptive queue: a sorted run, the wheel above it
 // ---------------------------------------------------------------------------
 
-/// Largest population [`BinaryHeapQueue`] keeps as a sorted run; the push
-/// past it turns the run into a binary heap.
-const RUN_MAX: usize = 64;
+/// Largest population [`BinaryHeapQueue::new`] keeps as a sorted run.
+const RUN_MAX: usize = 128;
 
-/// The small-population scheduler: a sorted run of `(key, item)` pairs that
-/// becomes a binary heap over the same pairs past 64 (`RUN_MAX`) items.
+/// The simulator's event queue: a sorted run of `(key, item)` pairs while
+/// the population is small, Brown's wheel ([`CalendarQueue`]) while it is
+/// large.
 ///
-/// Up to `RUN_MAX` pending items the pairs sit in one `Vec` sorted
-/// descending by key, the earliest last: a pop is `Vec::pop`, and a push is
-/// a binary search plus a shift of the later-firing pairs in front of it.
-/// The push that would make the run longer than `RUN_MAX` reverses it into
-/// ascending order — already a valid heap — and from then on the pairs live
-/// in a `std::collections::BinaryHeap`, `O(log n)` per operation, until pops
-/// drain it to `RUN_MAX / 2` items and it is sorted back into a run. The
-/// hysteresis bounds the conversions to one per `RUN_MAX / 2` operations.
-/// Either way every comparison is one `u128` compare of the packed key
-/// ([`Keyed`] time bits over `seq`), computed once per push.
-#[derive(Default)]
+/// Up to the run bound (128 items, `RUN_MAX`) the pairs sit in one `Vec`
+/// sorted descending by key, the earliest last: a pop is `Vec::pop`, and a
+/// push is a binary search plus a shift of the later-firing pairs in front
+/// of it, each compare one `u128` of the packed key. The push past the
+/// bound loads the run into the wheel, which holds every item until pops
+/// drain it to half the bound and they are sorted back into a run, so the
+/// queue converts at most once per half-bound operations. A bound of 0
+/// ([`Scheduler::Calendar`]) is [`CalendarQueue`] alone. The name stays
+/// because the perfbench harness compiles against it; the next benchmark
+/// change renames it.
 pub struct BinaryHeapQueue<T> {
-    /// The pending pairs, descending by key, while there are at most
-    /// `RUN_MAX`; empty while `heap` holds them.
+    /// The pending pairs, descending by key, while the wheel is empty.
     run: Vec<Entry<T>>,
-    /// The pending pairs once the population has passed `RUN_MAX`; empty
-    /// otherwise.
-    heap: BinaryHeap<Entry<T>>,
+    /// Every pending item from the push past `run_max` until pops drain it
+    /// to `run_max / 2`; empty otherwise.
+    wheel: CalendarQueue<T>,
+    /// Largest population kept as a run.
+    run_max: usize,
+}
+
+impl<T: Keyed> Default for BinaryHeapQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T: Keyed> BinaryHeapQueue<T> {
-    /// New empty queue.
+    /// New empty queue with the default run bound.
     pub fn new() -> Self {
+        Self::with_run_max(RUN_MAX)
+    }
+
+    /// New empty queue that keeps at most `run_max` items as a run.
+    pub(crate) fn with_run_max(run_max: usize) -> Self {
         BinaryHeapQueue {
             run: Vec::new(),
-            heap: BinaryHeap::new(),
+            wheel: CalendarQueue::new(),
+            run_max,
         }
     }
 }
 
 impl<T: Keyed> EventQueue<T> for BinaryHeapQueue<T> {
     fn push(&mut self, item: T) {
-        check_time(item.time());
-        let e = Entry::new(item);
-        if !self.heap.is_empty() {
-            self.heap.push(e);
-        } else if self.run.len() < RUN_MAX {
+        if self.wheel.is_empty() && self.run.len() < self.run_max {
+            check_time(item.time());
+            let e = Entry::new(item);
             let pos = self.run.partition_point(|x| x.key > e.key);
             self.run.insert(pos, e);
-        } else {
-            // Ascending keys already satisfy the (reversed) heap order.
-            self.run.reverse();
-            self.heap = BinaryHeap::from(std::mem::take(&mut self.run));
-            self.heap.push(e);
+            return;
         }
+        if !self.run.is_empty() {
+            // The push past the bound: the run, ascending, fills the wheel.
+            let items = self.run.drain(..).rev().map(|e| e.item).collect();
+            self.wheel.rebuild(items, 0.0);
+        }
+        self.wheel.push(item);
     }
 
     #[inline]
     fn pop(&mut self) -> Option<T> {
-        if self.heap.is_empty() {
+        if self.wheel.is_empty() {
             return self.run.pop().map(|e| e.item);
         }
-        let e = self.heap.pop();
-        if self.heap.len() <= RUN_MAX / 2 {
-            let mut run = std::mem::take(&mut self.heap).into_vec();
-            run.sort_unstable_by_key(|e| Reverse(e.key));
-            self.run = run;
+        let item = self.wheel.pop();
+        if self.wheel.len() <= self.run_max / 2 && !self.wheel.is_empty() {
+            // Drained to half the bound: a run again, descending.
+            let items = self.wheel.drain_sorted();
+            self.run.extend(items.into_iter().rev().map(Entry::new));
         }
-        e.map(|e| e.item)
+        item
     }
 
     fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.run.len() + self.wheel.len()
     }
 }
 
@@ -815,17 +805,33 @@ mod tests {
             .collect()
     }
 
+    /// The reference for the wheel: a sorted run of any length, which
+    /// shares no code with [`CalendarQueue`].
+    fn run_only() -> BinaryHeapQueue<Item> {
+        BinaryHeapQueue::with_run_max(usize::MAX)
+    }
+
+    /// Whether `q` holds its items as a run (else in the wheel).
+    fn in_run(q: &BinaryHeapQueue<Item>) -> bool {
+        q.wheel.is_empty()
+    }
+
+    /// The run alone, the wheel alone and the adaptive queue pop `items`
+    /// alike, in ascending key order.
     fn both_agree(items: Vec<Item>) {
-        let mut heap = BinaryHeapQueue::new();
+        let mut run = run_only();
         let mut cal = CalendarQueue::new();
+        let mut adaptive = BinaryHeapQueue::new();
         for &i in &items {
-            heap.push(i);
+            run.push(i);
             cal.push(i);
-            assert_eq!(heap.len(), cal.len());
+            adaptive.push(i);
+            assert_eq!(run.len(), cal.len());
+            assert_eq!(run.len(), adaptive.len());
         }
-        let a = drain(&mut heap);
-        let b = drain(&mut cal);
-        assert_eq!(a, b);
+        let a = drain(&mut run);
+        assert_eq!(a, drain(&mut cal));
+        assert_eq!(a, drain(&mut adaptive));
         let mut sorted = a.clone();
         sorted.sort_by(|x, y| x.partial_cmp(y).unwrap());
         assert_eq!(a, sorted, "pops must come out in ascending key order");
@@ -838,6 +844,8 @@ mod tests {
         assert!(q.pop().is_none());
         let mut h: BinaryHeapQueue<Item> = BinaryHeapQueue::new();
         assert!(h.pop().is_none());
+        let mut w: BinaryHeapQueue<Item> = Scheduler::Calendar.queue();
+        assert!(w.pop().is_none());
     }
 
     #[test]
@@ -903,7 +911,7 @@ mod tests {
     fn interleaved_hold_pattern_matches_heap() {
         // The classic hold model: pop one, push one at a later time.
         let mut rng = SmallRng::seed_from_u64(9);
-        let mut heap = BinaryHeapQueue::new();
+        let mut heap = run_only();
         let mut cal = CalendarQueue::new();
         let mut seq = 0u64;
         for _ in 0..256 {
@@ -972,88 +980,90 @@ mod tests {
         assert_eq!(q.pop().unwrap().seq, 1);
     }
 
-    /// The heap queue is a run up to `RUN_MAX` items, a heap from the push
-    /// past it until pops drain it to `RUN_MAX / 2`, then a run again; pops
-    /// stay in key order across both conversions.
+    /// Within a bound B the queue is a run at B items, the wheel at B + 1,
+    /// still the wheel above B / 2 and a run again at B / 2, with pops in
+    /// key order across both conversions. Then a population hovering at B
+    /// crosses it both ways many times, converting at most once per B / 2
+    /// operations, and pops as the run alone does.
     #[test]
-    fn run_turns_into_heap_and_back() {
+    fn run_turns_into_the_wheel_and_back() {
+        const B: usize = 8;
         let mut rng = SmallRng::seed_from_u64(10);
-        let mut q = BinaryHeapQueue::new();
+        let mut q = BinaryHeapQueue::with_run_max(B);
+        let mut reference = run_only();
         let mut seq = 0u64;
-        let mut push = |q: &mut BinaryHeapQueue<Item>| {
-            q.push(Item {
+        let mut push = |q: &mut BinaryHeapQueue<Item>, reference: &mut BinaryHeapQueue<Item>| {
+            let it = Item {
                 t: (rng.random::<f64>() * 8.0).floor(),
                 seq,
-            });
+            };
             seq += 1;
+            q.push(it);
+            reference.push(it);
         };
-        for _ in 0..RUN_MAX {
-            push(&mut q);
-        }
-        assert!(q.heap.is_empty() && q.run.len() == RUN_MAX);
-        push(&mut q);
-        assert!(q.run.is_empty() && q.heap.len() == RUN_MAX + 1);
-        let mut last = (f64::NEG_INFINITY, 0u64);
-        let mut pop = |q: &mut BinaryHeapQueue<Item>| {
-            let it = q.pop().unwrap();
-            assert!((it.t, it.seq) > last, "order violated");
-            last = (it.t, it.seq);
+        let pop = |q: &mut BinaryHeapQueue<Item>, reference: &mut BinaryHeapQueue<Item>| {
+            let (a, b) = (q.pop(), reference.pop());
+            assert_eq!(a.map(|i| (i.t, i.seq)), b.map(|i| (i.t, i.seq)));
         };
-        while q.len() > RUN_MAX / 2 + 1 {
-            pop(&mut q);
+        for _ in 0..B {
+            push(&mut q, &mut reference);
         }
-        assert!(q.run.is_empty(), "still a heap above RUN_MAX / 2");
-        pop(&mut q);
-        assert!(q.heap.is_empty() && q.run.len() == RUN_MAX / 2);
+        assert!(in_run(&q) && q.run.len() == B);
+        push(&mut q, &mut reference);
+        assert!(q.run.is_empty() && q.wheel.len() == B + 1);
+        while q.len() > B / 2 + 1 {
+            pop(&mut q, &mut reference);
+            assert!(!in_run(&q), "still the wheel above B / 2");
+        }
+        pop(&mut q, &mut reference);
+        assert!(in_run(&q) && q.run.len() == B / 2);
         assert!(q.run.windows(2).all(|w| w[0].key > w[1].key));
-        while !q.is_empty() {
-            pop(&mut q);
+
+        // Hover: pushes are likelier below B and pops above it.
+        let mut walk = SmallRng::seed_from_u64(11);
+        let (mut conversions, mut was_run) = (0, true);
+        const OPS: usize = 20_000;
+        for _ in 0..OPS {
+            let p_push = if q.len() < B { 0.7 } else { 0.3 };
+            if walk.random::<f64>() < p_push {
+                push(&mut q, &mut reference);
+            } else {
+                pop(&mut q, &mut reference);
+            }
+            assert_eq!(q.len(), reference.len());
+            if in_run(&q) != was_run {
+                conversions += 1;
+                was_run = !was_run;
+            }
+            assert!(q.run.len() <= B, "a run never passes the bound");
         }
-    }
-
-    #[test]
-    fn scheduler_default_is_calendar() {
-        assert_eq!(Scheduler::default(), Scheduler::Calendar);
-    }
-
-    /// Pins the adaptive crossover policy: the heap up to (and including)
-    /// `ADAPTIVE_HEAP_MAX_PENDING` pending events, the calendar queue above.
-    #[test]
-    fn adaptive_crossover_policy() {
-        assert_eq!(ADAPTIVE_HEAP_MAX_PENDING, 32);
-        assert_eq!(Scheduler::auto_for(0), Scheduler::BinaryHeap);
-        assert_eq!(Scheduler::auto_for(1), Scheduler::BinaryHeap);
-        assert_eq!(Scheduler::auto_for(32), Scheduler::BinaryHeap);
-        assert_eq!(Scheduler::auto_for(33), Scheduler::Calendar);
-        assert_eq!(Scheduler::auto_for(1024), Scheduler::Calendar);
-    }
-
-    /// Pins the per-LP crossover: the hint each LP sees is its *share* of
-    /// the machine-wide pending population, rounded up. 64 events over 2
-    /// LPs is 32 per LP — exactly the heap's limit — while 66 over 2 is 33
-    /// and tips to the calendar queue; a lone LP degenerates to `auto_for`.
-    #[test]
-    fn adaptive_crossover_accounts_for_lp_share() {
-        assert_eq!(
-            Scheduler::auto_for_lp(64, 2),
-            Scheduler::BinaryHeap,
-            "64/2 = 32 pending per LP stays on the heap"
+        assert!(conversions >= 20, "only {conversions} conversions");
+        assert!(
+            conversions <= OPS / (B / 2) + 1,
+            "{conversions} conversions in {OPS} operations"
         );
-        assert_eq!(
-            Scheduler::auto_for_lp(66, 2),
-            Scheduler::Calendar,
-            "66/2 = 33 pending per LP crosses over"
-        );
-        // Rounding is up: 65/2 -> 33, not 32.
-        assert_eq!(Scheduler::auto_for_lp(65, 2), Scheduler::Calendar);
-        // Large machine, many LPs: the per-LP share is what matters.
-        assert_eq!(Scheduler::auto_for_lp(256, 8), Scheduler::BinaryHeap);
-        assert_eq!(Scheduler::auto_for_lp(1024, 8), Scheduler::Calendar);
-        // Degenerate cases mirror auto_for.
-        for hint in [0, 1, 32, 33, 1024] {
-            assert_eq!(Scheduler::auto_for_lp(hint, 1), Scheduler::auto_for(hint));
-            assert_eq!(Scheduler::auto_for_lp(hint, 0), Scheduler::auto_for(hint));
+        assert_eq!(drain(&mut q), drain(&mut reference));
+    }
+
+    /// A bound of 0 is the wheel from the first push: the run never holds
+    /// an item.
+    #[test]
+    fn calendar_force_is_the_wheel_from_the_first_event() {
+        let mut q: BinaryHeapQueue<Item> = Scheduler::Calendar.queue();
+        for seq in 0..100 {
+            q.push(Item {
+                t: (seq % 7) as f64,
+                seq,
+            });
+            assert!(q.run.is_empty() && q.wheel.len() == seq as usize + 1);
         }
+        let mut last = (f64::NEG_INFINITY, 0);
+        while let Some(it) = q.pop() {
+            assert!(q.run.is_empty());
+            assert!((it.t, it.seq) > last);
+            last = (it.t, it.seq);
+        }
+        assert!(Scheduler::default().queue::<Item>().run_max > 0);
     }
 
     // -----------------------------------------------------------------
@@ -1137,7 +1147,7 @@ mod tests {
     #[test]
     fn jump_width_boost_safety_valve() {
         let mut q = CalendarQueue::new();
-        let mut heap = BinaryHeapQueue::new();
+        let mut heap = run_only();
         let width0 = q.width;
         // Hold pattern that never lets the queue empty (an empty queue
         // re-anchors the position on push, which gives the next pop a free
@@ -1245,7 +1255,7 @@ mod tests {
     /// t = 512 leave the width at 1.0 on a 512-bucket wheel, so a delay of
     /// 512 is exactly one year and parks each new item in the bucket being
     /// drained. Tie order is scrambled, as the engine's creator-packed
-    /// sequence numbers are. Pops must match the heap item for item.
+    /// sequence numbers are. Pops must match the sorted run item for item.
     #[test]
     fn year_aliased_holds_match_heap() {
         const YEAR: f64 = 512.0;
@@ -1258,7 +1268,7 @@ mod tests {
             }
         };
         let mut cal = CalendarQueue::new();
-        let mut heap = BinaryHeapQueue::new();
+        let mut heap = run_only();
         for _ in 0..4096 {
             let it = next(YEAR);
             cal.push(it);
@@ -1280,13 +1290,70 @@ mod tests {
         assert_eq!(drain(&mut heap), drain(&mut cal));
     }
 
+    /// The tied start of `year_aliased_holds_match_heap` on the adaptive
+    /// queue, with a population that crosses the run bound both ways: from
+    /// `RUN_MAX` items tied at t = 512, holds that push twice grow it to
+    /// three times the bound, and holds that push every other time drain it
+    /// to a quarter, twice over. Delays are the year or 25, so the wheel
+    /// aliases while it holds the items. Pops must match the sorted run item
+    /// for item.
+    #[test]
+    fn tied_start_holds_cross_the_switch() {
+        const YEAR: f64 = 512.0;
+        let mut n = 0u64;
+        let mut next = |t: f64| {
+            n += 1;
+            Item {
+                t,
+                seq: n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            }
+        };
+        let mut q = BinaryHeapQueue::new();
+        let mut reference = run_only();
+        for _ in 0..RUN_MAX {
+            let it = next(YEAR);
+            q.push(it);
+            reference.push(it);
+        }
+        assert!(in_run(&q));
+        let (mut holds, mut was_run, mut conversions) = (0u32, true, [0; 2]);
+        let mut hold = |q: &mut BinaryHeapQueue<Item>, pushes: u32| {
+            let a = reference.pop().unwrap();
+            let b = q.pop().unwrap();
+            assert_eq!((a.t, a.seq), (b.t, b.seq), "hold {holds} diverged");
+            for k in 0..pushes {
+                let it = next(a.t + if (holds + k) % 3 == 2 { 25.0 } else { YEAR });
+                q.push(it);
+                reference.push(it);
+            }
+            holds += 1;
+            if in_run(q) != was_run {
+                was_run = !was_run;
+                conversions[was_run as usize] += 1;
+            }
+        };
+        for _ in 0..2 {
+            while q.len() < 3 * RUN_MAX {
+                hold(&mut q, 2);
+            }
+            let mut push = false;
+            while q.len() > RUN_MAX / 4 {
+                hold(&mut q, push as u32);
+                push = !push;
+            }
+        }
+        assert_eq!(conversions, [2, 2], "into the wheel, back into a run");
+        let rest = drain(&mut q);
+        assert_eq!(rest, drain(&mut reference));
+    }
+
     /// Pushes into the slot being drained, above its run's minimum, wait in
     /// `in_slot` and interleave with the run in key order; a push below the
     /// minimum (the engine's push-back) goes straight onto the run.
     #[test]
     fn pushes_into_the_slot_being_drained_match_heap() {
         let mut cal = CalendarQueue::new();
-        let mut heap = BinaryHeapQueue::new();
+        let mut heap = run_only();
         let mut seq = 0u64;
         for _ in 0..100 {
             let it = Item { t: 10.0, seq };

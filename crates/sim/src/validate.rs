@@ -18,8 +18,8 @@
 //! Because acceptance is interval-based, the suite passes for *any* base
 //! seed; CI exercises that by exporting `LOPC_TEST_SEED_OFFSET` (added to
 //! every config's seed by [`Validation::run`]) and `LOPC_TEST_SCHEDULER`
-//! (forces one pending-event scheduler suite-wide — results are unchanged
-//! by construction, so this catches scheduler-dependent regressions).
+//! (forces the event queue's mode suite-wide — results are unchanged by
+//! construction, so this catches queue-dependent regressions).
 //!
 //! # Example
 //!
@@ -57,10 +57,12 @@ use crate::sched::Scheduler;
 use crate::stats::SimReport;
 use lopc_stats::{check_match, Acceptance, MatchReport, StoppingRule, Summary};
 
-/// Scheduler forced by `LOPC_TEST_SCHEDULER` (`calendar` / `heap`), if any.
+/// Queue force from `LOPC_TEST_SCHEDULER`, if any: `calendar` for the
+/// wheel from the first event ([`Scheduler::Calendar`]), `heap` for the
+/// adaptive default ([`Scheduler::BinaryHeap`]).
 ///
 /// Read once per process; the CI matrix uses it to run the whole tier-1
-/// suite under each scheduler. An unrecognised value panics loudly rather
+/// suite under each force. An unrecognised value panics loudly rather
 /// than silently testing the wrong thing.
 pub fn env_scheduler() -> Option<Scheduler> {
     static CACHE: OnceLock<Option<Scheduler>> = OnceLock::new();

@@ -1,5 +1,7 @@
-//! Differential tests: the calendar-queue scheduler must be observationally
-//! equivalent to the binary-heap reference.
+//! Differential tests: the event queue's two forced modes — the wheel from
+//! the first event (`Scheduler::Calendar`) and the adaptive default, a
+//! sorted run that turns into the wheel above its bound
+//! (`Scheduler::BinaryHeap`) — must be observationally equivalent.
 //!
 //! Two layers, both over randomized inputs (the vendored proptest stand-in
 //! seeds each test deterministically, so failures are reproducible):
@@ -8,7 +10,7 @@
 //!    time patterns (uniform, bursty ties, exponential, far-future
 //!    outliers, tied lattice holds) must pop in the identical `(time, seq)`
 //!    order from both [`CalendarQueue`] and [`BinaryHeapQueue`].
-//! 2. **Engine level** — full simulations under both schedulers must
+//! 2. **Engine level** — full simulations under both modes must
 //!    produce bit-identical reports (event counts, mean response, makespan,
 //!    per-node cycles) for randomly drawn configurations across both stop
 //!    conditions, fork-join fanout, multi-hop forwarding, and the
@@ -208,10 +210,10 @@ proptest! {
 }
 
 /// `sim_perf`'s `sim_full` machines as `(P, fanout)`: `P × fanout` events
-/// are pending. P = 32 stays in the heap queue's sorted run, P = 64 (up to
-/// 66 pending) crosses into its heap, and P = 1024 at fanout 4 starts
-/// 4,096 tied events, the geometry where a delay equals the calendar
-/// wheel's year.
+/// are pending. P = 32 and P = 64 (up to 66 pending) stay in the adaptive
+/// queue's sorted run, P = 256 at fanout 2 runs in its wheel, and P = 1024
+/// at fanout 4 starts 4,096 tied events, the geometry where a delay equals
+/// the wheel's year.
 const SIM_FULL: &[(usize, u32)] = &[(32, 1), (64, 1), (256, 2), (1024, 4)];
 
 /// Homogeneous all-to-all machine with constant work, handlers and wires,
@@ -248,11 +250,11 @@ fn sequential(cfg: &SimConfig, scheduler: Scheduler) -> SimReport {
         .run_to_completion()
 }
 
-/// `run` (the adaptive default), the calendar queue and the heap queue
-/// produce the same whole report, every float bit for bit. The default is
-/// the heap queue up to `ADAPTIVE_HEAP_MAX_PENDING` pending events (the
-/// exponential P = 16 machine and `sim_full`'s P = 32) and the calendar
-/// queue above, so the cases exercise both of its choices.
+/// `run` (the default), the wheel from the first event and the adaptive
+/// queue produce the same whole report, every float bit for bit. The
+/// adaptive queue keeps the exponential P = 16 machine and `sim_full`'s
+/// P = 32 and 64 in its sorted run and the larger machines in its wheel,
+/// so the cases exercise both of its modes.
 #[test]
 fn default_scheduler_matches_both_explicit_schedulers() {
     let mut configs = vec![drawn_config(16, 500.0, 131.0, 1, 1, 1, false, true, 7)];

@@ -266,8 +266,7 @@ fn env_threads_routing_stays_bit_identical() {
     let via_env = lopc_sim::run_traced(&cfg).unwrap();
     let reference = sequential(
         &cfg,
-        lopc_sim::validate::env_scheduler()
-            .unwrap_or_else(|| Engine::new(cfg.clone()).unwrap().scheduler()),
+        lopc_sim::validate::env_scheduler().unwrap_or_default(),
     );
     assert_eq!(via_env, reference);
 }

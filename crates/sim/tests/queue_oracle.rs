@@ -1,12 +1,14 @@
 //! Queue order against an oracle that shares no code with the queues.
 //!
-//! Both [`BinaryHeapQueue`] and [`CalendarQueue`] order items by one packed
-//! integer key, so comparing them with each other (`differential.rs`) cannot
-//! catch a fault in that key. Here each queue is checked against a plain
-//! `Vec` sorted by the `(f64, u64)` comparison the key stands for, over the
+//! [`BinaryHeapQueue`] (a sorted run up to 128 items, Brown's wheel above)
+//! and [`CalendarQueue`] (the wheel alone) order items by one packed
+//! integer key, and above the run the first holds its items in the second,
+//! so comparing them with each other (`differential.rs`) cannot catch a
+//! fault in either. Here each queue is checked against a plain `Vec`
+//! sorted by the `(f64, u64)` comparison the key stands for, over the
 //! corners of the time domain: −0.0 next to 0.0 (equal times, so the tie
 //! goes to `seq`), subnormals, times near 1e300, dense ties, and
-//! populations that cross the heap queue's run/heap bound and come back.
+//! populations that cross the run bound into the wheel and come back.
 //! Times that are not finite and non-negative must panic on push.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -85,20 +87,26 @@ fn draw_time(pattern: usize, rng: &mut SmallRng, last: f64) -> f64 {
     }
 }
 
+/// [`BinaryHeapQueue`]'s run bound: the push past it moves the items into
+/// the wheel, and pops that drain the wheel to half of it make a run again.
+const RUN_BOUND: usize = 128;
+
 /// Run `ops` random pushes and pops on `q` and the oracle, checking every
 /// pop and the final drain. The pop probability alternates between 0.2 and
 /// 0.8 every `phase` operations, so the population climbs well past the
-/// heap queue's run bound and drains back. Returns the largest population.
+/// run bound and drains back. Returns the largest population and the round
+/// trips: how often it rose past `RUN_BOUND` and then fell to half of it.
 fn check_against_oracle<Q: EventQueue<Item>>(
     mut q: Q,
     seed: u64,
     ops: usize,
     pattern: usize,
     phase: usize,
-) -> Result<usize, TestCaseError> {
+) -> Result<(usize, usize), TestCaseError> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut oracle = Oracle::default();
     let (mut seq, mut last, mut peak) = (0u64, 0.0, 0usize);
+    let (mut round_trips, mut above) = (0, false);
     for op in 0..ops {
         let p_pop = if (op / phase).is_multiple_of(2) {
             0.2
@@ -132,6 +140,12 @@ fn check_against_oracle<Q: EventQueue<Item>>(
         }
         prop_assert_eq!(q.len(), oracle.0.len());
         peak = peak.max(q.len());
+        if q.len() > RUN_BOUND {
+            above = true;
+        } else if above && q.len() <= RUN_BOUND / 2 {
+            above = false;
+            round_trips += 1;
+        }
     }
     loop {
         let want = oracle.pop();
@@ -142,7 +156,7 @@ fn check_against_oracle<Q: EventQueue<Item>>(
         }
     }
     prop_assert!(q.is_empty());
-    Ok(peak)
+    Ok((peak, round_trips))
 }
 
 proptest! {
@@ -162,18 +176,19 @@ proptest! {
     }
 }
 
-/// Populations that cross the heap queue's run/heap bound upward and come
-/// back, on every time pattern: the alternating phases peak well above 64
-/// pending items and drain to empty.
+/// Populations that cross the run bound into the wheel and come back, on
+/// every time pattern: the alternating phases peak well above 128 pending
+/// items and drain below 64, at least twice per run.
 #[test]
 fn populations_cross_the_run_bound_and_back() {
     for pattern in 0..6 {
         for seed in 0..4 {
-            let peak = check_against_oracle(BinaryHeapQueue::new(), seed, 2400, pattern, 400)
-                .unwrap_or_else(|e| panic!("{e:?}"));
+            let (peak, round_trips) =
+                check_against_oracle(BinaryHeapQueue::new(), seed, 2400, pattern, 400)
+                    .unwrap_or_else(|e| panic!("{e:?}"));
             assert!(
-                peak > 100,
-                "pattern {pattern}: peak {peak} never left the run"
+                peak > 200 && round_trips >= 2,
+                "pattern {pattern}: peak {peak}, {round_trips} round trips through the wheel"
             );
             check_against_oracle(CalendarQueue::new(), seed, 2400, pattern, 400)
                 .unwrap_or_else(|e| panic!("{e:?}"));
