@@ -1,25 +1,21 @@
-//! The sharded solution cache: repeated (and near-identical) scenario
-//! queries skip the AMVA fixed-point solve.
+//! The sharded solution cache: a repeated scenario query skips the AMVA
+//! fixed-point solve.
 //!
 //! Parameter sweeps and dashboard traffic ask for the same handful of
 //! scenarios over and over, and the general-model solve is five orders of
-//! magnitude more expensive than a hash lookup. The cache maps a
-//! **quantized key** of the scenario to its solved [`Prediction`]:
+//! magnitude more expensive than a hash lookup. The cache maps the **exact
+//! key** of a scenario to its solved [`Prediction`]:
 //!
-//! * **Quantization** — every `f64` parameter is rounded to
-//!   [`SIG_DIGITS`] significant decimal digits before keying, so queries
-//!   that differ only by float noise (`W = 1000.0` vs `W = 1000.0000001`,
-//!   as produced by sweep generators) land in the same bucket. The *stored*
-//!   prediction is always the exact solve of the **first** scenario seen in
-//!   the bucket; a later near-identical query returns that stored answer,
-//!   differing from its own exact solve by at most the model's sensitivity
-//!   across one quantization step (~1e-6 relative). Exact repeats are
-//!   returned bit-identically.
+//! * **Exact keys** — a [`CacheKey`] holds the variant tag and every
+//!   parameter's bit pattern, so an entry only ever answers the scenario it
+//!   was solved for, and every answer is bit-identical to
+//!   [`lopc_core::scenario::solve`] of its own request, whatever arrived
+//!   first. A float-noise neighbour (`W = 1000.0000001` after `W = 1000.0`)
+//!   is a miss with its own solve.
 //! * **One key, one hash** — a [`CacheKey`] is built once per lane and
 //!   carries its own 64-bit hash (`table` module). A closed-form key
 //!   lives inline (no allocation); only a `General` key, with its `P + P²`
-//!   parameter words, is boxed. The lane's key goes from the probe straight
-//!   into the miss solve's insert.
+//!   parameter words, is boxed.
 //! * **Sharding** — the key hash picks one of `shards` independently locked
 //!   shards, so concurrent workers rarely contend on the same mutex.
 //! * **LRU** — each shard is a hand-rolled intrusive doubly-linked list
@@ -38,43 +34,15 @@ use std::sync::Mutex;
 use crate::table::{SlotIndex, Vacancy, WordHash};
 use lopc_core::{ModelError, Prediction, Scenario};
 
-/// Significant decimal digits kept by the cache-key quantizer.
-pub const SIG_DIGITS: i32 = 6;
-
-/// Round to [`SIG_DIGITS`] significant digits (0, NaN and infinities pass
-/// through; the key uses the result's bit pattern).
-pub fn quantize(x: f64) -> f64 {
-    // Integers below 10^SIG_DIGITS already have at most SIG_DIGITS digits
-    // and come back unchanged from the rounding below (bit for bit:
-    // `integers_below_a_million_quantize_to_themselves`); machine
-    // parameters are usually such integers.
-    let abs = x.abs();
-    if abs < 1e6 && (abs as u64) as f64 == abs {
-        return x;
-    }
-    if !x.is_finite() {
-        return x;
-    }
-    let mag = abs.log10().floor() as i32;
-    let scale = 10f64.powi(SIG_DIGITS - 1 - mag);
-    // At extreme magnitudes (|x| below ~1e-304) the scale itself overflows;
-    // key such values unquantized rather than collapsing them into one
-    // NaN bucket.
-    if !scale.is_finite() || scale == 0.0 {
-        return x;
-    }
-    (x * scale).round() / scale
-}
-
 /// Words in the longest closed-form key: variant tag, the four machine
 /// words, `W`, and `ps` or `k`.
 const INLINE_WORDS: usize = 7;
 
-/// The quantized cache key: variant tag followed by every parameter's
-/// quantized bit pattern, plus the hash of those words
-/// ([`CacheKey::hash64`]), computed once when the key is built. Two
-/// scenarios share a key iff they quantize to the same parameters.
-/// Equality compares the words; [`Hash`] feeds only the stored hash.
+/// The exact cache key: variant tag followed by every parameter's bit
+/// pattern, plus the hash of those words ([`CacheKey::hash64`]), computed
+/// once when the key is built. Two scenarios share a key iff they are the
+/// same scenario, bit for bit. Equality compares the words; [`Hash`] feeds
+/// only the stored hash.
 #[derive(Clone, Debug)]
 pub struct CacheKey {
     hash: u64,
@@ -103,39 +71,35 @@ impl Hash for CacheKey {
     }
 }
 
-/// Feed every word of a scenario's quantized key — variant tag, machine
+/// Feed every word of a scenario's key — variant tag, machine
 /// parameters, then the variant's own parameters — to `emit`, in the
 /// order [`CacheKey::of`] stores them. The single source of truth for the
 /// key layout: materialising a key and the allocation-free routing hash
 /// ([`CacheKey::hash_of`]) both walk through here, so they can never
 /// disagree.
 fn key_words(scenario: &Scenario, mut emit: impl FnMut(u64)) {
-    /// Quantized bit pattern of one parameter.
-    fn q(x: f64) -> u64 {
-        quantize(x).to_bits()
-    }
     fn machine_words(emit: &mut impl FnMut(u64), m: &lopc_core::Machine) {
         emit(m.p as u64);
-        emit(q(m.s_l));
-        emit(q(m.s_o));
-        emit(q(m.c2));
+        emit(m.s_l.to_bits());
+        emit(m.s_o.to_bits());
+        emit(m.c2.to_bits());
     }
     match scenario {
         Scenario::AllToAll { machine, w } => {
             emit(0);
             machine_words(&mut emit, machine);
-            emit(q(*w));
+            emit(w.to_bits());
         }
         Scenario::ClientServer { machine, w, ps } => {
             emit(1);
             machine_words(&mut emit, machine);
-            emit(q(*w));
+            emit(w.to_bits());
             emit(ps.map_or(u64::MAX, |ps| ps as u64));
         }
         Scenario::ForkJoin { machine, w, k } => {
             emit(2);
             machine_words(&mut emit, machine);
-            emit(q(*w));
+            emit(w.to_bits());
             emit(*k as u64);
         }
         Scenario::General(model) => {
@@ -145,19 +109,19 @@ fn key_words(scenario: &Scenario, mut emit: impl FnMut(u64)) {
             for w in &model.w {
                 match w {
                     None => emit(u64::MAX),
-                    Some(w) => emit(q(*w)),
+                    Some(w) => emit(w.to_bits()),
                 }
             }
             for row in &model.v {
                 for &x in row {
-                    emit(q(x));
+                    emit(x.to_bits());
                 }
             }
         }
         Scenario::SharedMemory { machine, w } => {
             emit(4);
             machine_words(&mut emit, machine);
-            emit(q(*w));
+            emit(w.to_bits());
         }
     }
 }
@@ -191,13 +155,12 @@ impl CacheKey {
         }
     }
 
-    /// The key's 64-bit hash (`table::WordHash` over the key
-    /// words). It picks the local shard and slot; the cluster tier uses
-    /// the same value as the **routing hash** — every node and every
-    /// client must agree on where a quantized key lives on the
-    /// consistent-hash ring, so this function is part of the cluster
-    /// contract, and routers and nodes must run the same build
-    /// (DESIGN.md §15).
+    /// The key's 64-bit hash (`table::WordHash` over the key words). It
+    /// picks the local shard and slot; the cluster tier uses the same
+    /// value as the **routing hash** — every node and every client must
+    /// agree on where a key lives on the consistent-hash ring, so this
+    /// function is part of the cluster contract, and routers and nodes
+    /// must run the same build (DESIGN.md §15).
     pub fn hash64(&self) -> u64 {
         self.hash
     }
@@ -351,18 +314,14 @@ impl SolutionCache {
         &self.shards[(key.hash % self.shards.len() as u64) as usize]
     }
 
-    /// Probe the cache for the scenario's quantized key *without* solving
-    /// on a miss. A hit counts toward the hit counter (it served an
-    /// answer); a miss counts nothing — no solve was performed.
+    /// Probe the cache for the scenario's key *without* solving on a miss.
+    /// A hit counts toward the hit counter (it served an answer); a miss
+    /// counts nothing — no solve was performed.
     pub fn lookup(&self, scenario: &Scenario) -> Option<Prediction> {
         self.probe(&CacheKey::of(scenario))
     }
 
-    /// [`SolutionCache::lookup`] for a key already built. The
-    /// interpolation layer probes with each lane's key first: when the
-    /// exact answer is already resident there is never a reason to
-    /// interpolate.
-    pub(crate) fn probe(&self, key: &CacheKey) -> Option<Prediction> {
+    fn probe(&self, key: &CacheKey) -> Option<Prediction> {
         let hit = self
             .shard_for(key)
             .lock()
@@ -374,17 +333,14 @@ impl SolutionCache {
         hit
     }
 
-    /// Answer one lane whose key is `key`: a resident answer is a hit;
-    /// otherwise [`lopc_core::scenario::solve`] runs *outside* every shard
-    /// lock (concurrent misses do not serialize on the fixed-point
-    /// iteration; a lost race costs one redundant solve, never a wrong
-    /// answer), and a success is inserted under `key` and counted as one
+    /// The cache's one solve entry, for one lane under its exact key: a
+    /// resident answer is a hit; otherwise [`lopc_core::scenario::solve`]
+    /// runs *outside* every shard lock (concurrent misses do not serialize
+    /// on the fixed-point iteration; a lost race costs one redundant solve,
+    /// never a wrong answer), and a success is inserted and counted as one
     /// miss. Errors are returned, never cached, and count neither way.
-    pub(crate) fn solve_keyed(
-        &self,
-        scenario: &Scenario,
-        key: CacheKey,
-    ) -> Result<Prediction, ModelError> {
+    pub(crate) fn solve_keyed(&self, scenario: &Scenario) -> Result<Prediction, ModelError> {
+        let key = CacheKey::of(scenario);
         if let Some(p) = self.probe(&key) {
             return Ok(p);
         }
@@ -399,15 +355,11 @@ impl SolutionCache {
         result
     }
 
-    /// The cache's one solve entry (a single request is a one-lane batch):
-    /// each lane in order through `SolutionCache::solve_keyed`. A lane
+    /// Each lane in order through `SolutionCache::solve_keyed`. A lane
     /// whose key an earlier lane solved is a hit, so a batch's counters
     /// and answers are those of its lanes sent one at a time.
     pub fn solve_batch(&self, scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>> {
-        scenarios
-            .iter()
-            .map(|s| self.solve_keyed(s, CacheKey::of(s)))
-            .collect()
+        scenarios.iter().map(|s| self.solve_keyed(s)).collect()
     }
 
     /// Cache hits so far.
@@ -466,56 +418,6 @@ mod tests {
             .solve_batch(std::slice::from_ref(s))
             .pop()
             .expect("one lane")
-    }
-
-    #[test]
-    fn quantize_keeps_six_significant_digits() {
-        assert_eq!(quantize(1000.0), 1000.0);
-        assert_eq!(quantize(1000.0000001), 1000.0);
-        assert_eq!(quantize(123.456789), 123.457);
-        assert_eq!(quantize(0.0001234567), 0.000123457);
-        assert_eq!(quantize(-1000.0000001), -1000.0);
-        assert_eq!(quantize(0.0), 0.0);
-        assert!(quantize(f64::NAN).is_nan());
-        // Extreme magnitudes where the scale factor would overflow pass
-        // through unquantized instead of collapsing into one NaN bucket.
-        assert_eq!(quantize(1e-310), 1e-310);
-        assert_eq!(quantize(5e-324), 5e-324);
-        assert_ne!(
-            quantize(1e-305).to_bits(),
-            quantize(9e-310).to_bits(),
-            "distinct subnormal-range values must keep distinct keys"
-        );
-    }
-
-    /// The quantizer as it reads without its integer shortcut.
-    fn quantize_by_rounding(x: f64) -> f64 {
-        if x == 0.0 || !x.is_finite() {
-            return x;
-        }
-        let mag = x.abs().log10().floor() as i32;
-        let scale = 10f64.powi(SIG_DIGITS - 1 - mag);
-        if !scale.is_finite() || scale == 0.0 {
-            return x;
-        }
-        (x * scale).round() / scale
-    }
-
-    #[test]
-    fn integers_below_a_million_quantize_to_themselves() {
-        for i in 0..1_000_000u32 {
-            for x in [f64::from(i), -f64::from(i)] {
-                assert_eq!(quantize_by_rounding(x).to_bits(), x.to_bits(), "{x}");
-                assert_eq!(quantize(x).to_bits(), x.to_bits(), "{x}");
-            }
-        }
-        for x in [1e6, 1234567.0, 999_999.5, 0.5, -0.0, 1e-310, 123.456789] {
-            assert_eq!(
-                quantize(x).to_bits(),
-                quantize_by_rounding(x).to_bits(),
-                "{x}"
-            );
-        }
     }
 
     #[test]
@@ -650,13 +552,21 @@ mod tests {
         );
     }
 
+    /// The key is the parameters' exact bits: a float-noise neighbour is
+    /// a miss with its own solve, in either order.
     #[test]
-    fn near_identical_query_hits_same_bucket() {
-        let cache = SolutionCache::new(4, 16);
-        let exact = solve_one(&cache, &a2a(1000.0)).unwrap();
-        let near = solve_one(&cache, &a2a(1000.0000001)).unwrap();
-        assert_eq!(cache.hits(), 1, "float-noise query must not re-solve");
-        assert_eq!(near.r.to_bits(), exact.r.to_bits());
+    fn float_noise_neighbour_is_a_miss_with_its_own_bits() {
+        let (base, near) = (a2a(1000.0), a2a(1000.0000001));
+        let own = |s: &Scenario| lopc_core::scenario::solve(s).unwrap().r.to_bits();
+        assert_ne!(own(&base), own(&near), "the neighbours' answers differ");
+        for order in [[&base, &near], [&near, &base]] {
+            let cache = SolutionCache::new(4, 16);
+            for s in order {
+                assert_eq!(solve_one(&cache, s).unwrap().r.to_bits(), own(s));
+            }
+            assert_eq!(cache.misses(), 2, "a float-noise neighbour is its own key");
+            assert_eq!(cache.hits(), 0);
+        }
     }
 
     #[test]
@@ -833,42 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn quantization_boundary_keys_do_not_alias() {
-        // quantize() keeps 6 significant digits with round-half-away:
-        // 1000.005 -> 1000.01 but 1000.0049 -> 1000.0. Keys just above and
-        // below the bucket edge must stay distinct...
-        assert_ne!(
-            CacheKey::of(&a2a(1000.005)),
-            CacheKey::of(&a2a(1000.0049)),
-            "bucket-edge neighbours must not alias"
-        );
-        assert_eq!(quantize(1000.005), 1000.01);
-        assert_eq!(quantize(1000.0049), 1000.0);
-        // ...while float noise below the last kept digit aliases by design.
-        assert_eq!(
-            CacheKey::of(&a2a(1000.0049)),
-            CacheKey::of(&a2a(1000.00494))
-        );
-        assert_eq!(CacheKey::of(&a2a(1000.0)), CacheKey::of(&a2a(1000.0000001)));
-
-        // The same holds end to end through the cache: edge neighbours get
-        // their own exact solves.
-        let cache = SolutionCache::new(2, 16);
-        solve_one(&cache, &a2a(1000.005)).unwrap();
-        solve_one(&cache, &a2a(1000.0049)).unwrap();
-        assert_eq!(cache.misses(), 2, "distinct buckets, two solves");
-        assert_eq!(cache.hits(), 0);
-        solve_one(&cache, &a2a(1000.00494)).unwrap();
-        assert_eq!(cache.hits(), 1, "same bucket, no third solve");
-
-        // Negative mirror of the boundary behaves identically.
-        assert_ne!(
-            CacheKey::of(&a2a(-1000.005)).words,
-            CacheKey::of(&a2a(-1000.0049)).words
-        );
-    }
-
-    #[test]
     fn lookup_probes_without_solving() {
         let cache = SolutionCache::new(2, 8);
         assert!(cache.lookup(&a2a(123.0)).is_none());
@@ -909,7 +783,7 @@ mod tests {
             a2a(100.0),
             a2a(500.0),
             a2a(100.0),       // duplicate of lane 0: fan-out hit
-            a2a(100.0000001), // quantizes onto lane 0's key too
+            a2a(100.0000001), // a float-noise neighbour: its own key
             a2a(900.0),
         ];
         let batched_cache = SolutionCache::new(4, 16);
@@ -921,12 +795,12 @@ mod tests {
         }
         assert_eq!(batched_cache.misses(), scalar_cache.misses());
         assert_eq!(batched_cache.hits(), scalar_cache.hits());
-        assert_eq!(batched_cache.misses(), 3, "three unique keys");
-        assert_eq!(batched_cache.hits(), 2, "two duplicate lanes fan out");
+        assert_eq!(batched_cache.misses(), 4, "four unique keys");
+        assert_eq!(batched_cache.hits(), 1, "one duplicate lane fans out");
         // A second identical batch is all hits.
         batched_cache.solve_batch(&lanes);
-        assert_eq!(batched_cache.misses(), 3);
-        assert_eq!(batched_cache.hits(), 7);
+        assert_eq!(batched_cache.misses(), 4);
+        assert_eq!(batched_cache.hits(), 6);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   interpolation cell routes by that cell's key
 //!   ([`serving_cell_hash`]), so every lane of a sweep that lands in one
 //!   cell meets the one node holding it; anything else routes by the
-//!   hash of its *quantized* cache key ([`scenario_hash`]). Either way
+//!   hash of its exact cache key ([`scenario_hash`]). Either way
 //!   the same request lands on the same node from any client — cache
 //!   locality without coordination — as long as clients and nodes run
 //!   the same build: the hash is the keys' own, not a published function.
@@ -181,11 +181,12 @@ impl HashRing {
     }
 }
 
-/// The routing hash of one scenario: [`CacheKey::hash64`] of its
-/// quantized cache key, computed without building the key. The same value
-/// picks the node's shard and slot. Shared by servers and clients — both
-/// sides must agree where a scenario lives, so they must run the same
-/// build.
+/// The routing hash of one scenario: [`CacheKey::hash64`] of its exact
+/// cache key, computed without building the key. The same value picks the
+/// node's shard and slot. Float-noise neighbours are distinct keys and may
+/// live on different nodes; each gets its own solve wherever it lands.
+/// Shared by servers and clients — both sides must agree where a scenario
+/// lives, so they must run the same build.
 pub fn scenario_hash(scenario: &Scenario) -> u64 {
     CacheKey::hash_of(scenario)
 }
@@ -803,15 +804,16 @@ mod tests {
     }
 
     #[test]
-    fn scenario_hash_matches_per_quantized_key() {
+    fn scenario_hash_is_the_exact_key_hash() {
         use lopc_core::Machine;
         let s = |w: f64| Scenario::AllToAll {
             machine: Machine::new(32, 25.0, 200.0).with_c2(0.0),
             w,
         };
-        // Quantization (6 significant digits) collapses float noise into
-        // one routing hash; distinct scenarios route independently.
-        assert_eq!(scenario_hash(&s(1000.0)), scenario_hash(&s(1000.0000001)));
+        // The exact key's hash: float noise and distinct scenarios route
+        // independently.
+        assert_eq!(scenario_hash(&s(1000.0)), CacheKey::of(&s(1000.0)).hash64());
+        assert_ne!(scenario_hash(&s(1000.0)), scenario_hash(&s(1000.0000001)));
         assert_ne!(scenario_hash(&s(1000.0)), scenario_hash(&s(1001.0)));
     }
 

@@ -3,13 +3,13 @@
 //!
 //! The LoPC fixed-point models are smooth in `W`, `St`, `So` and `C²`, and
 //! the dominant query shape — the sweeps behind every figure of the paper —
-//! asks for thousands of *near-identical* scenarios. The exact-bucket cache
-//! only collapses float noise; each genuinely distinct sweep point still
-//! pays a full solve. This module adds the missing layer: a **cell index**
-//! over the [`AxisKind`] reference grid,
-//! answering in-cell queries by multilinear interpolation between the
-//! cell's exactly solved corners — but *only* when the cell carries an
-//! error certificate at least as tight as the caller's tolerance.
+//! asks for thousands of *near-identical* scenarios. The exact cache answers
+//! only repeats; each distinct sweep point still pays a full solve. This
+//! module adds the missing layer: a **cell index** over the [`AxisKind`]
+//! reference grid, answering in-cell queries by multilinear interpolation
+//! between the cell's exactly solved corners — but *only* when the cell
+//! carries an error certificate at least as tight as the caller's
+//! tolerance.
 //!
 //! # Cell lifecycle
 //!
@@ -30,10 +30,18 @@
 //!    `calibration_sweep_certificates_are_sound` (`tests/interp_props.rs`),
 //!    which sweeps all four closed-form variants and checks the
 //!    certificate dominates the true worst-case in-cell residual.
-//! 3. Later queries in the cell are answered by interpolation iff
-//!    `certificate <= max_rel_err`; otherwise they fall back to the exact
-//!    path. `max_rel_err = 0` (the default) never consults the cell index
-//!    at all and stays bit-identical to [`lopc_core::scenario::solve`].
+//! 3. Every query in the cell, the first included, is answered by
+//!    interpolation iff `certificate <= max_rel_err`; otherwise it is its
+//!    own exact solve. `max_rel_err = 0` (the default) never consults the
+//!    cell index at all and stays bit-identical to
+//!    [`lopc_core::scenario::solve`].
+//!
+//! That is the one rule for every lane, and nothing is consulted before
+//! the cell. A cell's corners and probes are each their own exact solve,
+//! so a cell is a function of its key alone, and a tolerant answer is a
+//! pure function of the request: the same bits whatever the caches hold,
+//! on any node and in any arrival order. The predicate that sends a lane
+//! to its cell is also the one [`serving_cell_hash`] asks.
 //!
 //! Cells are built only when a query lands in them — never ahead of a
 //! sweep. A single request is a one-lane batch: [`InterpCache::predict`],
@@ -50,15 +58,13 @@
 //! and holds that cell (DESIGN.md §15). Nodes never exchange cells: a node
 //! that gets a request for a cell it lacks builds the cell itself.
 //!
-//! Each lane builds one [`CacheKey`] and, when it misses the exact cache,
-//! one [`CellKey`]; both live inline and carry their hash
-//! (`table` module), which picks the shard and the slot. Snapping onto the
-//! grid reuses the thread's last bracket per axis when the coordinate
-//! repeats, as it does along a sweep. The lane's
-//! exact key goes from the probe straight into the miss solve. A cell's
-//! corners are its only allocation: builds and interpolation work on
-//! fixed-size arrays. The cell index is a FIFO ring of cells per shard,
-//! indexed by hash, that stores each key once.
+//! A lane that consults a cell builds one [`CellKey`]; an exact lane builds
+//! one `CacheKey`. Both live inline and carry their hash (`table` module),
+//! which picks the shard and the slot. Snapping onto the grid reuses the
+//! thread's last bracket per axis when the coordinate repeats, as it does
+//! along a sweep. A cell's corners are its only allocation: builds and
+//! interpolation work on fixed-size arrays. The cell index is a FIFO ring
+//! of cells per shard, indexed by hash, that stores each key once.
 //!
 //! Corner solutions are **owned by the cell**, not referenced from the
 //! LRU cache: a certificate can never outlive the data it certifies, and
@@ -71,7 +77,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::cache::{CacheKey, SolutionCache};
+use crate::cache::SolutionCache;
 use crate::table::{SlotIndex, Vacancy, WordHash};
 use lopc_core::scenario::{AxisBracket, AxisKind, AxisValue, INTERP_AXES};
 use lopc_core::{ModelError, Prediction, Scenario};
@@ -86,9 +92,8 @@ pub const SAFETY_FACTOR: f64 = 4.0;
 
 /// Lower bound on any finite certificate. The probes can observe residuals
 /// of zero (locally linear response) while the true in-cell error is merely
-/// *small*; the floor covers those higher-order leftovers plus
-/// key-quantization noise. Callers asking for tolerances below the floor
-/// always get exact solves.
+/// *small*; the floor covers those higher-order leftovers. Callers asking
+/// for tolerances below the floor always get exact solves.
 ///
 /// The floor sits at `1e-4` because the probe set captures the full
 /// quadratic error structure of multilinear interpolation: in 1-D the
@@ -229,16 +234,26 @@ fn bracket(i: usize, axis: &AxisValue) -> Option<AxisBracket> {
     })
 }
 
+/// Where `scenario` consults the cell index at `max_rel_err`: the one
+/// predicate that sends a lane to its cell. It needs a finite tolerance at
+/// or above [`CERT_FLOOR`] (no certificate beats the floor, so a tighter
+/// tolerance never pays for a build), an eligible variant and a
+/// bracketable point. The lane loop and [`serving_cell_hash`] both ask it,
+/// so a router and a node cannot disagree on which lanes consult a cell.
+fn serving_cell(scenario: &Scenario, max_rel_err: f64) -> Option<Located> {
+    if !max_rel_err.is_finite() || max_rel_err < CERT_FLOOR {
+        return None;
+    }
+    locate(scenario)
+}
+
 /// The [`CellKey::hash64`] of the cell that would answer `scenario` at
 /// `max_rel_err`, or `None` when the request never consults the cell index
 /// (exact mode, a tolerance below [`CERT_FLOOR`], an ineligible variant,
 /// or an unbracketable coordinate). The cluster router places tolerant
 /// requests by this hash, so each cell is built and held by one node.
 pub fn serving_cell_hash(scenario: &Scenario, max_rel_err: f64) -> Option<u64> {
-    if !max_rel_err.is_finite() || max_rel_err < CERT_FLOOR {
-        return None;
-    }
-    locate(scenario).map(|at| at.key.hash64())
+    serving_cell(scenario, max_rel_err).map(|at| at.key.hash64())
 }
 
 /// The non-degenerate axes of a cell, in axis order.
@@ -548,12 +563,10 @@ impl InterpCache {
         .expect("one lane")
     }
 
-    /// Batched [`InterpCache::predict`]. Each lane is answered by the
-    /// same policy — exact mode, resident-exact shortcut, certified
-    /// interpolation, exact fallback — and every lane that ends up needing
-    /// an exact solve is solved after all lanes were probed, under the key
-    /// it was probed with (a lane whose key an earlier lane solved is a
-    /// hit).
+    /// Batched [`InterpCache::predict`]: every lane by the same rule. A
+    /// lane that consults a cell is answered by its cell when the cell's
+    /// certificate is within `max_rel_err`; every other lane is its own
+    /// exact solve through the exact cache.
     pub fn predict_batch(
         &self,
         scenarios: &[Scenario],
@@ -572,47 +585,21 @@ impl InterpCache {
         max_rel_err: f64,
         wrap: impl Fn(Prediction, Served) -> T,
     ) -> Vec<Result<T, ModelError>> {
-        let exact = |r: Result<Prediction, ModelError>| r.map(|p| wrap(p, Served::Exact));
         // NaN and infinities count as "no usable tolerance": exact mode for
         // the whole batch (the contract is per-request).
-        if !max_rel_err.is_finite() || max_rel_err <= 0.0 {
-            return self
-                .cache
-                .solve_batch(scenarios)
-                .into_iter()
-                .map(exact)
-                .collect();
-        }
-        let n = scenarios.len();
-        let mut out: Vec<Option<Result<T, ModelError>>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        let mut misses: Vec<(usize, CacheKey)> = Vec::new();
-        for (i, s) in scenarios.iter().enumerate() {
-            // The exact answer may already be resident — never interpolate
-            // past a bit-identical hit.
-            let key = CacheKey::of(s);
-            if let Some(p) = self.cache.probe(&key) {
-                out[i] = Some(exact(Ok(p)));
-                continue;
-            }
-            match self.try_interpolate(s, max_rel_err) {
-                Some((p, served)) => {
-                    self.interp_hits.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(Ok(wrap(p, served)));
-                }
-                None => {
+        let tolerant = max_rel_err.is_finite() && max_rel_err > 0.0;
+        scenarios
+            .iter()
+            .map(|s| {
+                if tolerant {
+                    if let Some((p, served)) = self.try_interpolate(s, max_rel_err) {
+                        self.interp_hits.fetch_add(1, Ordering::Relaxed);
+                        return Ok(wrap(p, served));
+                    }
                     self.interp_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    misses.push((i, key));
                 }
-            }
-        }
-        // Exact solves after every lane has been probed, so a miss that a
-        // later lane's cell build solved is a hit here.
-        for (i, key) in misses {
-            out[i] = Some(exact(self.cache.solve_keyed(&scenarios[i], key)));
-        }
-        out.into_iter()
-            .map(|r| r.expect("every lane resolved"))
+                self.cache.solve_keyed(s).map(|p| wrap(p, Served::Exact))
+            })
             .collect()
     }
 
@@ -622,12 +609,7 @@ impl InterpCache {
         scenario: &Scenario,
         max_rel_err: f64,
     ) -> Option<(Prediction, Served)> {
-        // No certificate can beat the floor; don't pay for a cell build
-        // that could never serve this tolerance.
-        if max_rel_err < CERT_FLOOR {
-            return None;
-        }
-        let at = locate(scenario)?;
+        let at = serving_cell(scenario, max_rel_err)?;
         // Build outside every lock; concurrent touchers of the same cell
         // block here instead of re-solving the corners.
         let slot = self.slot_for(&at.key);
@@ -698,14 +680,13 @@ impl InterpCache {
         }
         let probe_coords = &probe_coords[..probes];
 
-        // One exact solve per lane, keyed once; the template is eligible,
-        // so every lane relocates.
+        // One exact solve per lane; the template is eligible, so every
+        // lane relocates.
         let solve = |coords: [f64; INTERP_AXES]| {
             let lane = template
                 .with_axis_values(coords)
                 .expect("eligible template");
-            let key = CacheKey::of(&lane);
-            self.cache.solve_keyed(&lane, key)
+            self.cache.solve_keyed(&lane)
         };
         let mut corners: Vec<Prediction> = Vec::with_capacity(1 << d);
         let mut corner_failed = false;
@@ -885,28 +866,39 @@ mod tests {
     fn on_grid_query_interpolates_to_the_corner_solution() {
         let c = interp_cache();
         // All four axes on-grid: the cell is a point, interpolation is the
-        // exact corner answer.
+        // exact corner answer, on first touch and on every later one.
         let q = a2a(1000.0);
-        let (p, served) = c.predict_traced(&q, 1e-2).unwrap();
         let exact = lopc_core::scenario::solve(&q).unwrap();
-        match served {
-            // First touch may interpolate (0-D cell) …
-            Served::Interpolated { .. } => assert_eq!(p.r.to_bits(), exact.r.to_bits()),
-            // … or hit the exact entry a previous build populated.
-            Served::Exact => assert_eq!(p.r.to_bits(), exact.r.to_bits()),
+        for _ in 0..2 {
+            let (p, served) = c.predict_traced(&q, 1e-2).unwrap();
+            assert!(matches!(served, Served::Interpolated { .. }));
+            assert_eq!(p.r.to_bits(), exact.r.to_bits());
         }
     }
 
+    /// A tolerant answer is its cell's, whatever the exact cache holds:
+    /// an exact entry of the same scenario does not answer it, and neither
+    /// does the centre probe the cell's own build left resident (which
+    /// once answered the cell centre's second touch with other bits than
+    /// its first).
     #[test]
-    fn exact_entries_shortcut_interpolation() {
-        let c = interp_cache();
-        let q = a2a(777.7);
-        // Exact solve first: the key is resident.
-        let exact = c.predict(&q, 0.0).unwrap();
-        let (p, served) = c.predict_traced(&q, 1e-2).unwrap();
-        assert_eq!(served, Served::Exact, "resident exact answers win");
-        assert_eq!(p.r.to_bits(), exact.r.to_bits());
-        assert_eq!(c.cells(), 0);
+    fn tolerant_answers_ignore_resident_exact_entries() {
+        let b = lopc_core::scenario::AxisKind::Work.bracket(777.7).unwrap();
+        for q in [a2a(777.7), a2a(0.5 * (b.lo + b.hi))] {
+            let fresh = interp_cache().predict_traced(&q, 1e-2).unwrap();
+            assert!(matches!(fresh.1, Served::Interpolated { .. }), "{q:?}");
+            let c = interp_cache();
+            c.predict(&q, 0.0).unwrap();
+            for touch in 0..2 {
+                let (p, served) = c.predict_traced(&q, 1e-2).unwrap();
+                assert_eq!(served, fresh.1, "{q:?}, touch {touch}");
+                assert!(
+                    crate::codec::predictions_identical(&p, &fresh.0),
+                    "{q:?}, touch {touch}"
+                );
+            }
+            assert_eq!(c.cells(), 1);
+        }
     }
 
     #[test]

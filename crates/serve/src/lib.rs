@@ -13,8 +13,8 @@
 //! * [`codec`] — the wire schema for [`Scenario`](lopc_core::Scenario) and
 //!   [`Prediction`](lopc_core::Prediction), implemented once, straight
 //!   between bytes and values; its `Json` functions are adapters over it;
-//! * [`cache`] — the sharded LRU solution cache over quantized scenario
-//!   keys, so repeated and near-identical sweep queries skip the AMVA
+//! * [`cache`] — the sharded LRU solution cache over exact scenario keys
+//!   (every parameter's bits), so a repeated query skips the AMVA
 //!   fixed-point solve;
 //! * [`interp`] — grid interpolation with certified error bounds over that
 //!   cache: a request carrying `max_rel_err > 0` may be answered by
@@ -39,11 +39,14 @@
 //!   load-generator bench), with connect/read timeouts and bounded
 //!   jittered retry.
 //!
-//! Served numbers are **bit-identical** to direct library calls: the
-//! dispatcher is `lopc_core::scenario::solve`, the JSON number format
-//! round-trips `f64` exactly, and the cache stores exact solves (see
-//! DESIGN.md §11 for the quantization contract). The `serve_vs_library`
-//! integration test pins this end to end.
+//! Exact-mode answers are **bit-identical** to direct library calls for
+//! every request, near-repeats included: the dispatcher is
+//! `lopc_core::scenario::solve`, the JSON number format round-trips `f64`
+//! exactly, and the cache answers a request only with the solve of that
+//! very scenario (DESIGN.md §11). A tolerant request is answered by its
+//! cell or by its own solve, so it too gets the same bits in any order and
+//! on any node (DESIGN.md §12). The `serve_vs_library` integration test
+//! pins this end to end.
 //!
 //! # Quickstart
 //!

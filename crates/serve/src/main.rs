@@ -5,7 +5,8 @@
 //! cargo run -p lopc-serve [--release] -- [--addr 127.0.0.1:7070] [--workers N]
 //! ```
 //!
-//! With no `--addr` the server picks an ephemeral port and prints it.
+//! With no `--addr` the server binds 127.0.0.1:7070 (`--addr
+//! 127.0.0.1:0` picks an ephemeral port); it prints the bound address.
 
 use lopc_serve::server::{start, ServerConfig};
 

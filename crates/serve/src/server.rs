@@ -22,10 +22,10 @@
 //! thread: the concurrent-connection ceiling is the fd limit, not the
 //! thread count. Both predict endpoints take one path: a single request
 //! is a one-lane batch. The scenario list goes through
-//! [`InterpCache::predict_batch`](crate::interp::InterpCache):
-//! cache-resident and certified-interpolated lanes are answered in place,
-//! and each remaining miss is solved by [`lopc_core::scenario::solve`]
-//! unless an earlier lane already solved its key.
+//! [`InterpCache::predict_batch`](crate::interp::InterpCache): a lane
+//! that consults a certified cell is interpolated, and every other lane is
+//! its own exact solve — a cache hit when this node already solved that
+//! very scenario, else [`lopc_core::scenario::solve`].
 //!
 //! Status codes: `200` success, `400` malformed HTTP/JSON/schema, `404`
 //! unknown path, `405` wrong method, `422` well-formed but unsolvable

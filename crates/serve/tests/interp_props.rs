@@ -9,7 +9,10 @@
 //! 2. **Exactness contract**: `max_rel_err = 0` requests are bit-identical
 //!    to library `scenario::solve`, no matter what interpolation traffic
 //!    populated the grid first.
-//! 3. **Calibration**: on the dense off-grid sweeps that calibrate
+//! 3. **Purity**: every answer is a function of its request alone. A
+//!    tolerant answer is the same bits in any arrival order, under
+//!    eviction and on a cold node; an exact answer is the library's.
+//! 4. **Calibration**: on the dense off-grid sweeps that calibrate
 //!    [`SAFETY_FACTOR`] and [`CERT_FLOOR`], every interpolated answer is
 //!    within its certificate, and every floor-certified one within the
 //!    floor.
@@ -23,8 +26,8 @@ use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use lopc_core::scenario::solve;
-use lopc_core::{Machine, Scenario};
+use lopc_core::scenario::{solve, AxisBracket};
+use lopc_core::{Machine, ModelError, Prediction, Scenario};
 use lopc_serve::cache::SolutionCache;
 use lopc_serve::interp::{rel_resid, InterpCache, Served, CERT_FLOOR, SAFETY_FACTOR};
 
@@ -37,7 +40,12 @@ fn random_scenario(rng: &mut SmallRng) -> Scenario {
     let so = rng.random_range(10.0..400.0f64);
     let c2 = rng.random_range(0.0..2.5f64);
     let w = rng.random_range(1.0..8000.0f64);
-    let machine = Machine::new(p, st, so).with_c2(c2);
+    random_variant(rng, Machine::new(p, st, so).with_c2(c2), w)
+}
+
+/// One of the four closed-form variants on `machine` at `w`.
+fn random_variant(rng: &mut SmallRng, machine: Machine, w: f64) -> Scenario {
+    let p = machine.p;
     match rng.random_range(0..5usize) {
         0 => Scenario::AllToAll { machine, w },
         1 => Scenario::SharedMemory { machine, w },
@@ -148,6 +156,144 @@ proptest! {
                     return Err(proptest::TestCaseError::fail(format!(
                         "served {served:?} disagrees with library {exact:?} for {scenario:?}"
                     )));
+                }
+            }
+        }
+    }
+}
+
+/// `scenario` moved to the centre of the cell it lands in, and to the
+/// midpoint of each face of that cell (for a 1-D cell, its two ends).
+fn centre_and_faces(scenario: &Scenario) -> Vec<Scenario> {
+    let Some(axes) = scenario.interp_axes() else {
+        return Vec::new();
+    };
+    let brackets: Option<Vec<AxisBracket>> = axes.iter().map(|a| a.kind.bracket(a.value)).collect();
+    let Some(brackets) = brackets else {
+        return Vec::new();
+    };
+    let centre: [f64; 4] = std::array::from_fn(|i| 0.5 * (brackets[i].lo + brackets[i].hi));
+    let mut points = vec![centre];
+    for (i, b) in brackets.iter().enumerate() {
+        if !b.is_degenerate() {
+            for end in [b.lo, b.hi] {
+                let mut face = centre;
+                face[i] = end;
+                points.push(face);
+            }
+        }
+    }
+    points
+        .into_iter()
+        .filter_map(|v| scenario.with_axis_values(v))
+        .collect()
+}
+
+/// What one request got: the prediction and the path that served it.
+type Answer = Result<(Prediction, Served), ModelError>;
+
+fn same_answer(a: &Answer, b: &Answer) -> bool {
+    match (a, b) {
+        (Ok((p, s)), Ok((q, t))) => lopc_serve::predictions_identical(p, q) && s == t,
+        (Err(e), Err(f)) => e == f,
+        _ => false,
+    }
+}
+
+/// A small node: two shards of everything.
+fn small_node() -> InterpCache {
+    InterpCache::new(SolutionCache::new(2, 64), 2, 16)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Purity: a request's answer depends on the request alone. Each case
+    /// draws two `W`-sweeps over a few cells (one on a round-valued
+    /// machine, whose cells are 1-D, one anywhere), adds the centre and
+    /// face midpoints of every cell a sweep point lands in, and asks some
+    /// of the same scenarios in exact mode. The list is answered by four
+    /// nodes: in the drawn order, in reverse, by a node that holds one
+    /// cell and one exact entry (every build evicts), and by a fresh node
+    /// per request. Every tolerant answer must be the same bits, by the
+    /// same path, on all four; every exact answer must be the library's.
+    ///
+    /// A lane loop that probed the exact cache before the cell failed
+    /// this: the centre of the `W`-cell around 777.7 (`AllToAll`, P = 32,
+    /// St = 25, So = 200, C² = 0) at `max_rel_err` 1e-2 got
+    /// r = 1436.8139291461557 on first touch, interpolated, and
+    /// r = 1436.8118551839143 on the second, from the centre probe the
+    /// cell's build had left in the exact cache.
+    #[test]
+    fn tolerant_answers_are_a_pure_function_of_the_request(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let round = Machine::new(
+            [16usize, 32][rng.random_range(0..2usize)],
+            25.0,
+            200.0,
+        )
+        .with_c2(rng.random_range(0..2u32) as f64);
+        let w0 = rng.random_range(100.0..5000.0f64);
+        let sweeps = [random_variant(&mut rng, round, w0), random_scenario(&mut rng)];
+        let mut requests: Vec<(Scenario, f64)> = Vec::new();
+        for base in sweeps {
+            let axes = base.interp_axes().expect("closed-form");
+            let w0 = axes[0].value;
+            for k in 0..rng.random_range(4..9usize) {
+                let w = w0 * (1.0 + 0.015 * k as f64);
+                let lane = base
+                    .with_axis_values([w, axes[1].value, axes[2].value, axes[3].value])
+                    .expect("closed-form");
+                for s in std::iter::once(lane.clone()).chain(centre_and_faces(&lane)) {
+                    let tol = [1e-3, 1e-2, 5e-2][rng.random_range(0..3usize)];
+                    if rng.random_range(0..4u32) == 0 {
+                        requests.push((s.clone(), 0.0));
+                    }
+                    requests.push((s, tol));
+                }
+            }
+        }
+        // The drawn order: a Fisher-Yates shuffle.
+        for i in (1..requests.len()).rev() {
+            requests.swap(i, rng.random_range(0..i + 1));
+        }
+
+        let n = requests.len();
+        let ask = |node: &InterpCache, i: usize| -> Answer {
+            let (s, tol) = &requests[i];
+            node.predict_traced(s, *tol)
+        };
+        let (forward, backward) = (small_node(), small_node());
+        let evicting = InterpCache::new(SolutionCache::new(1, 1), 1, 1);
+        let drawn: Vec<Answer> = (0..n).map(|i| ask(&forward, i)).collect();
+        let mut reversed: Vec<Answer> = (0..n).rev().map(|i| ask(&backward, i)).collect();
+        reversed.reverse();
+        prop_assert!(
+            drawn.iter().any(|a| matches!(a, Ok((_, Served::Interpolated { .. })))),
+            "no request was interpolated"
+        );
+        for (i, (s, tol)) in requests.iter().enumerate() {
+            let answers = [
+                ("drawn order", drawn[i].clone()),
+                ("reversed order", reversed[i].clone()),
+                ("evicting node", ask(&evicting, i)),
+                ("fresh node", ask(&small_node(), i)),
+            ];
+            if *tol == 0.0 {
+                let exact = solve(s).map(|p| (p, Served::Exact));
+                for (node, got) in &answers {
+                    prop_assert!(
+                        same_answer(got, &exact),
+                        "{node}, exact mode: {got:?} != library {exact:?} for {s:?}"
+                    );
+                }
+            } else {
+                for (node, got) in &answers[1..] {
+                    prop_assert!(
+                        same_answer(got, &answers[0].1),
+                        "{node} at tol {tol}: {got:?} != drawn order's {:?} for {s:?}",
+                        answers[0].1
+                    );
                 }
             }
         }

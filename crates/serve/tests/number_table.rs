@@ -170,10 +170,11 @@ fn the_table_renders_std_bytes() {
 
 #[test]
 fn the_table_through_the_service() {
+    // One node for the whole table: the exact cache answers a row only
+    // with the solve of the very `W` it decodes to, so neighbours such as
+    // 2^53 - 1 and 2^53 each get their own.
+    let service = Service::new(4, 64);
     for literal in TABLE {
-        // A fresh node per row: the exact cache answers a 6-digit bucket
-        // mate (2^53 - 1 and 2^53 share one) with the first one's solve.
-        let service = Service::new(4, 64);
         let x: f64 = literal.parse().unwrap();
         let body = format!(r#"{{"kind":"all_to_all",{MACHINE},"w":{literal}}}"#);
         let reply = service.handle("POST", "/v1/predict", body.as_bytes());
