@@ -2,11 +2,12 @@
 //! engine under both event-queue forces, the raw queue hold-model
 //! microbenchmark, and the work-stealing replication path.
 //!
-//! The engine builds one queue, `BinaryHeapQueue`: a sorted run up to 128
-//! pending events, Brown's wheel above. The `heap_*` rows time it as the
-//! engine runs it (`Scheduler::BinaryHeap`, the default); the `calendar_*`
-//! rows time the wheel alone (`Scheduler::Calendar` end to end, and
-//! `CalendarQueue` in the hold model). The row names are kept so that
+//! The engine builds one queue, `BinaryHeapQueue`: a sorted near run plus
+//! an unsorted far bag up to 128 pending events, Brown's wheel above. The
+//! `heap_*` rows time it as the engine runs it (`Scheduler::BinaryHeap`,
+//! the default); the `calendar_*` rows time the wheel alone
+//! (`Scheduler::Calendar` end to end, and `CalendarQueue` in the hold
+//! model). The row names are kept so that
 //! `BENCH_sim.json` stays comparable across revisions.
 //!
 //! That both forces simulate the `sim_full` machines identically, whole
@@ -62,8 +63,8 @@ fn sim_cfg(p: usize, fanout: u32) -> SimConfig {
 /// payload pads the item to the size of the engine's internal event record
 /// (56 bytes: time, sequence, node and event kind) so queue data movement
 /// is modelled realistically: both queues move whole items, not just keys —
-/// the sorted run shifts `(key, item)` pairs, and the wheel sorts its bags
-/// in place.
+/// the near run shifts `(key, item)` pairs, and the far bag and the wheel
+/// sort theirs in place.
 #[derive(Clone, Copy)]
 struct HoldItem {
     t: f64,
@@ -117,7 +118,7 @@ fn prefill<Q: EventQueue<HoldItem>>(q: &mut Q, n: usize, rng: &mut SmallRng, hol
 fn bench(c: &mut Criterion) {
     // -- End-to-end engine throughput, both queue forces, growing P -------
     // P = 32 and 64 hold about 32 and 64 pending events (P = 64 peaks at
-    // 66), which the default queue keeps in its sorted run; P = 256 at
+    // 66), which the default queue keeps in its run and bag; P = 256 at
     // fanout 2 (512 pending) and P = 1024 at fanout 4 (4,096) run in its
     // wheel.
     let mut g = c.benchmark_group("sim_full");
@@ -153,7 +154,7 @@ fn bench(c: &mut Criterion) {
 
     // -- Raw queue throughput (hold model) ---------------------------------
     // Steady-state population n models the pending-event set: at n = 32 and
-    // 64 the default queue is its sorted run, and from n = 1024 up it is
+    // 64 the default queue is its run and bag, and from n = 1024 up it is
     // the wheel, where both rows should time the same queue.
     let mut g = c.benchmark_group("queue_hold");
     const HOLD_OPS: usize = 4096;

@@ -355,13 +355,6 @@ impl SolutionCache {
         result
     }
 
-    /// Each lane in order through `SolutionCache::solve_keyed`. A lane
-    /// whose key an earlier lane solved is a hit, so a batch's counters
-    /// and answers are those of its lanes sent one at a time.
-    pub fn solve_batch(&self, scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>> {
-        scenarios.iter().map(|s| self.solve_keyed(s)).collect()
-    }
-
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -412,14 +405,6 @@ mod tests {
         }
     }
 
-    /// One scenario through the cache, as a one-lane batch.
-    fn solve_one(cache: &SolutionCache, s: &Scenario) -> Result<Prediction, ModelError> {
-        cache
-            .solve_batch(std::slice::from_ref(s))
-            .pop()
-            .expect("one lane")
-    }
-
     #[test]
     fn closed_form_keys_live_inline() {
         let general =
@@ -464,7 +449,7 @@ mod tests {
         let mut lanes = 0;
         for round in 0..3 {
             for (&w, &bits) in ws.iter().zip(&want) {
-                let got = solve_one(&cache, &a2a(w)).unwrap();
+                let got = cache.solve_keyed(&a2a(w)).unwrap();
                 assert_eq!(got.r.to_bits(), bits, "W={w}, round {round}");
                 lanes += 1;
                 for (&other, &other_want) in ws.iter().zip(&want) {
@@ -541,8 +526,8 @@ mod tests {
     #[test]
     fn exact_repeat_hits_and_is_bit_identical() {
         let cache = SolutionCache::new(4, 16);
-        let first = solve_one(&cache, &a2a(1000.0)).unwrap();
-        let second = solve_one(&cache, &a2a(1000.0)).unwrap();
+        let first = cache.solve_keyed(&a2a(1000.0)).unwrap();
+        let second = cache.solve_keyed(&a2a(1000.0)).unwrap();
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(first.r.to_bits(), second.r.to_bits());
@@ -562,7 +547,7 @@ mod tests {
         for order in [[&base, &near], [&near, &base]] {
             let cache = SolutionCache::new(4, 16);
             for s in order {
-                assert_eq!(solve_one(&cache, s).unwrap().r.to_bits(), own(s));
+                assert_eq!(cache.solve_keyed(s).unwrap().r.to_bits(), own(s));
             }
             assert_eq!(cache.misses(), 2, "a float-noise neighbour is its own key");
             assert_eq!(cache.hits(), 0);
@@ -574,7 +559,7 @@ mod tests {
         let cache = SolutionCache::new(4, 64);
         let ws: Vec<f64> = (0..20).map(|i| 100.0 + 50.0 * i as f64).collect();
         for &w in &ws {
-            let cached = solve_one(&cache, &a2a(w)).unwrap();
+            let cached = cache.solve_keyed(&a2a(w)).unwrap();
             let direct = lopc_core::scenario::solve(&a2a(w)).unwrap();
             assert_eq!(cached.r.to_bits(), direct.r.to_bits(), "W={w}");
         }
@@ -585,11 +570,11 @@ mod tests {
             machine: machine(),
             w: ws[0],
         };
-        let p_sm = solve_one(&cache, &sm).unwrap();
+        let p_sm = cache.solve_keyed(&sm).unwrap();
         assert_eq!(cache.misses(), 21);
         assert_ne!(
             p_sm.r,
-            solve_one(&cache, &a2a(ws[0])).unwrap().r,
+            cache.solve_keyed(&a2a(ws[0])).unwrap().r,
             "shared-memory and message-passing answers differ"
         );
     }
@@ -598,18 +583,18 @@ mod tests {
     fn lru_evicts_oldest_first() {
         let cache = SolutionCache::new(1, 3);
         for w in [100.0, 200.0, 300.0] {
-            solve_one(&cache, &a2a(w)).unwrap();
+            cache.solve_keyed(&a2a(w)).unwrap();
         }
         assert_eq!(cache.len(), 3);
         // Touch 100 so 200 becomes the LRU, then overflow.
-        solve_one(&cache, &a2a(100.0)).unwrap();
-        solve_one(&cache, &a2a(400.0)).unwrap();
+        cache.solve_keyed(&a2a(100.0)).unwrap();
+        cache.solve_keyed(&a2a(400.0)).unwrap();
         assert_eq!(cache.len(), 3);
         let misses_before = cache.misses();
-        solve_one(&cache, &a2a(100.0)).unwrap(); // still resident
-        solve_one(&cache, &a2a(300.0)).unwrap(); // still resident
+        cache.solve_keyed(&a2a(100.0)).unwrap(); // still resident
+        cache.solve_keyed(&a2a(300.0)).unwrap(); // still resident
         assert_eq!(cache.misses(), misses_before, "100 and 300 must be hits");
-        solve_one(&cache, &a2a(200.0)).unwrap(); // evicted -> re-solve
+        cache.solve_keyed(&a2a(200.0)).unwrap(); // evicted -> re-solve
         assert_eq!(cache.misses(), misses_before + 1);
     }
 
@@ -617,9 +602,9 @@ mod tests {
     fn hit_rate_accounting() {
         let cache = SolutionCache::new(2, 8);
         assert_eq!(cache.hit_rate(), 0.0);
-        solve_one(&cache, &a2a(100.0)).unwrap();
+        cache.solve_keyed(&a2a(100.0)).unwrap();
         for _ in 0..3 {
-            solve_one(&cache, &a2a(100.0)).unwrap();
+            cache.solve_keyed(&a2a(100.0)).unwrap();
         }
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 1);
@@ -638,7 +623,7 @@ mod tests {
                     for rep in 0..3 {
                         for (i, &w) in ws.iter().enumerate() {
                             if (i + t + rep) % 2 == 0 {
-                                let got = solve_one(cache, &a2a(w)).unwrap();
+                                let got = cache.solve_keyed(&a2a(w)).unwrap();
                                 let want = lopc_core::scenario::solve(&a2a(w)).unwrap();
                                 assert_eq!(got.r.to_bits(), want.r.to_bits());
                             }
@@ -705,7 +690,7 @@ mod tests {
                             if (i * 7 + t * 3 + rep) % 3 != 0 {
                                 continue;
                             }
-                            let got = solve_one(cache, &a2a(w)).unwrap();
+                            let got = cache.solve_keyed(&a2a(w)).unwrap();
                             let want = lopc_core::scenario::solve(&a2a(w)).unwrap();
                             assert_eq!(got.r.to_bits(), want.r.to_bits(), "W={w}");
                         }
@@ -723,15 +708,17 @@ mod tests {
         // without inserting, so the check itself is non-perturbing).
         let seq: Vec<f64> = (0..8).map(|i| 10_000.0 + 100.0 * i as f64).collect();
         for &w in &seq {
-            solve_one(&cache, &a2a(w)).unwrap();
+            cache.solve_keyed(&a2a(w)).unwrap();
         }
         for &w in seq.iter().rev() {
-            solve_one(&cache, &a2a(w)).unwrap();
+            cache.solve_keyed(&a2a(w)).unwrap();
         }
         // Recency MRU->LRU is now seq[0] .. seq[7]; three inserts must
         // evict seq[7], seq[6], seq[5] and nothing else.
         for k in 0..3 {
-            solve_one(&cache, &a2a(50_000.0 + 100.0 * k as f64)).unwrap();
+            cache
+                .solve_keyed(&a2a(50_000.0 + 100.0 * k as f64))
+                .unwrap();
         }
         for &gone in &seq[5..] {
             assert!(cache.lookup(&a2a(gone)).is_none(), "{gone} must be evicted");
@@ -748,17 +735,17 @@ mod tests {
         assert!(cache.lookup(&a2a(123.0)).is_none());
         assert_eq!(cache.misses(), 0, "a lookup miss performs no solve");
         assert_eq!(cache.hits(), 0);
-        let solved = solve_one(&cache, &a2a(123.0)).unwrap();
+        let solved = cache.solve_keyed(&a2a(123.0)).unwrap();
         let hit = cache.lookup(&a2a(123.0)).unwrap();
         assert_eq!(hit.r.to_bits(), solved.r.to_bits());
         assert_eq!(cache.hits(), 1, "a lookup hit counts as a hit");
         // Lookup refreshes recency like any hit: with capacity 2, the
         // looked-up key survives the next two inserts' evictions.
         let cache = SolutionCache::new(1, 2);
-        solve_one(&cache, &a2a(1.0)).unwrap();
-        solve_one(&cache, &a2a(2.0)).unwrap();
+        cache.solve_keyed(&a2a(1.0)).unwrap();
+        cache.solve_keyed(&a2a(2.0)).unwrap();
         cache.lookup(&a2a(1.0)).unwrap();
-        solve_one(&cache, &a2a(3.0)).unwrap(); // evicts 2.0
+        cache.solve_keyed(&a2a(3.0)).unwrap(); // evicts 2.0
         assert!(cache.lookup(&a2a(1.0)).is_some());
         assert!(cache.lookup(&a2a(2.0)).is_none());
     }
@@ -770,60 +757,55 @@ mod tests {
             machine: Machine::new(1, 0.0, 1.0),
             w: 1.0,
         };
-        assert!(solve_one(&cache, &bad).is_err());
+        assert!(cache.solve_keyed(&bad).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.misses(), 0, "failed solves are not misses");
     }
 
     #[test]
-    fn solve_batch_matches_scalar_sequence_and_counters() {
-        // A many-lane batch must agree lane for lane — answers *and*
-        // counters — with running its lanes in order as one-lane batches.
-        let lanes = vec![
+    fn solve_keyed_counts_one_miss_per_unique_key() {
+        // Lanes in order: each unique key is one miss, and a lane whose key
+        // an earlier lane solved is a hit with the same bits.
+        let lanes = [
             a2a(100.0),
             a2a(500.0),
-            a2a(100.0),       // duplicate of lane 0: fan-out hit
+            a2a(100.0),       // duplicate of lane 0: a hit
             a2a(100.0000001), // a float-noise neighbour: its own key
             a2a(900.0),
         ];
-        let batched_cache = SolutionCache::new(4, 16);
-        let batched = batched_cache.solve_batch(&lanes);
-        let scalar_cache = SolutionCache::new(4, 16);
-        for (b, s) in batched.iter().zip(&lanes) {
-            let want = solve_one(&scalar_cache, s).unwrap();
-            assert_eq!(b.as_ref().unwrap().r.to_bits(), want.r.to_bits());
+        let cache = SolutionCache::new(4, 16);
+        let first: Vec<Prediction> = lanes
+            .iter()
+            .map(|s| cache.solve_keyed(s).unwrap())
+            .collect();
+        assert_eq!(first[2].r.to_bits(), first[0].r.to_bits());
+        assert_eq!(cache.misses(), 4, "four unique keys");
+        assert_eq!(cache.hits(), 1, "one duplicate lane hits");
+        // The same lanes again are all hits, with the same bits.
+        for (s, want) in lanes.iter().zip(&first) {
+            assert_eq!(cache.solve_keyed(s).unwrap().r.to_bits(), want.r.to_bits());
         }
-        assert_eq!(batched_cache.misses(), scalar_cache.misses());
-        assert_eq!(batched_cache.hits(), scalar_cache.hits());
-        assert_eq!(batched_cache.misses(), 4, "four unique keys");
-        assert_eq!(batched_cache.hits(), 1, "one duplicate lane fans out");
-        // A second identical batch is all hits.
-        batched_cache.solve_batch(&lanes);
-        assert_eq!(batched_cache.misses(), 4);
-        assert_eq!(batched_cache.hits(), 6);
+        assert_eq!(cache.misses(), 4);
+        assert_eq!(cache.hits(), 6);
     }
 
     #[test]
-    fn solve_batch_propagates_errors_without_caching_or_counting() {
+    fn error_lanes_are_neither_cached_nor_counted() {
         let cache = SolutionCache::new(2, 8);
         let bad = Scenario::AllToAll {
             machine: Machine::new(1, 0.0, 1.0),
             w: 1.0,
         };
-        let out = cache.solve_batch(&[a2a(250.0), bad.clone(), bad.clone(), a2a(250.0)]);
+        let out: Vec<_> = [a2a(250.0), bad.clone(), bad, a2a(250.0)]
+            .iter()
+            .map(|s| cache.solve_keyed(s))
+            .collect();
         assert!(out[0].is_ok());
         assert!(out[1].is_err());
         assert_eq!(out[1], out[2], "duplicate error lanes carry the same error");
         assert!(out[3].is_ok());
         assert_eq!(cache.len(), 1, "only the solvable key is resident");
         assert_eq!(cache.misses(), 1, "failed lanes are not misses");
-        assert_eq!(cache.hits(), 1, "only the solvable duplicate fans out");
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let cache = SolutionCache::new(1, 4);
-        assert!(cache.solve_batch(&[]).is_empty());
-        assert_eq!(cache.hits() + cache.misses(), 0);
+        assert_eq!(cache.hits(), 1, "only the solvable duplicate hits");
     }
 }

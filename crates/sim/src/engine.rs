@@ -777,8 +777,8 @@ pub struct Engine {
 
 impl Engine {
     /// Build an engine for a validated configuration. Its event queue
-    /// ([`BinaryHeapQueue`]) adapts to its own population: a sorted run
-    /// while small, Brown's wheel while large.
+    /// ([`BinaryHeapQueue`]) adapts to its own population: a sorted near
+    /// run plus an unsorted far bag while small, Brown's wheel while large.
     ///
     /// The `LOPC_TEST_SCHEDULER` environment variable (`calendar` / `heap`)
     /// forces the queue's mode for CI matrix runs; use

@@ -24,9 +24,9 @@
 //! hardware (see DESIGN.md, substitutions).
 //!
 //! The pending-event queue behind the loop ([`sched`]) adapts to its own
-//! population: a sorted run up to 128 pending events, an `O(1)`-amortized
-//! calendar queue (Brown's wheel) above, with items moved between the two
-//! as the population crosses the bound. Tests force either mode
+//! population: a sorted near run plus an unsorted far bag up to 128 pending
+//! events, an `O(1)`-amortized calendar queue (Brown's wheel) above, with
+//! items moved between the two as the population crosses the bound. Tests force either mode
 //! ([`Scheduler`], [`runner::run_with_scheduler`]), and every mode produces
 //! bit-identical runs, so the queue is purely a speed matter. Independent
 //! replications run in parallel with work stealing ([`run_replications`]),

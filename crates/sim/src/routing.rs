@@ -19,11 +19,26 @@ pub enum DestChooser {
     /// Always the same node.
     Fixed(NodeId),
     /// Weighted choice; weights need not be normalised (hotspot patterns
-    /// exercising the non-homogeneous general model).
-    Weighted(Vec<(NodeId, f64)>),
+    /// exercising the non-homogeneous general model). Built by
+    /// [`DestChooser::weighted`].
+    Weighted(Weights),
+}
+
+/// A weighted chooser's `(destination, weight)` pairs and the weights'
+/// total, summed once, in order: each pick scales its draw by it.
+#[derive(Clone, Debug)]
+pub struct Weights {
+    pairs: Vec<(NodeId, f64)>,
+    total: f64,
 }
 
 impl DestChooser {
+    /// A weighted chooser over `(destination, weight)` pairs.
+    pub fn weighted(pairs: Vec<(NodeId, f64)>) -> Self {
+        let total = pairs.iter().map(|&(_, w)| w).sum();
+        DestChooser::Weighted(Weights { pairs, total })
+    }
+
     /// Validate against the owner node `me` and machine size `p`.
     pub fn is_valid(&self, me: NodeId, p: usize) -> bool {
         match self {
@@ -32,10 +47,10 @@ impl DestChooser {
                 !set.is_empty() && set.iter().all(|&d| d < p && d != me)
             }
             DestChooser::Fixed(d) => *d < p && *d != me,
-            DestChooser::Weighted(ws) => {
-                !ws.is_empty()
-                    && ws.iter().all(|&(d, w)| d < p && d != me && w >= 0.0)
-                    && ws.iter().map(|&(_, w)| w).sum::<f64>() > 0.0
+            DestChooser::Weighted(Weights { pairs, total }) => {
+                !pairs.is_empty()
+                    && pairs.iter().all(|&(d, w)| d < p && d != me && w >= 0.0)
+                    && *total > 0.0
             }
         }
     }
@@ -66,16 +81,15 @@ impl DestChooser {
                 d
             }
             DestChooser::Fixed(d) => *d,
-            DestChooser::Weighted(ws) => {
-                let total: f64 = ws.iter().map(|&(_, w)| w).sum();
+            DestChooser::Weighted(Weights { pairs, total }) => {
                 let mut u = rng.random::<f64>() * total;
-                for &(d, w) in ws {
+                for &(d, w) in pairs {
                     if u < w {
                         return d;
                     }
                     u -= w;
                 }
-                ws[ws.len() - 1].0
+                pairs[pairs.len() - 1].0
             }
         }
     }
@@ -106,9 +120,8 @@ impl DestChooser {
                 }
             }
             DestChooser::Fixed(d) => v[*d] = 1.0,
-            DestChooser::Weighted(ws) => {
-                let total: f64 = ws.iter().map(|&(_, w)| w).sum();
-                for &(d, w) in ws {
+            DestChooser::Weighted(Weights { pairs, total }) => {
+                for &(d, w) in pairs {
                     v[d] += w / total;
                 }
             }
@@ -162,7 +175,7 @@ mod tests {
     fn weighted_respects_weights() {
         let mut rng = SmallRng::seed_from_u64(4);
         let mut rr = 0;
-        let c = DestChooser::Weighted(vec![(1, 3.0), (2, 1.0)]);
+        let c = DestChooser::weighted(vec![(1, 3.0), (2, 1.0)]);
         let mut ones = 0;
         let n = 10_000;
         for _ in 0..n {
@@ -181,7 +194,7 @@ mod tests {
             DestChooser::UniformAmong(vec![1, 2]),
             DestChooser::RoundRobin(vec![1, 2, 3]),
             DestChooser::Fixed(2),
-            DestChooser::Weighted(vec![(1, 2.0), (3, 2.0)]),
+            DestChooser::weighted(vec![(1, 2.0), (3, 2.0)]),
         ] {
             let v = c.visit_fractions(0, 4);
             let sum: f64 = v.iter().sum();
@@ -197,7 +210,7 @@ mod tests {
         assert!(!DestChooser::Fixed(9).is_valid(0, 4), "out of range");
         assert!(!DestChooser::UniformAmong(vec![]).is_valid(0, 4), "empty");
         assert!(
-            !DestChooser::Weighted(vec![(1, 0.0)]).is_valid(0, 4),
+            !DestChooser::weighted(vec![(1, 0.0)]).is_valid(0, 4),
             "zero weight"
         );
     }

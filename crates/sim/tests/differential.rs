@@ -1,6 +1,6 @@
 //! Differential tests: the event queue's two forced modes — the wheel from
 //! the first event (`Scheduler::Calendar`) and the adaptive default, a
-//! sorted run that turns into the wheel above its bound
+//! near run and far bag that turn into the wheel above their bound
 //! (`Scheduler::BinaryHeap`) — must be observationally equivalent.
 //!
 //! Two layers, both over randomized inputs (the vendored proptest stand-in
@@ -211,7 +211,7 @@ proptest! {
 
 /// `sim_perf`'s `sim_full` machines as `(P, fanout)`: `P × fanout` events
 /// are pending. P = 32 and P = 64 (up to 66 pending) stay in the adaptive
-/// queue's sorted run, P = 256 at fanout 2 runs in its wheel, and P = 1024
+/// queue's run and bag, P = 256 at fanout 2 runs in its wheel, and P = 1024
 /// at fanout 4 starts 4,096 tied events, the geometry where a delay equals
 /// the wheel's year.
 const SIM_FULL: &[(usize, u32)] = &[(32, 1), (64, 1), (256, 2), (1024, 4)];
@@ -253,7 +253,7 @@ fn sequential(cfg: &SimConfig, scheduler: Scheduler) -> SimReport {
 /// `run` (the default), the wheel from the first event and the adaptive
 /// queue produce the same whole report, every float bit for bit. The
 /// adaptive queue keeps the exponential P = 16 machine and `sim_full`'s
-/// P = 32 and 64 in its sorted run and the larger machines in its wheel,
+/// P = 32 and 64 in its run and bag and the larger machines in its wheel,
 /// so the cases exercise both of its modes.
 #[test]
 fn default_scheduler_matches_both_explicit_schedulers() {

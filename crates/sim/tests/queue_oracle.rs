@@ -1,15 +1,18 @@
 //! Queue order against an oracle that shares no code with the queues.
 //!
-//! [`BinaryHeapQueue`] (a sorted run up to 128 items, Brown's wheel above)
-//! and [`CalendarQueue`] (the wheel alone) order items by one packed
-//! integer key, and above the run the first holds its items in the second,
-//! so comparing them with each other (`differential.rs`) cannot catch a
-//! fault in either. Here each queue is checked against a plain `Vec`
-//! sorted by the `(f64, u64)` comparison the key stands for, over the
-//! corners of the time domain: −0.0 next to 0.0 (equal times, so the tie
-//! goes to `seq`), subnormals, times near 1e300, dense ties, and
-//! populations that cross the run bound into the wheel and come back.
-//! Times that are not finite and non-negative must panic on push.
+//! [`BinaryHeapQueue`] (up to 128 items, a sorted near run plus an unsorted
+//! far bag; Brown's wheel above) and [`CalendarQueue`] (the wheel alone)
+//! order items by one packed integer key, and above the run the first
+//! holds its items in the second, so comparing them with each other
+//! (`differential.rs`) cannot catch a fault in either. Here each queue is
+//! checked against a plain `Vec` sorted by the `(f64, u64)` comparison the
+//! key stands for, over the corners of the time domain: −0.0 next to 0.0
+//! (equal times, so the tie goes to `seq`), subnormals, times near 1e300,
+//! dense ties, and populations that cross the run bound into the wheel and
+//! come back. A schedule shaped like the engine's small machines (near-term
+//! arrivals, far compute ends, popped events pushed straight back) crosses
+//! the bound while the far bag holds items. Times that are not finite and
+//! non-negative must panic on push.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -193,6 +196,132 @@ fn populations_cross_the_run_bound_and_back() {
             check_against_oracle(CalendarQueue::new(), seed, 2400, pattern, 400)
                 .unwrap_or_else(|e| panic!("{e:?}"));
         }
+    }
+}
+
+/// A queue and the oracle side by side, fed the same items.
+struct Paired<Q> {
+    q: Q,
+    oracle: Oracle,
+    seq: u64,
+    /// The latest time pushed so far.
+    latest: f64,
+}
+
+impl<Q: EventQueue<Item>> Paired<Q> {
+    fn push(&mut self, it: Item) {
+        self.q.push(it);
+        self.oracle.push(it);
+        self.latest = self.latest.max(it.t);
+    }
+
+    /// Push a new item at `t`, with a scrambled sequence number.
+    fn push_at(&mut self, t: f64) {
+        let it = Item { t, seq: self.seq };
+        self.seq = self.seq.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.push(it);
+    }
+
+    /// What a handler run at `now` pushes: `n` items, each near or far.
+    fn handler_pushes(&mut self, rng: &mut SmallRng, now: f64, n: usize) {
+        for _ in 0..n {
+            let jitter = if rng.random::<bool>() {
+                0.0
+            } else {
+                rng.random::<f64>()
+            };
+            let u = rng.random::<f64>();
+            let t = if u < 0.6 {
+                now + 25.0 * rng.random_range(1..7u32) as f64 + jitter
+            } else if u < 0.78 {
+                now + 1600.0 + 150.0 * jitter
+            } else if u < 0.96 {
+                self.latest + 1.0 + 50.0 * jitter
+            } else {
+                now + 1e6 * (1.0 + rng.random::<f64>())
+            };
+            self.push_at(t);
+        }
+    }
+
+    /// Pop from both, and require the same item.
+    fn pop(&mut self, seed: u64) -> Item {
+        let want = self.oracle.pop().expect("the schedule never drains");
+        let got = self.q.pop().expect("the queue holds what the oracle does");
+        assert_eq!(id(got.t, got.seq), id(want.0, want.1), "seed {seed}");
+        assert_eq!(self.q.len(), self.oracle.0.len(), "seed {seed}");
+        got
+    }
+}
+
+/// The engine's small machines, after a P = 32 `Hotspot` (`St` = 25,
+/// `So` = 150, `W` = 1600): each step pops the earliest event, pushes it
+/// straight back and pops it again a quarter of the time (as `next_time`
+/// and `process_until` do at a window edge), then pushes what its handler
+/// would. A near push lands a few 25-unit slots past the pop, sometimes off
+/// the lattice; a far push is a compute end, `W` or a little more past the
+/// pop, or a new maximum outright, and one in ten is a straggler a million
+/// time units out. Each of three cycles bursts past the run bound with
+/// pushes alone, drains to 40, below half the bound, into a run, and holds
+/// the population at 32–48. The far bag is non-empty at each burst's
+/// crossing: the first burst comes before any pop, as at the engine's
+/// start, so the bag holds every item and the run none; the later ones
+/// follow a hold, and the bag holds their new maxima.
+fn engine_shaped<Q: EventQueue<Item>>(q: Q, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut p = Paired {
+        q,
+        oracle: Oracle::default(),
+        seq: seed,
+        latest: 0.0,
+    };
+    // Returns the popped event's time.
+    let step = |p: &mut Paired<Q>, rng: &mut SmallRng, pushes: usize| {
+        let ev = p.pop(seed);
+        if rng.random::<f64>() < 0.25 {
+            p.push(ev);
+            let again = p.pop(seed);
+            assert_eq!(id(again.t, again.seq), id(ev.t, ev.seq));
+        }
+        p.handler_pushes(rng, ev.t, pushes);
+        ev.t
+    };
+    // The threads' first compute ends.
+    for _ in 0..32 {
+        let t = 1600.0 * rng.random::<f64>();
+        p.push_at(t);
+    }
+    let mut now = 0.0;
+    for _ in 0..3 {
+        while p.q.len() <= RUN_BOUND + 16 {
+            p.handler_pushes(&mut rng, now, 1);
+        }
+        while p.q.len() > 40 {
+            let pushes = (rng.random::<f64>() < 0.4) as usize;
+            now = step(&mut p, &mut rng, pushes);
+        }
+        for _ in 0..400 {
+            let pushes = match p.q.len() {
+                0..32 => 2,
+                32..=48 => 1,
+                _ => rng.random_range(0..2usize),
+            };
+            now = step(&mut p, &mut rng, pushes);
+        }
+    }
+    while !p.oracle.0.is_empty() {
+        p.pop(seed);
+    }
+    assert!(p.q.pop().is_none());
+}
+
+/// The engine-shaped schedule pops exactly as the oracle does, from both
+/// queues.
+#[test]
+fn engine_shaped_schedules_pop_in_oracle_order() {
+    for seed in 0..12 {
+        engine_shaped(BinaryHeapQueue::new(), seed);
+        engine_shaped(CalendarQueue::new(), seed);
     }
 }
 

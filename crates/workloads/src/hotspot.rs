@@ -95,7 +95,7 @@ impl Hotspot {
                     .collect();
                 ThreadSpec {
                     work: Some(ServiceTime::constant(self.w)),
-                    dest: DestChooser::Weighted(weights),
+                    dest: DestChooser::weighted(weights),
                     hops: 1,
                     fanout: 1,
                 }
