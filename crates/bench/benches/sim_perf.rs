@@ -2,8 +2,10 @@
 //! engine under both event-queue forces, the raw queue hold-model
 //! microbenchmark, and the work-stealing replication path.
 //!
-//! The engine builds one queue, `BinaryHeapQueue`: a sorted near run plus
-//! an unsorted far bag up to 128 pending events, Brown's wheel above. The
+//! The engine keeps each node's CPU completions in slots of a tournament
+//! tree and builds one queue of messages in flight, `BinaryHeapQueue`: a
+//! sorted near run plus an unsorted far bag, Brown's wheel once a push
+//! lands below the run's threshold into a run longer than 128. The
 //! `heap_*` rows time it as the engine runs it (`Scheduler::BinaryHeap`,
 //! the default); the `calendar_*` rows time the wheel alone
 //! (`Scheduler::Calendar` end to end, and `CalendarQueue` in the hold
@@ -61,7 +63,7 @@ fn sim_cfg(p: usize, fanout: u32) -> SimConfig {
 
 /// One hold-model item; the queue microbench's event stand-in. The
 /// payload pads the item to the size of the engine's internal event record
-/// (56 bytes: time, sequence, node and event kind) so queue data movement
+/// (56 bytes: time, sequence, node and message) so queue data movement
 /// is modelled realistically: both queues move whole items, not just keys —
 /// the near run shifts `(key, item)` pairs, and the far bag and the wheel
 /// sort theirs in place.
@@ -117,10 +119,10 @@ fn prefill<Q: EventQueue<HoldItem>>(q: &mut Q, n: usize, rng: &mut SmallRng, hol
 
 fn bench(c: &mut Criterion) {
     // -- End-to-end engine throughput, both queue forces, growing P -------
-    // P = 32 and 64 hold about 32 and 64 pending events (P = 64 peaks at
-    // 66), which the default queue keeps in its run and bag; P = 256 at
-    // fanout 2 (512 pending) and P = 1024 at fanout 4 (4,096) run in its
-    // wheel.
+    // These constant-time machines send their messages in key order, so
+    // the default queue keeps them in its run and bag at every P, up to the
+    // 4,096 in flight at P = 1024 with fanout 4; the calendar rows hold them
+    // in the wheel from the first push.
     let mut g = c.benchmark_group("sim_full");
     for &(p, fanout) in SIM_FULL {
         let cfg = sim_cfg(p, fanout);

@@ -34,15 +34,29 @@
 //!   `seq`, not a global counter, so simultaneous events sort the same way
 //!   no matter which core created them.
 //! * **Drain-to-empty termination.** In makespan mode the loop runs until
-//!   the queue is empty (the only events after the last cycle are stale,
-//!   token-invalidated `ComputeDone`s), so the processed-event set does not
-//!   depend on the partition.
+//!   nothing is pending, so the processed-event set does not depend on the
+//!   partition.
+//!
+//! # Live events only
+//!
+//! A node's CPU runs one thing at a time, so each node has at most one
+//! pending CPU completion (a compute end or a handler end), or two with a
+//! protocol processor. They live in slots of a tournament tree over the
+//! core's nodes (`Slots`), updated in place; the queue ([`crate::sched`])
+//! holds only messages in flight. A preemption overwrites its node's slot
+//! with the handler's end, so no completion is left behind to be popped
+//! and dropped, and `SimReport::events` counts live dispatches only.
+//! Completions take their `(t, seq)` keys from the same per-node counters
+//! as messages, and the loop dispatches the earlier of the tree's root and
+//! the queue's head, so events run in the same total order as when every
+//! one of them was queued.
 
 use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 use crate::config::{ConfigError, NodeId, SimConfig, StopCondition, Time};
-use crate::sched::{BinaryHeapQueue, EventQueue, Keyed, Scheduler};
+use crate::sched::{self, BinaryHeapQueue, EventQueue, Keyed, Scheduler};
 use crate::stats::{Aggregate, NodeStats, NodeSummary, SimReport, Welford};
 use lopc_dist::Distribution;
 use rand::rngs::SmallRng;
@@ -95,8 +109,8 @@ pub(crate) struct Msg {
 #[derive(Clone, Copy, Debug)]
 enum Cpu {
     Idle,
-    /// Running the computation thread; completion is the event carrying
-    /// `token`, invalidated by bumping the node's token on preemption.
+    /// Running the computation thread, which completes at `end` unless an
+    /// arriving message preempts it first.
     Compute {
         end: Time,
     },
@@ -137,7 +151,6 @@ struct Node {
     /// Accumulated reply-handler response over the cycle's replies.
     cyc_ry: f64,
     cycles_done: u64,
-    compute_token: u64,
     /// Round-robin cursor for deterministic destination choosers.
     rr: usize,
     /// This node's private RNG stream (see [`stream_seed`]).
@@ -162,7 +175,6 @@ impl Node {
             cyc_rq: 0.0,
             cyc_ry: 0.0,
             cycles_done: 0,
-            compute_token: 0,
             rr: 0,
             rng,
             ctr: 0,
@@ -172,24 +184,18 @@ impl Node {
     }
 }
 
-/// Event payload.
-#[derive(Debug)]
-pub(crate) enum EvKind {
-    Arrive(Msg),
-    HandlerDone,
-    ComputeDone { token: u64 },
-}
-
-/// A scheduled event; ordered by `(time, seq)` where `seq` packs
-/// `(creating node, per-node creation counter)` — unique, FIFO per creator,
-/// and independent of the LP partition, so runs are bit-reproducible in
-/// both the sequential and the parallel engine.
+/// A message in flight: `msg` arrives at `node` at `t`. Ordered by
+/// `(time, seq)` where `seq` packs `(creating node, per-node creation
+/// counter)` — unique, FIFO per creator, and independent of the LP
+/// partition, so runs are bit-reproducible in both the sequential and the
+/// parallel engine. CPU completions take their keys from the same counters
+/// but live in [`Slots`], not in the queue.
 #[derive(Debug)]
 pub(crate) struct Ev {
     pub(crate) t: Time,
     pub(crate) seq: u64,
     pub(crate) node: NodeId,
-    pub(crate) kind: EvKind,
+    msg: Msg,
 }
 
 impl Keyed for Ev {
@@ -211,21 +217,109 @@ fn wire_time(cfg: &SimConfig, rng: &mut SmallRng) -> f64 {
     }
 }
 
+/// The key of an empty slot: above every event key.
+const EMPTY: u128 = u128::MAX;
+
+/// The pending CPU completions of a core's nodes: one slot per node, or two
+/// with a protocol processor (the handler's end and the thread's compute
+/// end), each holding its event's packed `(t, seq)` key or [`EMPTY`].
+///
+/// A node's CPU runs one thing at a time, so it never has more than one
+/// live completion per slot. The slots are the leaves of a tournament tree
+/// that keeps the earliest key at its root and is updated in place in
+/// `O(log P)`, the way adevs keeps each model in its schedule at most once.
+/// So a preempted compute end is overwritten, never left behind as a stale
+/// event.
+struct Slots {
+    /// `tree[1]` is the root, `tree[v] = min(tree[2v], tree[2v + 1])`, and
+    /// slot `j` is the leaf `tree[leaves + j]`; unused leaves are `EMPTY`.
+    /// Each key is stored as its high and low halves (see [`Slots::set`]).
+    tree: Vec<[u64; 2]>,
+    /// Leaf count, a power of two.
+    leaves: usize,
+}
+
+/// A key as its `[high, low]` halves.
+#[inline]
+fn halves(key: u128) -> [u64; 2] {
+    [(key >> 64) as u64, key as u64]
+}
+
+#[inline]
+fn whole([hi, lo]: [u64; 2]) -> u128 {
+    (hi as u128) << 64 | lo as u128
+}
+
+impl Slots {
+    fn new(slots: usize) -> Self {
+        let leaves = slots.next_power_of_two();
+        Slots {
+            tree: vec![halves(EMPTY); 2 * leaves],
+            leaves,
+        }
+    }
+
+    /// The earliest key of any slot (`EMPTY` when all are).
+    #[inline]
+    fn min(&self) -> u128 {
+        whole(self.tree[1])
+    }
+
+    #[inline]
+    fn get(&self, slot: usize) -> u128 {
+        whole(self.tree[self.leaves + slot])
+    }
+
+    /// Set one slot and replay its path to the root.
+    ///
+    /// Each match's winner is data, and a branch on it mispredicts about
+    /// every other level, so the compare and the select must compile to
+    /// conditional moves. A `u128` compare or select compiles to a branch
+    /// (27–31 ns an update at 32 leaves, against 10 ns), so both work on
+    /// the key's `u64` halves. Every index is below the tree's length, a
+    /// power of two, so masking by it changes none and lets the compiler
+    /// drop the bounds checks.
+    #[inline]
+    fn set(&mut self, slot: usize, key: u128) {
+        let mask = self.tree.len() - 1;
+        let mut v = self.leaves + slot;
+        let mut min = halves(key);
+        self.tree[v] = min;
+        while v > 1 {
+            let sibling = self.tree[(v ^ 1) & mask];
+            let lt = (sibling[0] < min[0]) | ((sibling[0] == min[0]) & (sibling[1] < min[1]));
+            min = [
+                select_unpredictable(lt, sibling[0], min[0]),
+                select_unpredictable(lt, sibling[1], min[1]),
+            ];
+            v >>= 1;
+            self.tree[v & mask] = min;
+        }
+    }
+}
+
 /// The event loop over one contiguous block of nodes: logical process `lp`
 /// of `lps`, which owns nodes `[lp·p/lps, (lp+1)·p/lps)`.
 ///
 /// The sequential [`Engine`] wraps a single core spanning every node; the
 /// parallel engine ([`crate::par`]) runs one core per logical process.
-/// Events addressed outside the block land in the outbox of their
-/// destination LP for the parallel engine to ferry
-/// ([`Core::flush_outboxes`]); events arriving from other blocks enter
-/// through [`Core::receive`]. [`Core::process_until`] enforces the
+/// The core's pending events are its nodes' CPU completions, in [`Slots`],
+/// and the messages in flight to its nodes, in the queue; the loop
+/// dispatches the earlier of the two heads. Messages addressed outside the
+/// block land in the outbox of their destination LP for the parallel engine
+/// to ferry ([`Core::flush_outboxes`]); messages arriving from other blocks
+/// enter through [`Core::receive`]. [`Core::process_until`] enforces the
 /// conservative safe-time bound.
 pub(crate) struct Core {
     cfg: Arc<SimConfig>,
     /// Global id of the first owned node (`nodes[i]` is node `lo + i`).
     lo: NodeId,
     nodes: Vec<Node>,
+    /// The owned nodes' CPU completions: slot `i` per node, or with a
+    /// protocol processor slot `2i` for the handler and `2i + 1` for the
+    /// thread.
+    slots: Slots,
+    /// The messages in flight to owned nodes.
     queue: BinaryHeapQueue<Ev>,
     now: Time,
     events: u64,
@@ -241,7 +335,7 @@ pub(crate) struct Core {
     cur_key: (Time, u64),
     /// When `Some`, measured cycles append `(t, seq, r)` here.
     trace: Option<Vec<(Time, u64, f64)>>,
-    /// Events addressed to nodes outside the owned block, one outbox per
+    /// Messages addressed to nodes outside the owned block, one outbox per
     /// LP of the partition (the entry for this core's own LP stays empty).
     outboxes: Vec<Vec<Ev>>,
     /// Earliest event time put in an outbox since the last flush.
@@ -269,10 +363,12 @@ impl Core {
         let nodes = (lo..hi)
             .map(|k| Node::new(SmallRng::seed_from_u64(stream_seed(seed, k as u64))))
             .collect();
+        let lanes = 1 + cfg.protocol_processor as usize;
         let mut core = Core {
             cfg,
             lo,
             nodes,
+            slots: Slots::new(lanes * (hi - lo)),
             queue: scheduler.queue(),
             now: 0.0,
             events: 0,
@@ -308,17 +404,48 @@ impl Core {
         (self.lo..self.lo + self.nodes.len()).contains(&k)
     }
 
-    /// Create an event on behalf of node `creator` (the node whose handler
-    /// is running). The tie-break key is `(creator, creator's counter)`, so
-    /// it does not depend on which core runs the creator. Events for nodes
-    /// outside the block go to the outbox of the LP that owns them.
+    /// The next tie-break key of node `creator` (the node whose handler is
+    /// running): `(creator, creator's counter)`, which does not depend on
+    /// which core runs the creator.
     #[inline]
-    fn schedule(&mut self, creator: NodeId, t: Time, node: NodeId, kind: EvKind) {
+    fn next_seq(&mut self, creator: NodeId) -> u64 {
         let c = &mut self.nodes[creator - self.lo];
         c.ctr += 1;
         debug_assert!(c.ctr < (1 << CTR_BITS));
-        let seq = ((creator as u64) << CTR_BITS) | c.ctr;
-        let ev = Ev { t, seq, node, kind };
+        ((creator as u64) << CTR_BITS) | c.ctr
+    }
+
+    /// The slot of owned node `k`'s handler end (`compute = false`) or
+    /// compute end. Without a protocol processor both are the node's one
+    /// slot: the CPU runs one or the other.
+    #[inline]
+    fn slot(&self, k: NodeId, compute: bool) -> usize {
+        let i = k - self.lo;
+        if self.cfg.protocol_processor {
+            2 * i + compute as usize
+        } else {
+            i
+        }
+    }
+
+    /// Set owned node `k`'s handler end or compute end to `t`, keyed by the
+    /// node's next tie-break key. Without a protocol processor a handler end
+    /// replaces the compute end of the thread it preempts.
+    #[inline]
+    fn set_slot(&mut self, k: NodeId, compute: bool, t: Time) {
+        sched::check_time(t);
+        let key = sched::pack(t, self.next_seq(k));
+        let slot = self.slot(k, compute);
+        self.slots.set(slot, key);
+    }
+
+    /// Send `msg` from node `creator` to arrive at `node` at `t`. Messages
+    /// for nodes outside the block go to the outbox of the LP that owns
+    /// them.
+    #[inline]
+    fn send(&mut self, creator: NodeId, t: Time, node: NodeId, msg: Msg) {
+        let seq = self.next_seq(creator);
+        let ev = Ev { t, seq, node, msg };
         if self.owns(node) {
             self.queue.push(ev);
         } else {
@@ -330,25 +457,27 @@ impl Core {
         }
     }
 
-    /// Earliest pending event time, or `+∞` when the queue is empty (what
+    /// Earliest pending event time, or `+∞` when nothing is pending (what
     /// the conservative engine posts at the end of a round, together with
-    /// the earliest event it sent to another LP).
+    /// the earliest message it sent to another LP).
     pub(crate) fn next_time(&mut self) -> Time {
-        match self.queue.pop() {
-            Some(ev) => {
-                let t = ev.t;
-                self.queue.push(ev);
-                t
-            }
-            None => f64::INFINITY,
+        let head = self.queue.head_key().unwrap_or(EMPTY).min(self.slots.min());
+        if head == EMPTY {
+            f64::INFINITY
+        } else {
+            sched::unpack_time(head)
         }
     }
 
-    /// Accept an event ferried from another core.
-    pub(crate) fn receive(&mut self, ev: Ev) {
-        debug_assert!(self.owns(ev.node));
-        debug_assert!(ev.t >= self.now, "causality violation across LPs");
-        self.queue.push(ev);
+    /// Accept the messages ferried from other cores for this round, in one
+    /// batch, leaving `evs` empty.
+    pub(crate) fn receive(&mut self, evs: &mut Vec<Ev>) {
+        debug_assert!(evs.iter().all(|ev| self.owns(ev.node)));
+        debug_assert!(
+            evs.iter().all(|ev| ev.t >= self.now),
+            "causality violation across LPs"
+        );
+        self.queue.push_batch(evs);
     }
 
     /// Hand every non-empty outbox to `send(destination LP, events)`, which
@@ -371,35 +500,68 @@ impl Core {
     }
 
     /// Process every pending event with `t < bound` (and, under a horizon,
-    /// `t <= end`); the first event past either limit is pushed back intact.
-    /// Sequential runs pass `+∞` and stop at the horizon or an empty queue.
+    /// `t <= end`), in `(t, seq)` order: each step dispatches the earlier of
+    /// the earliest CPU completion and the earliest message. Sequential runs
+    /// pass `+∞` and stop at the horizon or when nothing is pending.
     pub(crate) fn process_until(&mut self, bound: Time) {
-        while let Some(ev) = self.queue.pop() {
-            if ev.t >= bound || self.horizon_end.is_some_and(|end| ev.t > end) {
-                self.queue.push(ev);
+        // Every key below `limit` is within both limits: `t < bound`, and
+        // `t <= end` is `t` below the next float after `end`.
+        let limit = self
+            .horizon_end
+            .map_or(EMPTY, |end| sched::pack(end.next_up(), 0))
+            .min(sched::pack(bound, 0));
+        loop {
+            let slot = self.slots.min();
+            if let Some(ev) = self.queue.pop_before(slot.min(limit)) {
+                self.enter(ev.t, ev.seq, ev.node);
+                self.on_arrive(ev.node, ev.msg);
+            } else if slot < limit {
+                self.dispatch_slot(slot);
+            } else {
                 break;
             }
-            self.dispatch(ev);
         }
     }
 
-    fn dispatch(&mut self, ev: Ev) {
-        debug_assert!(ev.t >= self.now, "time went backwards");
-        self.now = ev.t;
+    /// Dispatch the CPU completion keyed `key`, the earliest in the slots:
+    /// a handler end or a compute end of the node that created it.
+    fn dispatch_slot(&mut self, key: u128) {
+        let seq = key as u64;
+        let k = (seq >> CTR_BITS) as NodeId;
+        self.enter(sched::unpack_time(key), seq, k);
+        let handler = if self.cfg.protocol_processor {
+            self.slots.get(self.slot(k, false)) == key
+        } else {
+            self.nodes[k - self.lo].in_service.is_some()
+        };
+        if handler {
+            self.on_handler_done(k);
+        } else {
+            self.on_compute_done(k);
+        }
+        // Clear the slot unless the completion refilled it (a handler that
+        // starts the next one, a thread resuming in the CPU's one slot).
+        let slot = self.slot(k, !handler);
+        if self.slots.get(slot) == key {
+            self.slots.set(slot, EMPTY);
+        }
+    }
+
+    /// Advance the clock to the event keyed `(t, seq)` at node `k`, about
+    /// to be dispatched.
+    #[inline]
+    fn enter(&mut self, t: Time, seq: u64, k: NodeId) {
+        debug_assert!(t >= self.now, "time went backwards");
+        self.now = t;
         self.events += 1;
-        self.cur_key = (ev.t, ev.seq);
+        self.cur_key = (t, seq);
         // Lazy warmup: the node's time-averages restart at exactly `warmup`
         // before its first post-warmup event — between its events the levels
         // are constant, so this equals an eager reset at `warmup`.
-        let i = ev.node - self.lo;
-        if !self.nodes[i].warmup_done && self.warmup > 0.0 && ev.t >= self.warmup {
+        let i = k - self.lo;
+        if !self.nodes[i].warmup_done && self.warmup > 0.0 && t >= self.warmup {
             self.nodes[i].warmup_done = true;
             self.nodes[i].stats.reset_time_averages(self.warmup);
-        }
-        match ev.kind {
-            EvKind::Arrive(msg) => self.on_arrive(ev.node, msg),
-            EvKind::HandlerDone => self.on_handler_done(ev.node),
-            EvKind::ComputeDone { token } => self.on_compute_done(ev.node, token),
         }
     }
 
@@ -430,11 +592,10 @@ impl Core {
             return;
         }
         // Preempt-resume, unless a protocol processor runs the handler
-        // beside the computation: bank remaining work, invalidate the
-        // pending completion event, run the handler now.
+        // beside the computation: bank remaining work and run the handler
+        // now, whose end replaces the compute end in the CPU's slot.
         if let (false, Cpu::Compute { end }) = (self.cfg.protocol_processor, node.cpu) {
             let remaining = (end - self.now).max(0.0);
-            node.compute_token += 1;
             node.thread = ThreadState::Ready { remaining };
             node.stats.busy_compute.set(self.now, 0.0);
             node.cpu = Cpu::Idle;
@@ -458,7 +619,7 @@ impl Core {
             }
             node.in_service = Some(msg);
         }
-        self.schedule(k, self.now + service, k, EvKind::HandlerDone);
+        self.set_slot(k, false, self.now + service);
     }
 
     fn on_handler_done(&mut self, k: NodeId) {
@@ -527,11 +688,11 @@ impl Core {
                         &mut node.rng,
                         &mut node.rr,
                     );
-                    self.schedule(k, self.now + wire, next, EvKind::Arrive(msg));
+                    self.send(k, self.now + wire, next, msg);
                 } else {
                     msg.kind = MsgKind::Reply;
                     let origin = msg.origin;
-                    self.schedule(k, self.now + wire, origin, EvKind::Arrive(msg));
+                    self.send(k, self.now + wire, origin, msg);
                 }
             }
             MsgKind::Reply => {
@@ -602,21 +763,16 @@ impl Core {
             "compute must start on an idle CPU with no handler to run"
         );
         let node = &mut self.nodes[i];
-        node.compute_token += 1;
-        let token = node.compute_token;
         node.thread = ThreadState::Running;
         node.cpu = Cpu::Compute {
             end: self.now + remaining,
         };
         node.stats.busy_compute.set(self.now, 1.0);
-        self.schedule(k, self.now + remaining, k, EvKind::ComputeDone { token });
+        self.set_slot(k, true, self.now + remaining);
     }
 
-    fn on_compute_done(&mut self, k: NodeId, token: u64) {
+    fn on_compute_done(&mut self, k: NodeId) {
         let i = k - self.lo;
-        if self.nodes[i].compute_token != token {
-            return; // stale: the thread was preempted after scheduling this
-        }
         debug_assert!(matches!(self.nodes[i].cpu, Cpu::Compute { .. }));
         debug_assert_eq!(self.nodes[i].thread, ThreadState::Running);
         {
@@ -651,7 +807,7 @@ impl Core {
                 arrived_at: 0.0,
             };
             let wire = wire_time(&self.cfg, &mut self.nodes[i].rng);
-            self.schedule(k, self.now + wire, dst, EvKind::Arrive(msg));
+            self.send(k, self.now + wire, dst, msg);
         }
     }
 }
@@ -815,11 +971,6 @@ impl Engine {
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.core.now
-    }
-
-    /// Events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.core.events()
     }
 
     /// Run until the stop condition is reached and produce the report.

@@ -23,10 +23,11 @@
 //! Alewife machine to within ~1 %; here the simulator plays the role of the
 //! hardware (see DESIGN.md, substitutions).
 //!
-//! The pending-event queue behind the loop ([`sched`]) adapts to its own
-//! population: a sorted near run plus an unsorted far bag up to 128 pending
-//! events, an `O(1)`-amortized calendar queue (Brown's wheel) above, with
-//! items moved between the two as the population crosses the bound. Tests force either mode
+//! Each node's CPU completions wait in slots of a tournament tree, so the
+//! pending-event queue behind the loop ([`sched`]) holds only messages in
+//! flight: a sorted near run plus an unsorted far bag, or an
+//! `O(1)`-amortized calendar queue (Brown's wheel) once out-of-order pushes
+//! into a long run get dear. Tests force either mode
 //! ([`Scheduler`], [`runner::run_with_scheduler`]), and every mode produces
 //! bit-identical runs, so the queue is purely a speed matter. Independent
 //! replications run in parallel with work stealing ([`run_replications`]),

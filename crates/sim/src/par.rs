@@ -2,9 +2,9 @@
 //! engine).
 //!
 //! The node set is partitioned into contiguous blocks, one per **logical
-//! process** (LP); each LP is a private `Core` — its own pending-event
-//! queue (which adapts to that LP's own population), its own nodes, its
-//! own clock. LPs synchronize in rounds over one global safe window
+//! process** (LP); each LP is a private `Core` — its own nodes with their
+//! CPU-completion slots (a CPU event never leaves its LP), its own queue of
+//! messages in flight to them, its own clock. LPs synchronize in rounds over one global safe window
 //! (Nicol's YAWNS protocol):
 //!
 //! 1. **Lookahead.** Every cross-node event is a message arrival paying at
@@ -14,8 +14,9 @@
 //!    next pending event and the events it sent to other LPs that round.
 //!    `M` is the minimum over the posted values.
 //! 3. **Window.** In the next round every LP first takes delivery of the
-//!    events sent to it, then processes its events strictly below `M + L`,
-//!    and hands its output for each other LP to that LP's channel.
+//!    messages sent to it, merged into its queue in one batch, then
+//!    processes its events strictly below `M + L`, and hands its output for
+//!    each other LP to that LP's channel.
 //!
 //! The window is safe: an event not yet delivered was created by an event
 //! at a time `>= M` and pays at least `L` on the wire, so nothing can
@@ -23,11 +24,13 @@
 //! the events in flight; without them `M` could skip a message on its way.
 //! Each LP also processes every event below `M + L`, so `M` grows by at
 //! least `L` per round and the protocol cannot deadlock. Rounds repeat
-//! until `M` passes the horizon (or is `+∞`, in makespan mode: every queue
-//! and channel is empty). Posted values and channels are double-buffered
-//! by round parity, so one barrier per round separates a round's writes
-//! from the next round's reads. A zero-lookahead configuration (a latency
-//! distribution that can sample 0) falls back to the sequential engine.
+//! until `M` passes the horizon (or is `+∞`, in makespan mode: every slot,
+//! queue and channel is empty). Posted values and channels are
+//! double-buffered by round parity, so one barrier per round separates a
+//! round's writes from the next round's reads. A worker that panics
+//! releases the barrier as it unwinds, so the run fails instead of
+//! hanging. A zero-lookahead configuration (a latency distribution that can
+//! sample 0) falls back to the sequential engine.
 //!
 //! **Determinism.** Parallel runs are *bit-identical* to sequential ones —
 //! same [`SimReport`], same cycle trace — for any LP count and any worker
@@ -65,7 +68,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::config::{ConfigError, SimConfig, StopCondition, Time};
 use crate::engine::{finalize_report, Core, Engine, Ev};
@@ -126,6 +129,90 @@ pub(crate) struct RoundStats {
 fn load_time(a: &AtomicU64) -> Time {
     // Barriers order every store before every load; Relaxed suffices.
     f64::from_bits(a.load(Ordering::Relaxed))
+}
+
+/// The round barrier, which a failing worker releases.
+///
+/// `std::sync::Barrier` does not poison: a worker that panics never
+/// arrives, and the others would wait for it forever. Here each worker
+/// holds a [`FailOnUnwind`] guard, which marks the barrier failed as its
+/// thread unwinds; every waiter then returns `false` and its worker stops,
+/// so `thread::scope` can return and the run re-raises the panic.
+struct RoundBarrier {
+    workers: usize,
+    state: Mutex<BarrierState>,
+    cvar: Condvar,
+}
+
+struct BarrierState {
+    /// Workers waiting in the current round.
+    arrived: usize,
+    /// Rounds released so far.
+    round: u64,
+    failed: bool,
+}
+
+impl RoundBarrier {
+    fn new(workers: usize) -> Self {
+        RoundBarrier {
+            workers,
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                round: 0,
+                failed: false,
+            }),
+            cvar: Condvar::new(),
+        }
+    }
+
+    /// Block until every worker has arrived, and return `true`; or return
+    /// `false` once a worker has failed. The lock is never held across
+    /// anything that can panic, so a poisoned state is still consistent.
+    fn wait(&self) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.failed {
+            return false;
+        }
+        state.arrived += 1;
+        if state.arrived == self.workers {
+            state.arrived = 0;
+            state.round += 1;
+            self.cvar.notify_all();
+            return true;
+        }
+        let round = state.round;
+        let state = self
+            .cvar
+            .wait_while(state, |s| s.round == round && !s.failed)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.round != round
+    }
+
+    fn fail(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.failed = true;
+        self.cvar.notify_all();
+    }
+}
+
+/// Marks its barrier failed when dropped by a panicking thread.
+struct FailOnUnwind<'a>(&'a RoundBarrier);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.fail();
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test fault hook: `Some((lp, round))` makes the worker that runs LP
+    /// `lp` panic in that round, after taking delivery and before
+    /// processing. Read by `run_rounds` on the calling thread, so parallel
+    /// tests do not see each other's faults.
+    static FAULT: std::cell::Cell<Option<(usize, usize)>> = const { std::cell::Cell::new(None) };
 }
 
 /// Run one simulation on the conservative parallel engine.
@@ -195,7 +282,9 @@ pub(crate) fn run_rounds(
     }
     let channels: [Vec<Mutex<Vec<Ev>>>; 2] =
         [0, 1].map(|_| (0..n * n).map(|_| Mutex::new(Vec::new())).collect());
-    let barrier = Barrier::new(threads);
+    let barrier = RoundBarrier::new(threads);
+    #[cfg(test)]
+    let fault = FAULT.get();
 
     // Per LP, in LP order: the events it processed in each round.
     let loads: Vec<Vec<u64>> = std::thread::scope(|s| {
@@ -208,7 +297,9 @@ pub(crate) fn run_rounds(
             let (mine, tail) = rest.split_at_mut((t + 1) * n / threads - first);
             rest = tail;
             workers.push(s.spawn(move || {
+                let _guard = FailOnUnwind(barrier);
                 let mut loads = vec![Vec::new(); mine.len()];
+                let mut inbox = Vec::new();
                 for round in 0usize.. {
                     let (cur, prev) = (round % 2, (round + 1) % 2);
                     // Every worker reads the same posted values, so all
@@ -222,12 +313,16 @@ pub(crate) fn run_rounds(
                     }
                     for ((lp, core), load) in (first..).zip(mine.iter_mut()).zip(&mut loads) {
                         for src in (0..n).filter(|&src| src != lp) {
-                            let mut inbound = channels[prev][src * n + lp]
-                                .lock()
-                                .expect("a simulation worker panicked");
-                            for ev in inbound.drain(..) {
-                                core.receive(ev);
-                            }
+                            inbox.append(
+                                &mut channels[prev][src * n + lp]
+                                    .lock()
+                                    .expect("a simulation worker panicked"),
+                            );
+                        }
+                        core.receive(&mut inbox);
+                        #[cfg(test)]
+                        if fault == Some((lp, round)) {
+                            panic!("injected fault in LP {lp}, round {round}");
                         }
                         let before = core.events();
                         core.process_until(m + la);
@@ -244,7 +339,9 @@ pub(crate) fn run_rounds(
                         posted[cur][lp]
                             .store(core.next_time().min(sent).to_bits(), Ordering::Relaxed);
                     }
-                    barrier.wait();
+                    if !barrier.wait() {
+                        break; // another worker panicked: let the scope end
+                    }
                 }
                 loads
             }));
@@ -459,6 +556,30 @@ mod tests {
         };
         assert_eq!(run_par(&cfg, &opts).unwrap(), reference);
         assert!(reference.nodes[0].requests_served > 0);
+    }
+
+    /// A worker that panics in mid-round fails the run instead of hanging
+    /// it: the other worker waits at the round barrier, which the failing
+    /// one releases as it unwinds. The run goes on its own thread under a
+    /// watchdog, so a hang fails the test within seconds.
+    #[test]
+    fn a_panicking_worker_fails_the_run() {
+        let cfg = base(8, StopCondition::CyclesPerThread { n: 50 });
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            FAULT.set(Some((1, 3)));
+            let opts = ParOptions {
+                lps: 2,
+                threads: 2,
+                ..Default::default()
+            };
+            let run = std::panic::catch_unwind(|| run_par(&cfg, &opts));
+            let _ = tx.send(run.is_err());
+        });
+        let failed = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run_par hung after a worker panicked");
+        assert!(failed, "the injected fault must fail the run");
     }
 
     /// The global window keeps both LPs busy on the lockstep schedule the

@@ -1,26 +1,28 @@
-//! The pending-event queue: the priority queue at the heart of the engine.
+//! The pending-event queue: the messages in flight to a core's nodes.
 //!
-//! The event loop pops the globally earliest event on every iteration, so the
-//! queue is the hot path at every machine size, not only on large ones: in a
-//! P = 32 replication (32–50 pending events) a sorted run took about a
-//! quarter off the wall time a plain binary heap needs, and splitting it
-//! into the near run and the far bag below took a further 15 % off
-//! (DESIGN.md §4). Every engine builds one queue, [`BinaryHeapQueue`],
-//! which adapts to its own population:
+//! The engine keeps each node's CPU completions in slots of its own
+//! (`engine.rs`), so the queue holds only messages in flight, and the event
+//! loop pops from it whenever its head comes before the earliest CPU
+//! completion (DESIGN.md §4). Every engine builds one queue,
+//! [`BinaryHeapQueue`]:
 //!
-//! * up to 128 pending items, `(key, item)` pairs split at a threshold key
-//!   into a near run and a far bag (every run key < threshold ≤ every bag
-//!   key). The run is sorted earliest last, so a pop is `Vec::pop`, and a
-//!   push below the threshold scans from that end to its place. A push at
-//!   or above it appends to the bag, which is sorted into the run only when
-//!   the run empties;
-//! * above that, [`CalendarQueue`]: a bucketed time wheel after Brown's
-//!   calendar queue (CACM 31(10), 1988), `O(1)` amortized per operation. The
-//!   design and resize policy are documented in DESIGN.md §4.
+//! * `(key, item)` pairs split at a threshold key into a near run and a far
+//!   bag (every run key < threshold ≤ every bag key). The run is sorted
+//!   earliest last, so a pop is `Vec::pop`, and a push below the threshold
+//!   scans from that end to its place. A push at or above it appends to the
+//!   bag, which is sorted into the run only when the run empties;
+//! * [`CalendarQueue`]: a bucketed time wheel after Brown's calendar queue
+//!   (CACM 31(10), 1988), `O(1)` amortized per operation, once placing
+//!   pushes in the run gets dear. The design and resize policy are
+//!   documented in DESIGN.md §4.
 //!
-//! Items move between the two on the actual population, with hysteresis.
-//! Both sit behind the [`EventQueue`] trait, and [`CalendarQueue`] on its own
-//! is the queue with a run bound of 0 ([`Scheduler::Calendar`]).
+//! The queue converts to the wheel on cost: when a push lands below the
+//! threshold into a run longer than 128 items. Pushes in key order append
+//! to the bag at any population, and that is how the sequential engine
+//! sends messages under a constant wire time. The wheel turns back into a
+//! run when pops drain it to 64 items. Both sit behind the [`EventQueue`]
+//! trait, and [`CalendarQueue`] on its own is the queue with a run bound of
+//! 0 ([`Scheduler::Calendar`]), the wheel from the first push.
 //!
 //! Every pop follows one **total** order: ascending `(time, seq)`, where
 //! `seq` is a unique tie-break key (the engine packs the creating node and
@@ -38,12 +40,9 @@
 //!
 //! The wheel repeats every *year* (`nbuckets × width` time units), so an
 //! event scheduled a whole number of years ahead lands in the bucket being
-//! drained. The engine does exactly this on the schedule LoPC is validated
-//! on: constant handler and work times, threads in lockstep. At P = 4096
-//! with `W` = 512, the 4,096 first events all tie at t = 512, the width
-//! estimate finds no distinct gap and keeps 1.0, and the wheel settles at
-//! 512 buckets — a year of exactly `W`. Every `ComputeDone` is then parked
-//! one year ahead in the bucket the position is draining.
+//! drained. On the schedule LoPC is validated on (constant handler and work
+//! times, threads in lockstep) many events tie, the width estimate finds
+//! few distinct gaps, and whole-year delays are common.
 //!
 //! The calendar's buckets are therefore unsorted bags: a push appends. When
 //! the position reaches a bucket's earliest slot, the bag is sorted and
@@ -54,27 +53,18 @@
 //! run. Neither kind of push moves the run. The earlier layout kept each
 //! bucket sorted descending and, at the next pop visit, binary-inserted
 //! each push at its place, so each parked event shifted the whole bucket:
-//! 11.4 M moved events (about 640 MB of `memmove`) in one 85,769-event run.
-//! Per event on the sequential engine (4 cycles; 2-vCPU Xeon VM, one vCPU
-//! pinned; median of three alternating runs), that layout took 439 ns at
-//! P = 4096 with `W` = 512, 882 ns with `W` = 1024 and 1,572 ns at P = 8192
-//! with `W` = 1024; this one takes 206, 171 and 235 ns, against 211–325
-//! and 300–490 ns for a binary heap at P = 4096 and 8192. `W` = 500,
-//! which does not alias, read 142–228 ns before and 132–215 ns after.
+//! 11.4 M moved events (about 640 MB of `memmove`) in one 85,769-event run
+//! at P = 4096, when the queue still held every compute end.
 //!
 //! # The near run and the far bag
 //!
-//! A thread's compute end is pushed a whole work time ahead, past nearly
-//! every other pending event. In one sorted run such a push lands at or
-//! near the far end and shifts every pair in front of it; in the bag it is
-//! an append, and it is sorted once, when the run empties (the ladder
-//! queue's rule: Tang, Goh & Thng, ACM TOMACS 15(3), 2005). The near-term
-//! pushes (a message arriving, a handler finishing) land a few places from
-//! the run's earliest end, so the scan from that end beats a binary
-//! search. On a 2-vCPU Xeon VM (release builds, four rotating 10 s
-//! perfbench runs a side), one P = 32 `Hotspot` replication took
-//! 6.06–6.09 ms against 7.11–7.14 ms with one sorted run, with every
-//! report unchanged.
+//! A push at or above the threshold is an append, and it is sorted once,
+//! when the run empties (the ladder queue's rule: Tang, Goh & Thng, ACM
+//! TOMACS 15(3), 2005). Under a constant wire time every message push is a
+//! new maximum, so the run is the bag reversed and no push moves anything.
+//! Sampled wire times push out of order: a push below the threshold is
+//! placed by the scan from the run's earliest end, which shifts the pairs
+//! it passes, and the wheel takes over once those runs grow long.
 //!
 //! # Example
 //!
@@ -163,14 +153,26 @@ pub trait Keyed {
 /// as comparing `(time, seq)` does. The `+ 0.0` folds −0.0 into +0.0, which
 /// `(time, seq)` treats as equal (the tie then goes to `seq`).
 #[inline]
-fn key<T: Keyed>(item: &T) -> u128 {
-    ((item.time() + 0.0).to_bits() as u128) << 64 | item.seq() as u128
+pub(crate) fn pack(t: Time, seq: u64) -> u128 {
+    ((t + 0.0).to_bits() as u128) << 64 | seq as u128
 }
 
-/// Panic unless `t` is a valid event time: the domain on which [`key`]
+/// The time a [`pack`]ed key was made from.
+#[inline]
+pub(crate) fn unpack_time(key: u128) -> Time {
+    Time::from_bits((key >> 64) as u64)
+}
+
+/// An item's [`pack`]ed key.
+#[inline]
+fn key<T: Keyed>(item: &T) -> u128 {
+    pack(item.time(), item.seq())
+}
+
+/// Panic unless `t` is a valid event time: the domain on which [`pack`]
 /// orders like `(time, seq)`.
 #[inline]
-fn check_time(t: Time) {
+pub(crate) fn check_time(t: Time) {
     assert!(
         (0.0..Time::INFINITY).contains(&t),
         "event time {t} is not finite and non-negative"
@@ -229,39 +231,40 @@ impl<T> Ord for Entry<T> {
 }
 
 // ---------------------------------------------------------------------------
-// The adaptive queue: a near run and a far bag, the wheel above them
+// The adaptive queue: a near run and a far bag, the wheel beside them
 // ---------------------------------------------------------------------------
 
-/// Largest population [`BinaryHeapQueue::new`] keeps out of the wheel.
+/// Longest run [`BinaryHeapQueue::new`] places a push into, and twice the
+/// population at which the wheel turns back into a run.
 const RUN_MAX: usize = 128;
 
-/// The simulator's event queue: a sorted near run plus an unsorted far bag
-/// while the population is small, Brown's wheel ([`CalendarQueue`]) while it
-/// is large.
+/// The simulator's event queue: a sorted near run plus an unsorted far bag,
+/// or Brown's wheel ([`CalendarQueue`]) once placing pushes in the run gets
+/// dear.
 ///
-/// Up to the run bound (128 items, `RUN_MAX`) the `(key, item)` pairs sit in
-/// two `Vec`s split at a threshold key: every run key < threshold ≤ every
-/// bag key.
+/// The `(key, item)` pairs sit in two `Vec`s split at a threshold key:
+/// every run key < threshold ≤ every bag key.
 ///
 /// * The **near run** is sorted descending by key, the earliest last, so a
 ///   pop is `Vec::pop`. A push below the threshold is placed by scanning
-///   from that earliest end, and shifts only the pairs it passes: the
-///   engine's near-term pushes (a message arriving, a handler finishing)
-///   land a few places from it.
+///   from that earliest end, and shifts only the pairs it passes.
 /// * The **far bag** takes every push at or above the threshold by
-///   appending, so a far-future event that is a new maximum (a thread's
-///   compute end) moves nothing. When the run empties, the bag is sorted
-///   once and becomes the run, and its largest key + 1 becomes the new
-///   threshold. The threshold starts at 0, so the first pushes fill the bag
-///   and the first pop sorts them.
+///   appending, so a push that is a new maximum moves nothing. When the run
+///   empties, the bag is sorted once and becomes the run, and its largest
+///   key + 1 becomes the new threshold. The threshold starts at 0, so the
+///   first pushes fill the bag and the first pop sorts them.
 ///
-/// The push past the bound loads the run and the bag, ascending, into the
-/// wheel, which holds every item until pops drain it to half the bound and
-/// they are sorted back into a run (with an empty bag above it), so the
-/// queue converts at most once per half-bound operations. A bound of 0
-/// ([`Scheduler::Calendar`]) is [`CalendarQueue`] alone. The name stays
-/// because the perfbench harness compiles against it; the next benchmark
-/// change renames it.
+/// The queue converts to the wheel on cost, not on population: a push
+/// below the threshold into a run longer than the bound (128 items,
+/// `RUN_MAX`) would shift up to the whole run, so instead the run and the
+/// bag, ascending, load the wheel, which holds every item until pops drain
+/// it to half the bound. Then they are sorted back into a run, with an
+/// empty bag above it. Pushes in key order, which is how the sequential
+/// engine pushes messages under a constant wire time, always append to the
+/// bag, so any population of them stays out of the wheel. A bound of 0
+/// ([`Scheduler::Calendar`]) is [`CalendarQueue`] alone, from the first
+/// push. The name stays because the perfbench harness compiles against it;
+/// the next benchmark change renames it.
 pub struct BinaryHeapQueue<T> {
     /// The pending pairs below `threshold`, descending by key, while the
     /// wheel is empty.
@@ -271,10 +274,10 @@ pub struct BinaryHeapQueue<T> {
     bag: Vec<Entry<T>>,
     /// The key that splits the run from the bag.
     threshold: u128,
-    /// Every pending item from the push past `run_max` until pops drain it
-    /// to `run_max / 2`; empty otherwise.
+    /// Every pending item from the conversion until pops drain it to
+    /// `run_max / 2`, or always when `run_max` is 0; empty otherwise.
     wheel: CalendarQueue<T>,
-    /// Largest population kept out of the wheel.
+    /// Longest run a push is placed into.
     run_max: usize,
 }
 
@@ -290,7 +293,8 @@ impl<T: Keyed> BinaryHeapQueue<T> {
         Self::with_run_max(RUN_MAX)
     }
 
-    /// New empty queue that keeps at most `run_max` items out of the wheel.
+    /// New empty queue that places pushes into runs of at most `run_max`
+    /// items, and is the wheel alone when `run_max` is 0.
     pub(crate) fn with_run_max(run_max: usize) -> Self {
         BinaryHeapQueue {
             run: Vec::new(),
@@ -301,6 +305,12 @@ impl<T: Keyed> BinaryHeapQueue<T> {
         }
     }
 
+    /// Whether pushes go to the wheel.
+    #[inline]
+    fn in_wheel(&self) -> bool {
+        !self.wheel.is_empty() || self.run_max == 0
+    }
+
     /// The run is empty: sort the bag into it, descending, and move the
     /// threshold past its latest key.
     fn take_bag(&mut self) {
@@ -309,44 +319,31 @@ impl<T: Keyed> BinaryHeapQueue<T> {
         self.threshold = self.bag[0].key + 1;
         std::mem::swap(&mut self.run, &mut self.bag);
     }
-}
 
-impl<T: Keyed> EventQueue<T> for BinaryHeapQueue<T> {
-    fn push(&mut self, item: T) {
-        if self.wheel.is_empty() && self.run.len() + self.bag.len() < self.run_max {
-            check_time(item.time());
-            let e = Entry::new(item);
-            if e.key >= self.threshold {
-                self.bag.push(e);
-            } else {
-                let mut pos = self.run.len();
-                while pos > 0 && self.run[pos - 1].key < e.key {
-                    pos -= 1;
-                }
-                self.run.insert(pos, e);
-            }
-            return;
+    /// The key of the earliest pending item, or `None` when empty.
+    #[inline]
+    pub(crate) fn head_key(&mut self) -> Option<u128> {
+        if !self.wheel.is_empty() {
+            return self.wheel.head_key();
         }
-        if !self.run.is_empty() || !self.bag.is_empty() {
-            // The push past the bound: the run, then the bag above it, both
-            // ascending, fill the wheel.
-            self.bag.sort_unstable_by_key(|e| e.key);
-            let run = self.run.drain(..).rev();
-            let items = run.chain(self.bag.drain(..)).map(|e| e.item).collect();
-            self.wheel.rebuild(items, 0.0);
+        if self.run.is_empty() && !self.bag.is_empty() {
+            self.take_bag();
         }
-        self.wheel.push(item);
+        self.run.last().map(|e| e.key)
     }
 
+    /// Remove and return the earliest pending item if its key is below
+    /// `bound`: what the engine's loop asks, with the earliest CPU
+    /// completion as the bound.
     #[inline]
-    fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop_before(&mut self, bound: u128) -> Option<T> {
         if self.wheel.is_empty() {
-            if self.run.is_empty() && !self.bag.is_empty() {
-                self.take_bag();
+            if self.head_key()? >= bound {
+                return None;
             }
             return self.run.pop().map(|e| e.item);
         }
-        let item = self.wheel.pop();
+        let item = self.wheel.pop_before(bound)?;
         if self.wheel.len() <= self.run_max / 2 && !self.wheel.is_empty() {
             // Drained to half the bound: a run again, descending, with an
             // empty bag above it.
@@ -354,7 +351,70 @@ impl<T: Keyed> EventQueue<T> for BinaryHeapQueue<T> {
             self.run.extend(items.into_iter().rev().map(Entry::new));
             self.threshold = self.run[0].key + 1;
         }
-        item
+        Some(item)
+    }
+
+    /// Push every item of `items`, leaving it empty, in one pass: the items
+    /// at or above the threshold append to the bag, and the rest, sorted,
+    /// merge into the run. A batch never converts the queue to the wheel.
+    pub(crate) fn push_batch(&mut self, items: &mut Vec<T>) {
+        if self.in_wheel() {
+            for item in items.drain(..) {
+                self.wheel.push(item);
+            }
+            return;
+        }
+        let mut low = Vec::new();
+        for item in items.drain(..) {
+            check_time(item.time());
+            let e = Entry::new(item);
+            if e.key >= self.threshold {
+                self.bag.push(e);
+            } else {
+                low.push(e);
+            }
+        }
+        if !low.is_empty() {
+            low.sort_unstable_by_key(|e| Reverse(e.key));
+            self.run.append(&mut low);
+            // Two descending runs back to back: the stable sort merges them
+            // in one linear pass.
+            self.run.sort_by_key(|e| Reverse(e.key));
+        }
+    }
+}
+
+impl<T: Keyed> EventQueue<T> for BinaryHeapQueue<T> {
+    fn push(&mut self, item: T) {
+        if self.in_wheel() {
+            self.wheel.push(item);
+            return;
+        }
+        check_time(item.time());
+        let e = Entry::new(item);
+        if e.key >= self.threshold {
+            self.bag.push(e);
+        } else if self.run.len() <= self.run_max {
+            let mut pos = self.run.len();
+            while pos > 0 && self.run[pos - 1].key < e.key {
+                pos -= 1;
+            }
+            self.run.insert(pos, e);
+        } else {
+            // Placing it would shift a run longer than the bound: the run,
+            // then the bag above it, both ascending, fill the wheel, which
+            // takes the push.
+            self.bag.sort_unstable_by_key(|e| e.key);
+            let run = self.run.drain(..).rev();
+            let items = run.chain(self.bag.drain(..)).map(|e| e.item).collect();
+            self.wheel.rebuild(items, 0.0);
+            self.wheel.push(e.item);
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<T> {
+        self.pop_before(u128::MAX)
     }
 
     fn len(&self) -> usize {
@@ -626,8 +686,9 @@ impl<T: Keyed> CalendarQueue<T> {
     }
 
     /// Jump the position straight to the earliest pending slot (bucket bags
-    /// and overflow head). Only called when a whole year scanned empty.
-    fn jump_to_min(&mut self) {
+    /// and overflow head), or to `limit` if that comes first. Only called
+    /// when a whole year scanned empty.
+    fn jump_to_min(&mut self, limit: u64) {
         debug_assert!(self.run.is_empty() && self.in_slot.is_empty());
         self.jumps += 1;
         if self.jumps > MAX_JUMPS {
@@ -648,7 +709,7 @@ impl<T: Keyed> CalendarQueue<T> {
             .map(|b| b.min_slot)
             .fold(self.overflow_min_slot, u64::min);
         debug_assert_ne!(min_slot, u64::MAX, "jump_to_min on an empty queue");
-        self.cur_slot = min_slot;
+        self.cur_slot = min_slot.min(limit);
         if self.cur_slot >= self.overflow_min_slot {
             self.drain_overflow();
         }
@@ -665,7 +726,7 @@ impl<T: Keyed> CalendarQueue<T> {
         self.floor = 0;
         all.extend(self.in_slot.drain().map(|e| e.item));
         all.append(&mut self.overflow);
-        all.sort_by_key(key);
+        all.sort_unstable_by_key(key);
         self.len = 0;
         self.wheel_len = 0;
         self.overflow_min_slot = u64::MAX;
@@ -743,6 +804,119 @@ impl<T: Keyed> CalendarQueue<T> {
             self.rebuild(items, 0.0);
         }
     }
+
+    /// Move the position to the earliest pending item, which is then the
+    /// last of `run[floor..]` or the top of `in_slot`, and return whether a
+    /// year-empty jump was needed; or return `None`, with the position at
+    /// most the slot of `bound`'s time, when no item is pending up to that
+    /// slot. Does nothing when the position already holds an item. The
+    /// queue must not be empty.
+    ///
+    /// The engine bounds a pop by its earliest CPU completion, and a
+    /// completion schedules messages at or after its own time, so stopping
+    /// at its slot keeps those pushes from landing behind the position,
+    /// which would rewind it.
+    fn settle(&mut self, bound: u128) -> Option<bool> {
+        debug_assert!(self.len > 0);
+        if self.run.len() > self.floor || !self.in_slot.is_empty() {
+            return Some(false);
+        }
+        // `bound`'s time is NaN for `u128::MAX`, and every item's slot is
+        // below that of +∞.
+        let t = unpack_time(bound);
+        let limit = if t < Time::INFINITY {
+            self.slot_of(t)
+        } else {
+            u64::MAX
+        };
+        if self.wheel_len == 0 {
+            // Everything pending is far-future: jump straight to it.
+            if self.overflow_min_slot > limit {
+                return None;
+            }
+            self.cur_slot = self.overflow_min_slot;
+            self.drain_overflow();
+        }
+        let nbuckets = self.mask + 1;
+        let mut scanned = 0usize;
+        // Whether this pop needed a year-empty jump: consecutive *jumping
+        // pops* are what the MAX_JUMPS mis-tuning valve counts, so the
+        // counter only resets on a pop that found its item without jumping
+        // (or on a rebuild).
+        let mut jumped = false;
+        while self.run.len() == self.floor && self.in_slot.is_empty() {
+            if !self.run.is_empty() {
+                self.lift_run();
+            }
+            // Never let the position pass the overflow head.
+            if self.cur_slot >= self.overflow_min_slot {
+                self.drain_overflow();
+                continue;
+            }
+            let idx = (self.cur_slot & self.mask as u64) as usize;
+            if self.buckets[idx].min_slot == self.cur_slot {
+                self.fill_run();
+                break;
+            }
+            if self.cur_slot >= limit {
+                return None;
+            }
+            self.cur_slot += 1;
+            scanned += 1;
+            if scanned >= nbuckets {
+                // A whole year was empty: the next event is further out.
+                jumped = true;
+                self.jump_to_min(limit);
+                scanned = 0;
+            }
+        }
+        Some(jumped)
+    }
+
+    /// The earliest item's key after [`Self::settle`], and whether it is
+    /// `in_slot`'s top (else the run's last item).
+    #[inline]
+    fn head(&self) -> (u128, bool) {
+        match (self.run[self.floor..].last(), self.in_slot.peek()) {
+            (Some(min), Some(h)) if h.key < key(min) => (h.key, true),
+            (Some(min), _) => (key(min), false),
+            (None, h) => (h.expect("settle leaves an item in front").key, true),
+        }
+    }
+
+    /// The key of the earliest pending item, or `None` when empty.
+    pub(crate) fn head_key(&mut self) -> Option<u128> {
+        if self.len == 0 {
+            return None;
+        }
+        self.settle(u128::MAX);
+        Some(self.head().0)
+    }
+
+    /// Remove and return the earliest pending item if its key is below
+    /// `bound`.
+    pub(crate) fn pop_before(&mut self, bound: u128) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        let jumped = self.settle(bound)?;
+        let (head, from_heap) = self.head();
+        if head >= bound {
+            return None;
+        }
+        let item = if from_heap {
+            self.in_slot.pop().expect("non-empty").item
+        } else {
+            self.run.pop().expect("non-empty")
+        };
+        self.wheel_len -= 1;
+        self.len -= 1;
+        if !jumped {
+            self.jumps = 0;
+        }
+        self.maybe_resize();
+        Some(item)
+    }
 }
 
 impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
@@ -780,61 +954,9 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
         self.maybe_resize();
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.wheel_len == 0 {
-            // Everything pending is far-future: jump straight to it.
-            self.cur_slot = self.overflow_min_slot;
-            self.drain_overflow();
-        }
-        let nbuckets = self.mask + 1;
-        let mut scanned = 0usize;
-        // Whether this pop needed a year-empty jump: consecutive *jumping
-        // pops* are what the MAX_JUMPS mis-tuning valve counts, so the
-        // counter only resets on a pop that found its item without jumping
-        // (or on a rebuild).
-        let mut jumped = false;
-        while self.run.len() == self.floor && self.in_slot.is_empty() {
-            if !self.run.is_empty() {
-                self.lift_run();
-            }
-            // Never let the position pass the overflow head.
-            if self.cur_slot >= self.overflow_min_slot {
-                self.drain_overflow();
-                continue;
-            }
-            let idx = (self.cur_slot & self.mask as u64) as usize;
-            if self.buckets[idx].min_slot == self.cur_slot {
-                self.fill_run();
-                break;
-            }
-            self.cur_slot += 1;
-            scanned += 1;
-            if scanned >= nbuckets {
-                // A whole year was empty: the next event is further out.
-                jumped = true;
-                self.jump_to_min();
-                scanned = 0;
-            }
-        }
-        let from_heap = match (self.run[self.floor..].last(), self.in_slot.peek()) {
-            (Some(min), Some(h)) => h.key < key(min),
-            (min, _) => min.is_none(),
-        };
-        let item = if from_heap {
-            self.in_slot.pop().expect("non-empty").item
-        } else {
-            self.run.pop().expect("non-empty")
-        };
-        self.wheel_len -= 1;
-        self.len -= 1;
-        if !jumped {
-            self.jumps = 0;
-        }
-        self.maybe_resize();
-        Some(item)
+        self.pop_before(u128::MAX)
     }
 
     fn len(&self) -> usize {
@@ -1056,24 +1178,22 @@ mod tests {
         assert_eq!(q.pop().unwrap().seq, 1);
     }
 
-    /// Within a bound B the queue is a run at B items, the wheel at B + 1,
-    /// still the wheel above B / 2 and a run again at B / 2, with pops in
-    /// key order across both conversions. Then a population hovering at B
-    /// crosses it both ways many times, converting at most once per B / 2
-    /// operations, and pops as the run alone does.
+    /// Within a bound B: pushes in key order fill the bag and never convert,
+    /// whatever the population (3B here). A push below the threshold into
+    /// the run of 3B − 1 items converts the queue to the wheel, which stays
+    /// the wheel above B / 2 and is a run again at B / 2, and a push below
+    /// the threshold into that short run takes its place in it. Pops follow
+    /// the key order across both conversions. Then a population hovering at
+    /// B with pushes in random order crosses over both ways many times,
+    /// converting at most once per B / 2 operations, and pops as the run
+    /// alone does.
     #[test]
     fn run_turns_into_the_wheel_and_back() {
         const B: usize = 8;
         let mut rng = SmallRng::seed_from_u64(10);
         let mut q = BinaryHeapQueue::with_run_max(B);
         let mut reference = run_only();
-        let mut seq = 0u64;
-        let mut push = |q: &mut BinaryHeapQueue<Item>, reference: &mut BinaryHeapQueue<Item>| {
-            let it = Item {
-                t: (rng.random::<f64>() * 8.0).floor(),
-                seq,
-            };
-            seq += 1;
+        let both = |q: &mut BinaryHeapQueue<Item>, reference: &mut BinaryHeapQueue<Item>, it| {
             q.push(it);
             reference.push(it);
         };
@@ -1081,19 +1201,34 @@ mod tests {
             let (a, b) = (q.pop(), reference.pop());
             assert_eq!(a.map(|i| (i.t, i.seq)), b.map(|i| (i.t, i.seq)));
         };
-        for _ in 0..B {
-            push(&mut q, &mut reference);
+        for seq in 0..3 * B as u64 {
+            both(
+                &mut q,
+                &mut reference,
+                Item {
+                    t: 10.0 * seq as f64,
+                    seq,
+                },
+            );
+            assert!(in_run(&q) && q.run.is_empty() && q.bag.len() == seq as usize + 1);
         }
-        assert!(in_run(&q) && run_and_bag(&q) == B);
+        pop(&mut q, &mut reference);
+        assert!(in_run(&q) && q.run.len() == 3 * B - 1 && q.bag.is_empty());
         check_layout(&q);
-        push(&mut q, &mut reference);
-        assert!(run_and_bag(&q) == 0 && q.wheel.len() == B + 1);
+        let mut seq = 3 * B as u64;
+        both(&mut q, &mut reference, Item { t: 15.0, seq });
+        assert!(run_and_bag(&q) == 0 && q.wheel.len() == 3 * B);
         while q.len() > B / 2 + 1 {
             pop(&mut q, &mut reference);
             assert!(!in_run(&q), "still the wheel above B / 2");
         }
         pop(&mut q, &mut reference);
         assert!(in_run(&q) && q.run.len() == B / 2 && q.bag.is_empty());
+        check_layout(&q);
+        seq += 1;
+        let below = q.run[0].key;
+        both(&mut q, &mut reference, Item { t: 200.0, seq });
+        assert!(in_run(&q) && q.run.len() == B / 2 + 1 && q.run[0].key == below);
         check_layout(&q);
 
         // Hover: pushes are likelier below B and pops above it.
@@ -1103,7 +1238,10 @@ mod tests {
         for _ in 0..OPS {
             let p_push = if q.len() < B { 0.7 } else { 0.3 };
             if walk.random::<f64>() < p_push {
-                push(&mut q, &mut reference);
+                seq += 1;
+                let last = reference.run.last().map_or(0.0, |e| e.item.t);
+                let t = last + (rng.random::<f64>() * 8.0).floor();
+                both(&mut q, &mut reference, Item { t, seq });
             } else {
                 pop(&mut q, &mut reference);
             }
@@ -1112,7 +1250,6 @@ mod tests {
                 conversions += 1;
                 was_run = !was_run;
             }
-            assert!(run_and_bag(&q) <= B, "a run never passes the bound");
             check_layout(&q);
         }
         assert!(conversions >= 20, "only {conversions} conversions");
@@ -1121,6 +1258,95 @@ mod tests {
             "{conversions} conversions in {OPS} operations"
         );
         assert_eq!(drain(&mut q), drain(&mut reference));
+    }
+
+    /// 4,096 pushes in key order, the way the sequential engine pushes
+    /// messages under a constant wire time, then holds that pop the earliest
+    /// and push past the latest: the queue never reaches the wheel, and pops
+    /// as the run alone does.
+    #[test]
+    fn in_order_pushes_never_reach_the_wheel() {
+        let mut q = BinaryHeapQueue::new();
+        let mut reference = run_only();
+        // Four pushes share each time, in ascending `seq`.
+        let item = |seq: u64| Item {
+            t: (seq / 4) as f64,
+            seq,
+        };
+        for seq in 0..4096 {
+            q.push(item(seq));
+            reference.push(item(seq));
+            assert!(in_run(&q), "push {seq} reached the wheel");
+        }
+        for seq in 4096..4 * 4096 {
+            let (a, b) = (q.pop(), reference.pop());
+            assert_eq!(a.map(|i| (i.t, i.seq)), b.map(|i| (i.t, i.seq)));
+            q.push(item(seq));
+            reference.push(item(seq));
+            assert!(in_run(&q), "hold {seq} reached the wheel");
+        }
+        check_layout(&q);
+        assert_eq!(drain(&mut q), drain(&mut reference));
+    }
+
+    /// A batch splits at the threshold: the items below it merge into the
+    /// run, the rest append to the bag, and no batch converts the queue,
+    /// however long the run. Under the wheel force a batch goes to the
+    /// wheel. Pops follow the key order, bounded pops stop at their bound,
+    /// and the head's key is the next pop's.
+    #[test]
+    fn batches_merge_in_one_pass_and_bounded_pops_stop() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut seq = 0u64;
+        let mut batch = |n: usize, lo: f64, span: f64| {
+            (0..n)
+                .map(|_| {
+                    seq += 1;
+                    Item {
+                        t: lo + (rng.random::<f64>() * span).floor(),
+                        seq,
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        for mut q in [
+            BinaryHeapQueue::with_run_max(8),
+            Scheduler::Calendar.queue(),
+        ] {
+            let wheel_force = q.run_max == 0;
+            let mut reference = run_only();
+            for round in 0..50 {
+                let mut items = batch(64, round as f64 * 10.0, 40.0);
+                for &it in &items {
+                    reference.push(it);
+                }
+                q.push_batch(&mut items);
+                assert!(items.is_empty());
+                assert_eq!(in_run(&q), !wheel_force, "a batch never converts");
+                check_layout(&q);
+                assert_eq!(q.len(), reference.len());
+                let bound = key(&Item {
+                    t: round as f64 * 10.0 + 10.0,
+                    seq: 0,
+                });
+                loop {
+                    let head = q.head_key();
+                    assert_eq!(head, reference.head_key());
+                    match q.pop_before(bound) {
+                        Some(it) => {
+                            assert!(key(&it) < bound && Some(key(&it)) == head);
+                            assert_eq!(reference.pop().map(|i| i.seq), Some(it.seq));
+                        }
+                        None => {
+                            assert!(head.is_none_or(|h| h >= bound));
+                            break;
+                        }
+                    }
+                }
+                check_layout(&q);
+            }
+            assert_eq!(drain(&mut q), drain(&mut reference));
+        }
     }
 
     /// A push at or above the threshold appends to the bag and leaves the
@@ -1168,16 +1394,20 @@ mod tests {
         assert_eq!(order, [1, 12, 2, 3, 4, 5, 6, 7, 8, 11, 9, 10]);
     }
 
-    /// A bound of 0 is the wheel from the first push: the run never holds
-    /// an item.
+    /// A bound of 0 is the wheel from the first push: the run and the bag
+    /// never hold an item, neither for pushes in key order, which the
+    /// default queue keeps out of the wheel at any population, nor for
+    /// pushes out of order.
     #[test]
     fn calendar_force_is_the_wheel_from_the_first_event() {
         let mut q: BinaryHeapQueue<Item> = Scheduler::Calendar.queue();
-        for seq in 0..100 {
-            q.push(Item {
-                t: (seq % 7) as f64,
-                seq,
-            });
+        for seq in 0..200 {
+            let t = if seq < 100 {
+                seq as f64
+            } else {
+                (seq % 7) as f64
+            };
+            q.push(Item { t, seq });
             assert!(run_and_bag(&q) == 0 && q.wheel.len() == seq as usize + 1);
         }
         let mut last = (f64::NEG_INFINITY, 0);
@@ -1472,7 +1702,8 @@ mod tests {
 
     /// Pushes into the slot being drained, above its run's minimum, wait in
     /// `in_slot` and interleave with the run in key order; a push below the
-    /// minimum (the engine's push-back) goes straight onto the run.
+    /// minimum (a popped item pushed straight back) goes straight onto the
+    /// run.
     #[test]
     fn pushes_into_the_slot_being_drained_match_heap() {
         let mut cal = CalendarQueue::new();

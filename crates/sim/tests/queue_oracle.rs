@@ -1,17 +1,19 @@
 //! Queue order against an oracle that shares no code with the queues.
 //!
-//! [`BinaryHeapQueue`] (up to 128 items, a sorted near run plus an unsorted
-//! far bag; Brown's wheel above) and [`CalendarQueue`] (the wheel alone)
-//! order items by one packed integer key, and above the run the first
-//! holds its items in the second, so comparing them with each other
+//! [`BinaryHeapQueue`] (a sorted near run plus an unsorted far bag, and
+//! Brown's wheel once a push lands below the threshold into a run longer
+//! than 128 items) and [`CalendarQueue`] (the wheel alone) order items by
+//! one packed integer key, and once converted the first holds its items in
+//! the second, so comparing them with each other
 //! (`differential.rs`) cannot catch a fault in either. Here each queue is
 //! checked against a plain `Vec` sorted by the `(f64, u64)` comparison the
 //! key stands for, over the corners of the time domain: −0.0 next to 0.0
 //! (equal times, so the tie goes to `seq`), subnormals, times near 1e300,
 //! dense ties, and populations that cross the run bound into the wheel and
-//! come back. A schedule shaped like the engine's small machines (near-term
-//! arrivals, far compute ends, popped events pushed straight back) crosses
-//! the bound while the far bag holds items. Times that are not finite and
+//! come back. A schedule shaped like the engine's small machines before
+//! their compute ends left the queue (near-term arrivals, far compute ends,
+//! popped events pushed straight back) crosses the bound while the far bag
+//! holds items. Times that are not finite and
 //! non-negative must panic on push.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -90,8 +92,10 @@ fn draw_time(pattern: usize, rng: &mut SmallRng, last: f64) -> f64 {
     }
 }
 
-/// [`BinaryHeapQueue`]'s run bound: the push past it moves the items into
-/// the wheel, and pops that drain the wheel to half of it make a run again.
+/// [`BinaryHeapQueue`]'s run bound: a push below the threshold into a longer
+/// run moves the items into the wheel, and pops that drain the wheel to half
+/// of it make a run again. Random pushes into a population above it land
+/// below the threshold almost at once.
 const RUN_BOUND: usize = 128;
 
 /// Run `ops` random pushes and pops on `q` and the oracle, checking every
